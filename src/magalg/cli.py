@@ -21,9 +21,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from . import __version__
 from .algebra import (
     PLANARITY_TOL,
     NotInvariantPlaneError,
+    PlanarStructure,
     TrivialAlgebraError,
     decompose,
     find_invariant_planes,
@@ -41,6 +44,7 @@ from .corpus import random_coplanar_config, random_mirror_config, random_moments
 from .dipoles import (
     FORCE_PREFACTOR,
     DipoleConfig,
+    MagneticAlgebra,
     SingularFieldPointError,
     build_algebra,
     gen_cubic_lattice,
@@ -51,6 +55,8 @@ from .dipoles import (
 from .extremal import (
     TOL_SAMPLING_C,
     Branch,
+    ExtremalReport,
+    _degenerate_report,
     bounds_report,
     lambda_bar_bruteforce,
     lambda_plane,
@@ -143,6 +149,16 @@ def load_config(path) -> dict:
     return validate_config(data)
 
 
+def _coords(value, where) -> list:
+    """[x, y, z] as floats; JSON true, strings and null are not numbers."""
+    if not (isinstance(value, list) and len(value) == 3):
+        raise ConfigError(f"{where} must be [x, y, z]")
+    for v in value:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"{where} must hold numbers, got {json.dumps(v)}")
+    return [float(v) for v in value]
+
+
 def validate_config(data) -> dict:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -153,18 +169,11 @@ def validate_config(data) -> dict:
     for i, m in enumerate(magnets):
         if not isinstance(m, dict) or "position" not in m:
             raise ConfigError(f"magnet {i} needs a 'position'")
-        pos = m["position"]
-        if not (isinstance(pos, list) and len(pos) == 3):
-            raise ConfigError(f"magnet {i} position must be [x, y, z]")
-        positions.append([float(v) for v in pos])
+        positions.append(_coords(m["position"], f"magnet {i} position"))
     fps = data.get("field_points", [])
     if not isinstance(fps, list):
         raise ConfigError("'field_points' must be a list of [x, y, z]")
-    points = []
-    for i, fp in enumerate(fps):
-        if not (isinstance(fp, list) and len(fp) == 3):
-            raise ConfigError(f"field point {i} must be [x, y, z]")
-        points.append([float(v) for v in fp])
+    points = [_coords(fp, f"field point {i}") for i, fp in enumerate(fps)]
     return {
         "magnets": [{"position": p} for p in positions],
         "field_points": points,
@@ -184,33 +193,49 @@ def _mat(m):
     return [[float(x) for x in row] for row in np.asarray(m)]
 
 
-def analyze_point(cfg: DipoleConfig, req: AnalysisRequest) -> dict:
-    """Full analysis of one field point as a JSON-ready record."""
+def _report_fields(rep: ExtremalReport) -> dict:
+    """Record fields taken from one bounds report; a degenerate one has no maximizer."""
+    degenerate = rep.branch is Branch.DEGENERATE
+    return {
+        "norm_P": rep.norm_P,
+        "abs_lambda_MF": rep.abs_lambda_MF,
+        "lambda_P": rep.lambda_P,
+        "M_P": None if rep.M_P is None else _vec(rep.M_P),
+        "lambda_bar": {
+            "value": rep.lambda_bar_bf,
+            "M_bar": None if degenerate else _vec(rep.M_bar),
+            "m_bar": None if degenerate else _vec(rep.m_bar),
+            "tol_sampling": rep.tol_sampling,
+            "certified": rep.lambda_bar_certified,
+        },
+        "bounds": rep.bounds,
+        "chain_ok": rep.chain_ok,
+    }
+
+
+class _PointAnalysis(NamedTuple):
+    record: dict
+    alg: MagneticAlgebra
+    plane: PlanarStructure | None  # the plane of the primary bounds report
+
+
+def _analyze(cfg: DipoleConfig, req: AnalysisRequest) -> _PointAnalysis:
     alg = build_algebra(cfg)
     rec: dict = {"field_point": _vec(cfg.field_point)}
     if alg.is_trivial():
+        rep = _degenerate_report(req.samples, req.refine, req.seed)
         rec.update(
-            branch=Branch.DEGENERATE.value,
+            branch=rep.branch.value,
             p_vector=_vec(p_vector(cfg)),
             gram=_mat(alg.gram),
-            lambda_F=0.0,
+            lambda_F=rep.lambda_F,
             M_F=None,
             gram_multiplicity=3,
             planes=[],
             plane_used=None,
-            norm_P=0.0,
-            abs_lambda_MF=0.0,
-            lambda_P=0.0,
-            M_P=None,
-            lambda_bar={"value": 0.0, "M_bar": None, "m_bar": None,
-                        "tol_sampling": 0.0, "certified": 0.0},
-            bounds={"chain_upper": 0.0, "refined_upper": 0.0,
-                    "gram_plus_third": None, "plane_ratio": None,
-                    "plane_formula_upper": 0.0, "sqrt_two_thirds_lambda_F": 0.0},
-            chain_ok={"degenerate": True},
-            candidates=[],
+            **_report_fields(rep),
         )
-        return rec
+        return _PointAnalysis(rec, alg, None)
 
     gs = gram_spectrum(alg)
     planes = find_invariant_planes(alg, tol=PLANARITY_TOL)
@@ -254,9 +279,8 @@ def analyze_point(cfg: DipoleConfig, req: AnalysisRequest) -> dict:
             },
             bounds=None,
             chain_ok=None,
-            candidates=[],
         )
-        return rec
+        return _PointAnalysis(rec, alg, None)
 
     reports = [
         bounds_report(
@@ -276,7 +300,6 @@ def analyze_point(cfg: DipoleConfig, req: AnalysisRequest) -> dict:
     )
     used = order[0]
     rep = reports[used]
-    candidates = locate_candidates(alg, planes[used], seed=req.seed)
     rec.update(
         branch=rep.branch.value,
         plane_used=used,
@@ -291,27 +314,34 @@ def analyze_point(cfg: DipoleConfig, req: AnalysisRequest) -> dict:
             }
             for r in reports
         ],
-        norm_P=rep.norm_P,
-        abs_lambda_MF=rep.abs_lambda_MF,
-        lambda_P=rep.lambda_P,
-        M_P=_vec(rep.M_P) if rep.M_P is not None else None,
-        lambda_bar={
-            "value": rep.lambda_bar_bf,
-            "M_bar": _vec(rep.M_bar),
-            "m_bar": _vec(rep.m_bar),
-            "tol_sampling": rep.tol_sampling,
-            "certified": rep.lambda_bar_certified,
-        },
-        bounds=rep.bounds,
-        chain_ok=rep.chain_ok,
-        candidates=[
-            {"moment": _vec(c.moment), "kind": c.kind.value, "lambda_abs": c.lambda_abs}
-            for c in candidates
-        ],
+        **_report_fields(rep),
     )
     if cfg.si_prefactor or req.si:
         rec["force_scale_si"] = FORCE_PREFACTOR
         rec["max_force_si_per_unit_moments"] = FORCE_PREFACTOR * rep.lambda_bar_bf
+    return _PointAnalysis(rec, alg, planes[used])
+
+
+def analyze_point(cfg: DipoleConfig, req: AnalysisRequest) -> dict:
+    """Full analysis of one field point as a JSON-ready record.
+
+    Candidate search is not part of it: only `analyze` reports
+    candidates, and it adds them itself.
+    """
+    return _analyze(cfg, req).record
+
+
+def _with_candidates(point: _PointAnalysis, seed) -> dict:
+    """The record with a `candidates` list right after `chain_ok`."""
+    cands = [] if point.plane is None else locate_candidates(point.alg, point.plane, seed=seed)
+    rec = dict(point.record)
+    keys = list(rec)
+    tail = {k: rec.pop(k) for k in keys[keys.index("chain_ok") + 1:]}
+    rec["candidates"] = [
+        {"moment": _vec(c.moment), "kind": c.kind.value, "lambda_abs": c.lambda_abs}
+        for c in cands
+    ]
+    rec.update(tail)
     return rec
 
 
@@ -340,10 +370,10 @@ def cmd_analyze(args) -> int:
         raise ConfigError("analyze needs at least one field point in the config")
     positions = config_positions(data)
     si = data["si_prefactor"] or req.si
-    results = []
-    for fp in data["field_points"]:
-        cfg = DipoleConfig(positions, fp, si)
-        results.append(analyze_point(cfg, req))
+    results = [
+        _with_candidates(_analyze(DipoleConfig(positions, fp, si), req), req.seed)
+        for fp in data["field_points"]
+    ]
     report = {"tool": _meta(req), "config": data, "results": results}
     report.update(results[0])  # hoist the first record for convenience
     out = json.dumps(report, indent=2)
@@ -629,9 +659,23 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+_GRID_VALUE = re.compile(r"-[\d.]")  # a negative grid start, which argparse reads as an option
+
+
+def _bind_grid(argv):
+    """Join '--grid VALUE' into '--grid=VALUE' when VALUE starts with a minus sign."""
+    out: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if out and out[-1] == "--grid" and _GRID_VALUE.match(arg):
+            out[-1] = f"--grid={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_bind_grid(argv))
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else EXIT_INPUT
         return code

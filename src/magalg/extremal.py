@@ -364,10 +364,52 @@ class Candidate:
     lambda_abs: float
 
 
-def _self_eigen_residual(alg, m):
-    f = alg.matrix(m)
-    fm = f @ m
-    return fm - float(m @ fm) * m
+def _self_eigen_system(alg: MagneticAlgebra, m):
+    """Residual r = F_m m - (m . F_m m) m of each row of m, with its tangent Jacobian.
+
+    g = F_m m is quadratic in m and m^T F_m = g^T, so the derivative of
+    r(m / |m|) at a unit m is J = [2 F_m - 3 m g^T - (m . g) I](I - m m^T).
+    """
+    f = alg.matrices(m)
+    g = np.einsum("nab,nb->na", f, m)
+    s = np.einsum("na,na->n", m, g)
+    r = g - s[:, None] * m
+    eye = np.eye(3)
+    tangent = eye - m[:, :, None] * m[:, None, :]
+    jac = (2.0 * f - 3.0 * m[:, :, None] * g[:, None, :] - s[:, None, None] * eye) @ tangent
+    return r, jac
+
+
+def _self_eigen_newton(alg: MagneticAlgebra, starts, atol) -> np.ndarray:
+    """Projected Newton on the sphere for F_m m = lambda m, all starts at once.
+
+    Each step is the minimum-norm solution of J step = -r, projected to
+    the tangent plane, capped at length 0.5 and renormalized.  A start is
+    done once its residual norm is at most atol; the converged moments
+    come back in start order, and starts still above atol after 60
+    residual checks are dropped.
+    """
+    m = np.array(starts, dtype=float)
+    converged = np.zeros(len(m), dtype=bool)
+    active = np.arange(len(m))
+    for _ in range(60):
+        x = m[active]
+        r, jac = _self_eigen_system(alg, x)
+        done = np.linalg.norm(r, axis=1) <= atol
+        converged[active[done]] = True
+        active, x, r, jac = active[~done], x[~done], r[~done], jac[~done]
+        if not len(active):
+            break
+        # cutoff max(M, N) * eps, as in lstsq(rcond=None)
+        pinv = np.linalg.pinv(jac, rcond=3.0 * np.finfo(float).eps)
+        step = -np.einsum("nab,nb->na", pinv, r)
+        step -= np.einsum("na,na->n", step, x)[:, None] * x
+        length = np.linalg.norm(step, axis=1)
+        capped = length > 0.5
+        step[capped] *= (0.5 / length[capped])[:, None]
+        x = x + step
+        m[active] = x / np.linalg.norm(x, axis=1)[:, None]
+    return m[converged]
 
 
 def locate_candidates(
@@ -405,33 +447,10 @@ def locate_candidates(
 
     starts = fibonacci_sphere(n_starts) @ seeded_rotation(seed).T
     found: list[np.ndarray] = []
-    for s in starts:
-        m = s.copy()
-        ok = False
-        for _ in range(60):
-            r = _self_eigen_residual(alg, m)
-            if np.linalg.norm(r) <= 1e-11 * scale:
-                ok = True
-                break
-            jac = np.empty((3, 3))
-            h = 1e-7
-            for k in range(3):
-                e = np.zeros(3)
-                e[k] = h
-                jac[:, k] = (
-                    _self_eigen_residual(alg, unit(m + e))
-                    - _self_eigen_residual(alg, unit(m - e))
-                ) / (2.0 * h)
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-            step -= float(step @ m) * m
-            ns = float(np.linalg.norm(step))
-            if ns > 0.5:
-                step *= 0.5 / ns
-            m = unit(m + step)
-        if ok:
-            m = canonical_sign(m)
-            if all(abs(float(m @ f)) < 1.0 - 1e-8 for f in found):
-                found.append(m)
+    for m in _self_eigen_newton(alg, starts, 1e-11 * scale):
+        m = canonical_sign(m)
+        if all(abs(float(m @ f)) < 1.0 - 1e-8 for f in found):
+            found.append(m)
     for m in found:
         out.append(Candidate(m, CandidateKind.EIGEN_SELF, principal_abs(alg, m)))
 

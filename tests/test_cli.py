@@ -67,6 +67,63 @@ def test_analyze_antipodal_degenerate(tmp_path, antipodal_json):
     assert rep["lambda_bar"]["value"] == 0.0
 
 
+def test_analyze_degenerate_record_is_pinned(tmp_path, antipodal_json):
+    """The whole DEGENERATE record, key order included."""
+    _, rep = run_analyze(tmp_path, antipodal_json)
+    expected = {
+        "field_point": [0.0, 0.0, 0.0],
+        "branch": "DEGENERATE",
+        "p_vector": [0.0, 0.0, 0.0],
+        "gram": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        "lambda_F": 0.0,
+        "M_F": None,
+        "gram_multiplicity": 3,
+        "planes": [],
+        "plane_used": None,
+        "norm_P": 0.0,
+        "abs_lambda_MF": 0.0,
+        "lambda_P": 0.0,
+        "M_P": None,
+        "lambda_bar": {"value": 0.0, "M_bar": None, "m_bar": None, "tol_sampling": 0.0, "certified": 0.0},
+        "bounds": {"chain_upper": 0.0, "refined_upper": 0.0, "gram_plus_third": None,
+                   "plane_ratio": None, "plane_formula_upper": 0.0, "sqrt_two_thirds_lambda_F": 0.0},
+        "chain_ok": {"degenerate": True},
+        "candidates": [],
+    }
+    rec = rep["results"][0]
+    assert json.dumps(rec) == json.dumps(expected)
+
+
+def test_analyze_candidates_follow_chain_ok(tmp_path):
+    cfg = write_config(tmp_path / "pair.json", [[1, 0, 0], [-1, 0, 0]], [[0.3, 0.2, 0.5]], si=True)
+    code, rep = run_analyze(tmp_path, cfg)
+    assert code == EXIT_OK
+    rec = rep["results"][0]
+    assert list(rec)[-4:] == ["chain_ok", "candidates", "force_scale_si", "max_force_si_per_unit_moments"]
+    cands = rec["candidates"]
+    assert {c["kind"] for c in cands} >= {"GRAM_TOP", "IN_PLANE_MAX", "EIGEN_SELF"}
+    assert all(list(c) == ["moment", "kind", "lambda_abs"] for c in cands)
+    values = [c["lambda_abs"] for c in cands]
+    assert values == sorted(values, reverse=True)
+    assert values[0] == pytest.approx(rec["lambda_bar"]["value"], rel=1e-9)
+
+
+@pytest.mark.parametrize("value", [True, "1", None])
+@pytest.mark.parametrize("where", ["magnet 1 position", "field point 0"])
+def test_analyze_rejects_non_numeric_coordinate(tmp_path, capsys, value, where):
+    data = {"magnets": [{"position": [1, 0, 0]}, {"position": [-1, 0, 0]}], "field_points": [[0, 0, 1]]}
+    if where.startswith("magnet"):
+        data["magnets"][1]["position"][2] = value
+    else:
+        data["field_points"][0][0] = value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert where in err and json.dumps(value) in err
+
+
 def test_analyze_missing_config(tmp_path, capsys):
     code = main(["analyze", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r.json")])
     assert code == EXIT_INPUT
@@ -232,6 +289,31 @@ def test_sweep_rows_satisfy_chain(tmp_path):
         assert float(row["norm_P"]) <= float(row["abs_lambda_MF"]) + 1e-12
         checked += 1
     assert checked >= 20
+
+
+def test_sweep_negative_grid_start_both_forms(tmp_path):
+    cfg = write_config(tmp_path / "pair.json", [[1, 0, 0], [-1, 0, 0]], [])
+    outs = []
+    for i, grid_args in enumerate((["--grid", "-2:2:3,0.5:0.5:1,0:0:1"], ["--grid=-2:2:3,0.5:0.5:1,0:0:1"])):
+        out = tmp_path / f"sweep{i}.csv"
+        argv = ["sweep", "--config", str(cfg), *grid_args, "--out", str(out), "--samples", "500", "--refine", "20"]
+        assert main(argv) == EXIT_OK
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+    assert [row["x"] for row in csv.DictReader(outs[0].splitlines())] == ["-2.0", "0.0", "2.0"]
+
+
+def test_sweep_runs_no_candidate_search(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("sweep must not search for candidates")
+
+    monkeypatch.setattr("magalg.cli.locate_candidates", fail)
+    cfg = write_config(tmp_path / "pair.json", [[1, 0, 0], [-1, 0, 0]], [])
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", str(cfg), "--grid", "0:1:2,0.5:0.5:1,0:0:1",
+                 "--out", str(out), "--samples", "500", "--refine", "20"])
+    assert code == EXIT_OK
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_sweep_bad_grid(tmp_path, single_dipole_json, capsys):

@@ -17,8 +17,8 @@ from magalg import (
     sampling_tolerance,
     verify_theorems,
 )
-from magalg.corpus import random_coplanar_config, random_mirror_config
-from magalg.extremal import principal_split_batch
+from magalg.corpus import random_algebra, random_coplanar_config, random_mirror_config, random_moments
+from magalg.extremal import _self_eigen_system, principal_split_batch
 
 SQRT2 = np.sqrt(2.0)
 
@@ -245,9 +245,43 @@ def test_locate_candidates_single_dipole(single_dipole_algebra, dipole_plane):
     assert np.linalg.norm(fm - (m @ fm) * m) <= 1e-9
 
 
+def planar_corpus(rng, n):
+    """n seeded configs with their construction normals, alternating coplanar and mirror."""
+    for i in range(n):
+        yield random_coplanar_config(rng, n_min=2) if i % 2 == 0 else random_mirror_config(rng)
+
+
+def test_self_eigen_jacobian_matches_central_differences(rng):
+    """The analytic tangent Jacobian is the derivative of r(m / |m|) at unit m."""
+    h = 1e-6
+    for _ in range(20):
+        alg = random_algebra(rng)
+        m = random_moments(rng, 8)
+        _, jac = _self_eigen_system(alg, m)
+        for k in range(3):
+            e = np.zeros(3)
+            e[k] = h
+            plus, minus = m + e, m - e
+            r_plus, _ = _self_eigen_system(alg, plus / np.linalg.norm(plus, axis=1, keepdims=True))
+            r_minus, _ = _self_eigen_system(alg, minus / np.linalg.norm(minus, axis=1, keepdims=True))
+            fd = (r_plus - r_minus) / (2.0 * h)
+            assert np.abs(jac[:, :, k] - fd).max() <= 1e-7 * alg.scale
+
+
+def test_eigen_self_candidates_converged_and_distinct(rng):
+    for cfg, n_hat in planar_corpus(rng, 40):
+        alg = build_algebra(cfg)
+        cands = locate_candidates(alg, planar_structure(alg, n_hat), seed=0)
+        ms = np.array([c.moment for c in cands if c.kind is CandidateKind.EIGEN_SELF])
+        assert len(ms) > 0
+        r, _ = _self_eigen_system(alg, ms)
+        assert (np.linalg.norm(r, axis=1) <= 1e-11 * alg.scale).all()
+        overlap = np.abs(ms @ ms.T)[np.triu_indices(len(ms), 1)]
+        assert (overlap < 1.0 - 1e-8).all()
+
+
 def test_locate_candidates_best_matches_oracle(rng):
-    for _ in range(10):
-        cfg, n_hat = random_coplanar_config(rng, n_min=2)
+    for cfg, n_hat in planar_corpus(rng, 60):
         alg = build_algebra(cfg)
         plane = planar_structure(alg, n_hat)
         cands = locate_candidates(alg, plane, seed=0)
