@@ -17,10 +17,12 @@ import numpy as np
 
 from .dipoles import MagneticAlgebra
 from .linalg3 import canonical_sign, cross_matrices, cross_matrix, unit
-from .sphere import fibonacci_sphere, golden_min, sphere_descent, tangent_basis
+from .sphere import fibonacci_sphere, seeded_rotation, sphere_descent, tangent_basis
 
 PLANARITY_TOL = 1e-8  # relative to the largest basis-image Frobenius norm
 _FRAME_TOL = 1e-12  # below this (relative), the coupling vector is treated as zero
+GRAM_DEGENERACY_RTOL = 1e-9  # Gram eigenvalues this close (relative to the top one) count as equal
+_FAMILY_SIZE = 8  # representatives returned for a continuous family of planes
 
 
 class TrivialAlgebraError(ValueError):
@@ -74,7 +76,7 @@ class GramSpectrum:
     multiplicity: int
 
 
-def gram_spectrum(alg: MagneticAlgebra, degeneracy_rtol=1e-9) -> GramSpectrum:
+def gram_spectrum(alg: MagneticAlgebra, degeneracy_rtol=GRAM_DEGENERACY_RTOL) -> GramSpectrum:
     g = alg.gram
     w, v = np.linalg.eigh(g)
     lam = float(max(w[-1], 0.0))
@@ -187,19 +189,6 @@ def _group_eigenvalues(w, rtol):
     return groups
 
 
-def _refine_angle(alg, v1, v2, theta, width):
-    f = lambda t: plane_residual_batch(alg, [np.cos(t) * v1 + np.sin(t) * v2])[0]
-    t, _ = golden_min(f, theta - width, theta + width, iters=70)
-    return np.cos(t) * v1 + np.sin(t) * v2
-
-
-def _local_minima_periodic(res):
-    """Indices that are minima of a periodic residual profile."""
-    left = np.roll(res, 1)
-    right = np.roll(res, -1)
-    return np.flatnonzero((res <= left) & (res <= right))
-
-
 def _separated_seeds(points, res, max_seeds, min_dot=0.98):
     """Lowest-residual points, greedily kept angularly apart (mod sign)."""
     seeds = []
@@ -221,21 +210,120 @@ def _dedupe_normals(normals):
     return out
 
 
+def _self_eigen_system(alg: MagneticAlgebra, m):
+    """Residual r = F_m m - (m . F_m m) m of each row of m, with its tangent Jacobian.
+
+    g = F_m m is quadratic in m and m^T F_m = g^T, so the derivative of
+    r(m / |m|) at a unit m is J = [2 F_m - 3 m g^T - (m . g) I](I - m m^T).
+    """
+    f = alg.matrices(m)
+    g = np.einsum("nab,nb->na", f, m)
+    s = np.einsum("na,na->n", m, g)
+    r = g - s[:, None] * m
+    eye = np.eye(3)
+    tangent = eye - m[:, :, None] * m[:, None, :]
+    jac = (2.0 * f - 3.0 * m[:, :, None] * g[:, None, :] - s[:, None, None] * eye) @ tangent
+    return r, jac
+
+
+def _self_eigen_step(alg: MagneticAlgebra, x):
+    """One projected Newton step for F_m m = lambda m on each row of x.
+
+    The step is the minimum-norm solution of J step = -r, projected to
+    the tangent plane, capped at length 0.5 and renormalized.  Returns
+    the stepped rows and the residual norms before the step.
+    """
+    r, jac = _self_eigen_system(alg, x)
+    # cutoff max(M, N) * eps, as in lstsq(rcond=None)
+    pinv = np.linalg.pinv(jac, rcond=3.0 * np.finfo(float).eps)
+    step = -np.einsum("nab,nb->na", pinv, r)
+    step -= np.einsum("na,na->n", step, x)[:, None] * x
+    length = np.linalg.norm(step, axis=1)
+    capped = length > 0.5
+    step[capped] *= (0.5 / length[capped])[:, None]
+    x = x + step
+    return x / np.linalg.norm(x, axis=1)[:, None], np.linalg.norm(r, axis=1)
+
+
+def self_eigenvectors(alg: MagneticAlgebra, n_starts=50, seed=0) -> list[np.ndarray]:
+    """Distinct unit moments x with F_x x parallel to x, sign-canonical.
+
+    These are the Z-eigenvectors of the operator tensor, found by
+    projected Newton from n_starts seeded Fibonacci starts at once.  A
+    start is done once its residual is at most 1e-11 times the operator
+    scale and is dropped if still above it after 60 residual checks; two
+    moments whose cosine is within 1e-8 of +-1 count once.
+    """
+    m = fibonacci_sphere(n_starts) @ seeded_rotation(seed).T
+    converged = np.zeros(len(m), dtype=bool)
+    active = np.arange(len(m))
+    for _ in range(60):
+        stepped, res = _self_eigen_step(alg, m[active])
+        done = res <= 1e-11 * alg.scale
+        converged[active[done]] = True
+        m[active[~done]] = stepped[~done]
+        active = active[~done]
+        if not len(active):
+            break
+    found: list[np.ndarray] = []
+    for x in m[converged]:
+        x = canonical_sign(x)
+        if all(abs(float(x @ f)) < 1.0 - 1e-8 for f in found):
+            found.append(x)
+    return found
+
+
+def _circle_normals(alg: MagneticAlgebra, axis, threshold):
+    """Plane normals on the great circle orthogonal to axis, and whether they form a family.
+
+    Along the circle, ||[n] F_n [n]||^2 is a trigonometric polynomial of
+    degree 3 in 2t: twelve samples give it exactly, and its stationary
+    points are the roots of a degree-6 polynomial in z = exp(2it).  If no
+    sample or stationary point is above threshold the circle is a family;
+    otherwise each arc between points above threshold gives its lowest.
+    """
+    u, v = tangent_basis(axis)
+
+    def on_circle(t):
+        return np.cos(t)[:, None] * u + np.sin(t)[:, None] * v
+
+    t = np.arange(12) * (np.pi / 12)
+    res = plane_residual_batch(alg, on_circle(t))
+    c = np.fft.rfft(res * res)[:4] / 12  # coefficient of z^k, k = 0..3; that of z^-k is its conjugate
+    k = np.arange(-3, 4)
+    # z^3 f'(t) / 2i = sum_k k c_k z^(k+3); np.roots wants the highest power first
+    t_stat = np.angle(np.roots((k * np.concatenate([np.conj(c[:0:-1]), c]))[::-1])) / 2
+    t = np.concatenate([t, t_stat]) % np.pi
+    res = np.concatenate([res, plane_residual_batch(alg, on_circle(t_stat))])
+    low = res <= threshold
+    if low.all():
+        return on_circle(np.arange(_FAMILY_SIZE) * (np.pi / _FAMILY_SIZE)), True
+    order = np.argsort(t)
+    high = np.flatnonzero(~low[order])
+    order = np.roll(order, -high[0])  # start the sweep at a point above threshold
+    best = []
+    for arc in np.split(order, high[1:] - high[0]):
+        arc = arc[low[arc]]
+        if arc.size:
+            best.append(t[arc[np.argmin(res[arc])]])
+    return on_circle(np.array(best)), False
+
+
 def find_invariant_planes(
     alg: MagneticAlgebra,
     tol=PLANARITY_TOL,
     global_scan=False,
-    n_scan=720,
-    max_family=8,
 ) -> list[PlanarStructure]:
     """All invariant-plane normals of the algebra.
 
     Candidates are restricted to eigenvectors of the Gram matrix, which
-    is exhaustive for exact planes; degenerate Gram eigenspaces are
-    scanned densely and continuous families come back as max_family
-    representatives flagged degenerate.  global_scan additionally sweeps
-    the whole sphere (Fibonacci lattice plus local descent) to catch
-    near-planes of slightly perturbed configurations.
+    is exhaustive for exact planes.  A 2-fold eigenspace is the great
+    circle orthogonal to the third eigenvector; in a 3-fold one every
+    normal lies on the circle orthogonal to a self-eigenvector (the
+    maximizer of x^T F_x x on the plane).  Continuous families come back
+    as representatives flagged degenerate.  global_scan additionally
+    sweeps the whole sphere (Fibonacci lattice plus local descent) to
+    catch near-planes of slightly perturbed configurations.
     """
     scale = alg.scale
     if scale == 0.0:
@@ -252,36 +340,20 @@ def find_invariant_planes(
             n = v[:, group[0]]
             if plane_residual(alg, n) <= threshold:
                 accepted.append(n)
-        elif len(group) == 2:
-            v1, v2 = v[:, group[0]], v[:, group[1]]
-            thetas = np.linspace(0.0, np.pi, n_scan, endpoint=False)
-            ns = np.cos(thetas)[:, None] * v1 + np.sin(thetas)[:, None] * v2
-            res = plane_residual_batch(alg, ns)
-            if np.mean(res <= threshold) > 0.9:
-                step = max(1, n_scan // max_family)
-                family.extend(ns[::step][:max_family])
-            else:
-                # isolated planes show up as sharp local minima of the
-                # angular profile; refine each and keep those that pass
-                width = np.pi / n_scan
-                minima = _local_minima_periodic(res)
-                for i in minima[np.argsort(res[minima])][:16]:
-                    n = _refine_angle(alg, v1, v2, thetas[i], 2 * width)
-                    if plane_residual(alg, n) <= threshold:
-                        accepted.append(n)
+            continue
+        if len(group) == 3:
+            # one more Newton step takes each axis from the 1e-11 acceptance to full precision
+            axes, _ = _self_eigen_step(alg, np.reshape(self_eigenvectors(alg), (-1, 3)))
         else:
-            pts = fibonacci_sphere(10_000)
-            res = plane_residual_batch(alg, pts)
-            if np.mean(res <= threshold) > 0.9:
-                step = max(1, len(pts) // max_family)
-                family.extend(pts[::step][:max_family])
-            else:
-                for p in _separated_seeds(pts, res, max_seeds=24):
-                    n, r = sphere_descent(
-                        lambda x: plane_residual_batch(alg, [x])[0], p, steps=80
-                    )
-                    if r <= threshold:
-                        accepted.append(n)
+            axes = [v[:, 3 - sum(group)]]  # the eigenvector outside the adjacent pair
+        found: list[np.ndarray] = []
+        for axis in axes:
+            normals, is_family = _circle_normals(alg, axis, threshold)
+            (family if is_family else found).extend(normals)
+        # several circles can pass through one normal and locate it with
+        # different accuracy: the most accurate comes first, so dedupe keeps it
+        res = [plane_residual(alg, n) for n in found]
+        accepted.extend(found[i] for i in np.argsort(res, kind="stable") if res[i] <= threshold)
 
     if global_scan:
         pts = fibonacci_sphere(10_000)

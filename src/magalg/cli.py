@@ -61,7 +61,6 @@ from .extremal import (
     lambda_bar_bruteforce,
     lambda_plane,
     locate_candidates,
-    plane_gram_moment,
     principal_abs,
     sampling_tolerance,
     verify_theorems,
@@ -444,13 +443,16 @@ def _parse_axis(text: str) -> np.ndarray:
     return _parse_vec(text)
 
 
-def _emit_config(cfg: DipoleConfig) -> int:
-    data = {
+def _config_json(cfg: DipoleConfig) -> dict:
+    return {
         "magnets": [{"position": _vec(p)} for p in cfg.magnet_positions],
         "field_points": [_vec(cfg.field_point)],
         "si_prefactor": cfg.si_prefactor,
     }
-    print(json.dumps(data, indent=2))
+
+
+def _emit_config(cfg: DipoleConfig) -> int:
+    print(json.dumps(_config_json(cfg), indent=2))
     return EXIT_OK
 
 
@@ -545,6 +547,13 @@ def _verify_trial(alg, n_hat, accum, samples, seed):
         note(name, chk.residual, chk.ok)
 
 
+def _trial_violates(alg, n_hat, accum, samples, seed) -> bool:
+    """Run one verification trial; True when it makes a check that held so far fail."""
+    before = {k: v[1] for k, v in accum.items()}
+    _verify_trial(alg, n_hat, accum, samples, seed)
+    return any(not v[1] and before.get(k, True) for k, v in accum.items())
+
+
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ConfigError("trials must be at least 1")
@@ -566,11 +575,7 @@ def cmd_verify(args) -> int:
                 continue
             if not planes:
                 continue
-            before = {k: v[1] for k, v in accum.items()}
-            _verify_trial(alg, planes[0].n_hat, accum, args.samples, args.seed)
-            if offending is None and any(
-                not v[1] and before.get(k, True) for k, v in accum.items()
-            ):
+            if _trial_violates(alg, planes[0].n_hat, accum, args.samples, args.seed) and offending is None:
                 offending = data
     else:
         for t in range(args.trials):
@@ -582,16 +587,8 @@ def cmd_verify(args) -> int:
             alg = build_algebra(cfg)
             if alg.is_trivial():
                 continue
-            before = {k: v[1] for k, v in accum.items()}
-            _verify_trial(alg, n_hat, accum, args.samples, args.seed + t)
-            if offending is None and any(
-                not v[1] and before.get(k, True) for k, v in accum.items()
-            ):
-                offending = {
-                    "magnets": [{"position": _vec(p)} for p in cfg.magnet_positions],
-                    "field_points": [_vec(cfg.field_point)],
-                    "si_prefactor": False,
-                }
+            if _trial_violates(alg, n_hat, accum, args.samples, args.seed + t) and offending is None:
+                offending = _config_json(cfg)
     all_ok = all(ok for _, ok in accum.values())
     for name in sorted(accum):
         worst, ok = accum[name]

@@ -35,6 +35,10 @@ class SingularFieldPointError(ValueError):
         self.distance = float(distance)
 
 
+class FarFieldError(ValueError):
+    """Every magnet is so far from the field point that the operator underflows."""
+
+
 @dataclass(frozen=True, eq=False)
 class DipoleConfig:
     """Magnet positions plus one field point.
@@ -152,13 +156,17 @@ class MagneticAlgebra:
 def p_vector(cfg: DipoleConfig) -> np.ndarray:
     """Source vector: sum of unit directions weighted by distance^-4."""
     u, dist = cfg.separations()
-    return (u / dist[:, None] ** 4).sum(axis=0)
+    return (u * dist[:, None] ** -4).sum(axis=0)
 
 
 def build_algebra(cfg: DipoleConfig) -> MagneticAlgebra:
     """Assemble the moment -> gradient-matrix map of a configuration."""
     u, dist = cfg.separations()
     w = dist ** -4
+    # the Gram matrix holds squares of the operator's entries, which scale as w
+    if w.max() ** 2 < np.finfo(float).tiny:
+        raise FarFieldError(f"field point too far from the magnets: the nearest is at "
+                            f"{dist.min():.3e} m, where the operator's Gram matrix underflows")
     P = (w[:, None] * u).sum(axis=0)
     ident = np.eye(3)
     # third-moment tensor sum_i w_i u_i (x) u_i (x) u_i, first slot indexed by k

@@ -20,11 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import PlanarStructure, gram_spectrum
+from .algebra import GRAM_DEGENERACY_RTOL, PlanarStructure, gram_spectrum, self_eigenvectors
 from .corpus import random_algebra, random_moments
 from .dipoles import MagneticAlgebra
 from .linalg3 import canonical_sign, det3, principal_axis, principal_split, spread_ratio, unit
-from .sphere import fibonacci_sphere, golden_max, seeded_rotation, sphere_ascent
+from .sphere import fibonacci_sphere, seeded_rotation, sphere_ascent
 
 TOL_SAMPLING_C = 25.0  # lattice-gap constant, calibrated on the single-dipole closed form
 _Z = np.array([0.0, 0.0, 1.0])
@@ -133,35 +133,28 @@ def in_plane_abs(plane: PlanarStructure, tr2, pm):
     return np.maximum(0.5 * (pm + root), pm)
 
 
-def lambda_plane(alg: MagneticAlgebra, plane: PlanarStructure, n_angles=720) -> PlaneMax:
+def lambda_plane(alg: MagneticAlgebra, plane: PlanarStructure) -> PlaneMax:
     """Maximum |principal eigenvalue| over unit in-plane moments.
 
-    Dense angle grid over half a turn (the objective has period pi) plus
-    golden-section refinement around the best bracket.  Always at least
-    ||P||, attained by the coupling direction.
+    An in-plane moment M sends the normal to (P . M) n, so by Banach's
+    theorem the maximum is max(||P||, max |tau|) over unit in-plane x,
+    tau = x^T F_x x = al c^3 + 3 be c^2 s + 3 ga c s^2 + de s^3 in the
+    frame.  Its stationary points are theta = pi/2 and the roots
+    t = tan(theta) of -ga t^3 + (de - 2 be) t^2 + (2 ga - al) t + be; the
+    objective is evaluated there and at theta = 0, where |P . M| = ||P||.
     """
-    n_angles = int(n_angles)
-    if n_angles < 4:
-        raise ValueError("need at least 4 angles")
     e1, e2, a, b, c = _plane_quadratic(alg, plane)
-    pn = plane.norm_P
-
-    def value(theta):
-        ct, st = np.cos(theta), np.sin(theta)
-        tr2 = a * ct * ct + 2.0 * b * ct * st + c * st * st
-        return in_plane_abs(plane, tr2, pn * ct)
-
-    thetas = np.linspace(0.0, np.pi, n_angles, endpoint=False)
-    vals = value(thetas)
+    f1 = alg.matrix(e1)
+    al, be, ga = float(e1 @ f1 @ e1), float(e1 @ f1 @ e2), float(e2 @ f1 @ e2)
+    de = float(e2 @ alg.matrix(e2) @ e2)
+    # real parts of complex roots are harmless extra angles: every angle is a valid moment
+    roots = np.roots([-ga, de - 2.0 * be, 2.0 * ga - al, be]).real
+    thetas = np.concatenate([[0.0, 0.5 * np.pi], np.arctan(roots)])
+    ct, st = np.cos(thetas), np.sin(thetas)
+    vals = in_plane_abs(plane, a * ct * ct + 2.0 * b * ct * st + c * st * st, plane.norm_P * ct)
     i = int(np.argmax(vals))
-    width = np.pi / n_angles
-    t_ref, v_ref = golden_max(lambda t: float(value(t)), thetas[i] - width, thetas[i] + width)
-    if v_ref > vals[i]:
-        t_best, v_best = t_ref, v_ref
-    else:
-        t_best, v_best = thetas[i], float(vals[i])
-    moment = canonical_sign(np.cos(t_best) * e1 + np.sin(t_best) * e2)
-    return PlaneMax(float(v_best), moment, plane.P_hat is None)
+    moment = canonical_sign(ct[i] * e1 + st[i] * e2)
+    return PlaneMax(float(vals[i]), moment, plane.P_hat is None)
 
 
 def plane_gram_moment(alg: MagneticAlgebra, plane: PlanarStructure):
@@ -170,24 +163,25 @@ def plane_gram_moment(alg: MagneticAlgebra, plane: PlanarStructure):
     The normal is always a Gram eigenvector, so the top eigenvector can
     be taken either as the normal itself or from the plane; restricting
     the choice this way keeps the closed form below applicable even when
-    the top eigenvalue is degenerate.  Returns (M_F, lambda_F).
+    the top eigenvalue is degenerate.  An isotropic in-plane block gives
+    the frame's second axis (Q_hat when P is nonzero), so the choice
+    follows the geometry rather than rounding.  Returns (M_F, lambda_F).
     """
     e1, e2, a, b, c = _plane_quadratic(alg, plane)
     n = plane.n_hat
     lam_n = float(n @ alg.gram @ n)
-    half = 0.5 * (a + c)
-    disc = np.sqrt(max(0.25 * (a - c) ** 2 + b * b, 0.0))
-    mu = half + disc
+    disc = float(np.hypot(0.5 * (a - c), b))  # squaring Gram entries underflows in the far field
+    mu = 0.5 * (a + c) + disc
     if mu >= lam_n:
+        if 2.0 * disc <= GRAM_DEGENERACY_RTOL * mu:
+            return canonical_sign(e2), mu
         # eigenvector of [[a, b], [b, c]] for mu: pick the better-conditioned
         # of the two cofactor forms; both vanish only when the block is mu*I
         c1 = np.array([mu - c, b])
         c2 = np.array([b, mu - a])
-        coeff = c1 if np.linalg.norm(c1) >= np.linalg.norm(c2) else c2
-        if np.linalg.norm(coeff) == 0.0:
-            coeff = np.array([1.0, 0.0])
-        m = unit(coeff[0] * e1 + coeff[1] * e2)
-        return canonical_sign(m), float(mu)
+        n1, n2 = np.hypot(*c1), np.hypot(*c2)
+        coeff = c1 / n1 if n1 >= n2 else c2 / n2
+        return canonical_sign(coeff[0] * e1 + coeff[1] * e2), mu
     return n, lam_n
 
 
@@ -265,7 +259,6 @@ def bounds_report(
     n_samples=20000,
     refine_steps=100,
     seed=0,
-    n_angles=720,
     tol_rel=1e-9,
     precomputed: BruteForceResult | None = None,
 ) -> ExtremalReport:
@@ -285,7 +278,7 @@ def bounds_report(
     bf = precomputed
     if bf is None:
         bf = lambda_bar_bruteforce(alg, n_samples=n_samples, refine_steps=refine_steps, seed=seed)
-    pm = lambda_plane(alg, plane, n_angles=n_angles)
+    pm = lambda_plane(alg, plane)
     m_f, lam_f = plane_gram_moment(alg, plane)
     abs_mf = lambda_MF_closed_form(alg, plane)
     pn = plane.norm_P
@@ -364,54 +357,6 @@ class Candidate:
     lambda_abs: float
 
 
-def _self_eigen_system(alg: MagneticAlgebra, m):
-    """Residual r = F_m m - (m . F_m m) m of each row of m, with its tangent Jacobian.
-
-    g = F_m m is quadratic in m and m^T F_m = g^T, so the derivative of
-    r(m / |m|) at a unit m is J = [2 F_m - 3 m g^T - (m . g) I](I - m m^T).
-    """
-    f = alg.matrices(m)
-    g = np.einsum("nab,nb->na", f, m)
-    s = np.einsum("na,na->n", m, g)
-    r = g - s[:, None] * m
-    eye = np.eye(3)
-    tangent = eye - m[:, :, None] * m[:, None, :]
-    jac = (2.0 * f - 3.0 * m[:, :, None] * g[:, None, :] - s[:, None, None] * eye) @ tangent
-    return r, jac
-
-
-def _self_eigen_newton(alg: MagneticAlgebra, starts, atol) -> np.ndarray:
-    """Projected Newton on the sphere for F_m m = lambda m, all starts at once.
-
-    Each step is the minimum-norm solution of J step = -r, projected to
-    the tangent plane, capped at length 0.5 and renormalized.  A start is
-    done once its residual norm is at most atol; the converged moments
-    come back in start order, and starts still above atol after 60
-    residual checks are dropped.
-    """
-    m = np.array(starts, dtype=float)
-    converged = np.zeros(len(m), dtype=bool)
-    active = np.arange(len(m))
-    for _ in range(60):
-        x = m[active]
-        r, jac = _self_eigen_system(alg, x)
-        done = np.linalg.norm(r, axis=1) <= atol
-        converged[active[done]] = True
-        active, x, r, jac = active[~done], x[~done], r[~done], jac[~done]
-        if not len(active):
-            break
-        # cutoff max(M, N) * eps, as in lstsq(rcond=None)
-        pinv = np.linalg.pinv(jac, rcond=3.0 * np.finfo(float).eps)
-        step = -np.einsum("nab,nb->na", pinv, r)
-        step -= np.einsum("na,na->n", step, x)[:, None] * x
-        length = np.linalg.norm(step, axis=1)
-        capped = length > 0.5
-        step[capped] *= (0.5 / length[capped])[:, None]
-        x = x + step
-        m[active] = x / np.linalg.norm(x, axis=1)[:, None]
-    return m[converged]
-
-
 def locate_candidates(
     alg: MagneticAlgebra,
     plane: PlanarStructure,
@@ -431,10 +376,10 @@ def locate_candidates(
     scale = alg.scale
     out: list[Candidate] = []
 
+    # a degenerate top eigenvalue leaves eigh's basis arbitrary: only the canonical M_F is used
     gs = gram_spectrum(alg)
-    tops = [gs.eigenvectors[:, -1 - i] for i in range(gs.multiplicity)]
     m_f, _ = plane_gram_moment(alg, plane)
-    tops.append(m_f)
+    tops = [m_f] if gs.multiplicity > 1 else [gs.eigenvectors[:, -1], m_f]
     seen: list[np.ndarray] = []
     for m in tops:
         m = canonical_sign(unit(m))
@@ -445,13 +390,7 @@ def locate_candidates(
     pm = lambda_plane(alg, plane)
     out.append(Candidate(pm.moment, CandidateKind.IN_PLANE_MAX, pm.value))
 
-    starts = fibonacci_sphere(n_starts) @ seeded_rotation(seed).T
-    found: list[np.ndarray] = []
-    for m in _self_eigen_newton(alg, starts, 1e-11 * scale):
-        m = canonical_sign(m)
-        if all(abs(float(m @ f)) < 1.0 - 1e-8 for f in found):
-            found.append(m)
-    for m in found:
+    for m in self_eigenvectors(alg, n_starts, seed):
         out.append(Candidate(m, CandidateKind.EIGEN_SELF, principal_abs(alg, m)))
 
     det_tol = det_rtol * scale ** 3

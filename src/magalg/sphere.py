@@ -14,7 +14,6 @@ import numpy as np
 from .linalg3 import unit
 
 _GOLDEN = np.pi * (3.0 - np.sqrt(5.0))
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def fibonacci_sphere(n) -> np.ndarray:
@@ -46,28 +45,6 @@ def tangent_basis(n):
     t1 = unit(np.cross(n, a))
     t2 = np.cross(n, t1)
     return t1, t2
-
-
-def golden_min(f, a, b, iters=80):
-    """Golden-section minimum of f on [a, b]; returns (x, f(x))."""
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
-def golden_max(f, a, b, iters=80):
-    x, fx = golden_min(lambda t: -f(t), a, b, iters=iters)
-    return x, -fx
 
 
 def sphere_ascent(f, x0, steps=100, fd_step=1e-6, step0=0.1):

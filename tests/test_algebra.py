@@ -19,11 +19,23 @@ from magalg import (
 from magalg.corpus import (
     random_config,
     random_coplanar_config,
+    random_frame,
     random_mirror_config,
     random_moments,
 )
 
 SQRT2 = np.sqrt(2.0)
+TETRA = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float) / np.sqrt(3.0)
+
+
+def tetrahedral_centre(rng, shells, frame=None):
+    """Concentric, equally oriented tetrahedra around a random field point."""
+    from magalg import DipoleConfig
+
+    frame = random_frame(rng) if frame is None else frame
+    fp = rng.uniform(-1.0, 1.0, 3)
+    radii = rng.uniform(0.3, 2.0, shells)
+    return DipoleConfig(np.concatenate([fp + r * TETRA @ frame.T for r in radii]), fp), frame
 
 
 def test_check_algebra_clean(single_dipole_algebra):
@@ -131,6 +143,49 @@ def test_triangle_isolated_planes_in_degenerate_eigenspace():
         assert p.norm_P == pytest.approx(3.75, abs=1e-12)
     coplanar = [p for p in planes if abs(p.n_hat[2]) > 1e-9][0]
     assert coplanar.norm_P <= 1e-13
+
+
+@pytest.mark.parametrize("shells", [1, 2])
+def test_tetrahedral_centre_has_the_six_mirror_planes(rng, shells):
+    """Isotropic (3-fold) Gram spectrum: exactly the six mirror planes of
+    the tetrahedron, with normals (e_i +- e_j)/sqrt(2) in its frame."""
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    for _ in range(10):
+        cfg, frame = tetrahedral_centre(rng, shells)
+        alg = build_algebra(cfg)
+        assert gram_spectrum(alg).multiplicity == 3
+        planes = find_invariant_planes(alg)
+        assert len(planes) == 6
+        expected = [frame @ (np.eye(3)[i] + s * np.eye(3)[j]) / SQRT2 for i, j in pairs for s in (1, -1)]
+        for p in planes:
+            assert not p.degenerate
+            assert min(min(np.linalg.norm(p.n_hat - e), np.linalg.norm(p.n_hat + e)) for e in expected) <= 1e-12
+            assert p.residual <= 1e-12 * alg.scale
+
+
+def test_near_degenerate_gram_pair_keeps_one_normal_per_arc():
+    """Two magnets and the field point in one plane, with a Gram pair equal
+    to 1.8e-7: the exact common plane plus one near-plane whose residual
+    profile has two minima 4.5e-5 rad apart below the threshold; the arc
+    holding both gives one normal."""
+    from magalg import DipoleConfig
+
+    pos = np.array([[0.36312889509085994, 0.11513742879930472, 0.5979024501735171],
+                    [-0.12660523972444088, 2.318796350758804, 0.4432654997794814]])
+    fp = np.array([0.31618954241561803, 0.3163218900079414, 0.5849151920198039])
+    alg = build_algebra(DipoleConfig(pos, fp))
+    planes = find_invariant_planes(alg)
+    assert len(planes) == 2 and not any(p.degenerate for p in planes)
+    common = np.cross(pos[0] - fp, pos[1] - fp)
+    common /= np.linalg.norm(common)
+    near = np.array([0.8656020895435054, 0.17159225615261756, -0.4704137755278557])
+    # both normals sit in flat residual valleys along the circle (the common
+    # plane's residual grows by only 5e-8 * scale per radian), so rounding
+    # fixes them only to about 1e-9 and, for the near-plane, 1e-6
+    got = sorted(planes, key=lambda p: abs(p.n_hat @ common))
+    assert min(np.linalg.norm(got[0].n_hat - near), np.linalg.norm(got[0].n_hat + near)) <= 1e-6
+    assert min(np.linalg.norm(got[1].n_hat - common), np.linalg.norm(got[1].n_hat + common)) <= 1e-8
+    assert got[1].residual <= 1e-12 * alg.scale
 
 
 def test_inversion_symmetric_configs_are_trivial():

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,42 @@ def test_analyze_singular_field_point(tmp_path, capsys):
     code = main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
     assert code == EXIT_SINGULAR
     assert "magnet 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [1e-6, 1.0, 1e20, 1e30, 1e38])
+def test_analyze_single_dipole_at_any_distance(tmp_path, d):
+    """lambda_bar = 2 / d^4 with every chain flag true, and no floating-point warning."""
+    cfg = write_config(tmp_path / "far.json", [[0, 0, 0]], [[0, 0, d]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run_analyze(tmp_path, cfg)
+    assert code == EXIT_OK
+    assert rep["branch"] == "PLANE_DOMINANT"
+    assert rep["lambda_bar"]["value"] * d ** 4 / 2.0 == pytest.approx(1.0, abs=1e-12)
+    assert rep["lambda_bar"]["certified"] * d ** 4 / 2.0 == pytest.approx(1.0, abs=1e-12)
+    flags = [rep["chain_ok"]] + [r["chain_ok"] for r in rep["plane_reports"]]
+    assert all(ok for f in flags for ok in f.values())
+
+
+@pytest.mark.parametrize("d", [1e40, 1e80])
+def test_analyze_rejects_underflowing_far_field(tmp_path, capsys, d):
+    cfg = write_config(tmp_path / "far.json", [[0, 0, 0]], [[0, 0, d]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run_analyze(tmp_path, cfg)
+    assert code == EXIT_INPUT
+    assert rep is None
+    assert f"{d:.3e} m" in capsys.readouterr().err
+
+
+def test_analyze_ignores_an_underflowing_far_magnet(tmp_path):
+    cfg = write_config(tmp_path / "far.json", [[0, 0, 0], [1e80, 0, 0]], [[0, 0, 1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run_analyze(tmp_path, cfg)
+    assert code == EXIT_OK
+    assert rep["branch"] == "PLANE_DOMINANT"
+    assert rep["lambda_bar"]["certified"] == 2.0
 
 
 def test_analyze_rejects_bad_request(tmp_path, single_dipole_json):

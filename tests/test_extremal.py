@@ -18,7 +18,8 @@ from magalg import (
     verify_theorems,
 )
 from magalg.corpus import random_algebra, random_coplanar_config, random_mirror_config, random_moments
-from magalg.extremal import _self_eigen_system, principal_split_batch
+from magalg.algebra import _self_eigen_system
+from magalg.extremal import principal_split_batch
 
 SQRT2 = np.sqrt(2.0)
 
@@ -104,6 +105,62 @@ def test_lambda_plane_closed_form_matches_eig(rng):
         closed = max((pm + np.sqrt(max(2.0 * tr2 - 3.0 * pm * pm, 0.0))) / 2.0, pm)
         direct = abs(eig_traceless(alg.matrix(m)).lam)
         assert closed == pytest.approx(direct, abs=1e-10 * max(direct, 1.0))
+
+
+def test_lambda_plane_matches_dense_eigensolver_scan(rng):
+    """The exact in-plane maximum is at least a full-eigensolver scan of the
+    plane (20000 angles, then 2001 more across the best one's grid cell)
+    and agrees with it to 1e-9."""
+    eps = np.finfo(float).eps
+    step = np.pi / 20000
+
+    def scan(alg, e1, e2, thetas):
+        ms = np.cos(thetas)[:, None] * e1 + np.sin(thetas)[:, None] * e2
+        vals = np.abs(np.linalg.eigvalsh(alg.matrices(ms))).max(axis=1)
+        i = int(np.argmax(vals))
+        return thetas[i], float(vals[i])
+
+    for cfg, n_hat in planar_corpus(rng, 40):
+        alg = build_algebra(cfg)
+        plane = planar_structure(alg, n_hat)
+        e1, e2 = plane.frame()
+        best, coarse = scan(alg, e1, e2, np.arange(20000) * step)
+        _, fine = scan(alg, e1, e2, best + np.linspace(-step, step, 2001))
+        scan_max = max(coarse, fine)
+        pm = lambda_plane(alg, plane)
+        assert pm.value >= scan_max * (1.0 - 8.0 * eps)
+        assert pm.value <= scan_max * (1.0 + 1e-9)
+        assert principal_abs(alg, pm.moment) == pytest.approx(pm.value, rel=1e-12)
+
+
+def test_tetrahedral_centre_reports_are_rotation_invariant(rng):
+    """The in-plane Gram block is isotropic at a tetrahedral centre; the
+    per-plane values and the GRAM_TOP magnitudes must not follow rounding."""
+    from magalg import DipoleConfig, find_invariant_planes, rot_about
+    from test_algebra import tetrahedral_centre
+
+    for shells in (1, 2, 1, 2):
+        cfg, _ = tetrahedral_centre(rng, shells)
+        axis = rng.standard_normal(3)
+        per_plane, gram_top = [], []
+        for angle in (0.0, 1e-9, 0.3):
+            rot = rot_about(axis, angle)
+            fp = cfg.field_point
+            alg = build_algebra(DipoleConfig(fp + (cfg.magnet_positions - fp) @ rot.T, fp))
+            planes = find_invariant_planes(alg)
+            bf = lambda_bar_bruteforce(alg, n_samples=1000, refine_steps=20, seed=0)
+            reps = [bounds_report(alg, p, n_samples=1000, refine_steps=20, precomputed=bf) for p in planes]
+            assert all(r.all_ok for r in reps)
+            per_plane.append(np.array(sorted(
+                (r.norm_P, r.abs_lambda_MF, r.lambda_P, r.bounds["refined_upper"]) for r in reps
+            )))
+            gram_top.append(np.array(sorted(
+                c.lambda_abs for c in locate_candidates(alg, planes[0]) if c.kind is CandidateKind.GRAM_TOP
+            )))
+        for values in per_plane[1:]:
+            assert values == pytest.approx(per_plane[0], rel=1e-9)
+        for values in gram_top[1:]:
+            assert values == pytest.approx(gram_top[0], rel=1e-9)
 
 
 def test_lambda_plane_degenerate_frame(rng):
