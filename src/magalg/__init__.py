@@ -42,14 +42,15 @@ from .dipoles import (
 )
 from .extremal import (
     Branch,
-    BruteForceResult,
     Candidate,
     CandidateKind,
     ExtremalReport,
     TheoremCheck,
+    WorstCase,
     bounds_report,
     lambda_MF_closed_form,
     lambda_bar_bruteforce,
+    lambda_bar_exact,
     lambda_plane,
     locate_candidates,
     plane_gram_moment,
@@ -68,17 +69,17 @@ from .linalg3 import (
 )
 
 __all__ = [
-    "AlgebraCheck", "Branch", "BruteForceResult", "Candidate", "CandidateKind",
+    "AlgebraCheck", "Branch", "Candidate", "CandidateKind",
     "Decomposition", "DipoleConfig", "EigenTriple", "ExtremalReport",
     "GramSpectrum", "MagneticAlgebra", "NotInvariantPlaneError",
     "PlanarStructure", "PLANARITY_TOL", "SingularFieldPointError",
-    "TheoremCheck", "TrivialAlgebraError",
+    "TheoremCheck", "TrivialAlgebraError", "WorstCase",
     "EPS_DIST", "FORCE_PREFACTOR", "MU0_OVER_4PI",
     "build_algebra", "bounds_report", "check_algebra", "cross_matrix",
     "decompose", "eig_traceless", "field_B", "find_invariant_planes",
     "force", "gen_cubic_lattice", "gen_mirror_symmetric", "gen_pair",
     "gradient_matrix", "gram_spectrum", "lambda_MF_closed_form",
-    "lambda_bar_bruteforce", "lambda_plane", "locate_candidates",
+    "lambda_bar_bruteforce", "lambda_bar_exact", "lambda_plane", "locate_candidates",
     "plane_gram_moment", "plane_residual", "planar_structure",
     "principal_abs", "principal_axis", "p_vector", "rot_about",
     "sampling_tolerance", "unit", "vec3", "verify_theorems",

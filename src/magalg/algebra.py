@@ -252,14 +252,16 @@ def self_eigenvectors(alg: MagneticAlgebra, n_starts=50, seed=0) -> list[np.ndar
     projected Newton from n_starts seeded Fibonacci starts at once.  A
     start is done once its residual is at most 1e-11 times the operator
     scale and is dropped if still above it after 60 residual checks; two
-    moments whose cosine is within 1e-8 of +-1 count once.
+    moments whose cosine is within 1e-8 of +-1 count once.  The solve runs
+    on the operator over its scale, where squared residuals cannot underflow.
     """
+    alg = alg * (1.0 / alg.scale)
     m = fibonacci_sphere(n_starts) @ seeded_rotation(seed).T
     converged = np.zeros(len(m), dtype=bool)
     active = np.arange(len(m))
     for _ in range(60):
         stepped, res = _self_eigen_step(alg, m[active])
-        done = res <= 1e-11 * alg.scale
+        done = res <= 1e-11
         converged[active[done]] = True
         m[active[~done]] = stepped[~done]
         active = active[~done]
@@ -289,7 +291,9 @@ def _circle_normals(alg: MagneticAlgebra, axis, threshold):
 
     t = np.arange(12) * (np.pi / 12)
     res = plane_residual_batch(alg, on_circle(t))
-    c = np.fft.rfft(res * res)[:4] / 12  # coefficient of z^k, k = 0..3; that of z^-k is its conjugate
+    # coefficient of z^k, k = 0..3, of the squared residual over the scale (unscaled,
+    # it underflows in the far field); that of z^-k is its conjugate
+    c = np.fft.rfft((res / alg.scale) ** 2)[:4] / 12
     k = np.arange(-3, 4)
     # z^3 f'(t) / 2i = sum_k k c_k z^(k+3); np.roots wants the highest power first
     t_stat = np.angle(np.roots((k * np.concatenate([np.conj(c[:0:-1]), c]))[::-1])) / 2

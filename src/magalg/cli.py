@@ -52,17 +52,16 @@ from .dipoles import (
     gen_pair,
     p_vector,
 )
-from .extremal import (
-    TOL_SAMPLING_C,
+from .extremal import (  # lambda_bar_bruteforce and lambda_plane stay bound here for tracing
     Branch,
     ExtremalReport,
     _degenerate_report,
     bounds_report,
     lambda_bar_bruteforce,
+    lambda_bar_exact,
     lambda_plane,
     locate_candidates,
     principal_abs,
-    sampling_tolerance,
     verify_theorems,
 )
 from .linalg3 import rot_about
@@ -86,19 +85,13 @@ class ConfigError(ValueError):
 class AnalysisRequest:
     config_path: str
     tol: float = 1e-9
-    samples: int = 20000
-    refine: int = 100
     seed: int = 0
     si: bool = False
     out_path: str | None = None
 
     def validate(self):
-        if self.samples < 100:
-            raise ConfigError("samples must be at least 100")
         if self.tol <= 0.0:
             raise ConfigError("tol must be positive")
-        if self.refine < 0:
-            raise ConfigError("refine must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -204,7 +197,7 @@ def _report_fields(rep: ExtremalReport) -> dict:
             "value": rep.lambda_bar_bf,
             "M_bar": None if degenerate else _vec(rep.M_bar),
             "m_bar": None if degenerate else _vec(rep.m_bar),
-            "tol_sampling": rep.tol_sampling,
+            "tol_sampling": 0.0,  # lambda_bar is exact; the key stays in the schema
             "certified": rep.lambda_bar_certified,
         },
         "bounds": rep.bounds,
@@ -222,7 +215,7 @@ def _analyze(cfg: DipoleConfig, req: AnalysisRequest) -> _PointAnalysis:
     alg = build_algebra(cfg)
     rec: dict = {"field_point": _vec(cfg.field_point)}
     if alg.is_trivial():
-        rep = _degenerate_report(req.samples, req.refine, req.seed)
+        rep = _degenerate_report(req.seed)
         rec.update(
             branch=rep.branch.value,
             p_vector=_vec(p_vector(cfg)),
@@ -238,9 +231,7 @@ def _analyze(cfg: DipoleConfig, req: AnalysisRequest) -> _PointAnalysis:
 
     gs = gram_spectrum(alg)
     planes = find_invariant_planes(alg, tol=PLANARITY_TOL)
-    bf = lambda_bar_bruteforce(
-        alg, n_samples=req.samples, refine_steps=req.refine, seed=req.seed
-    )
+    wc = lambda_bar_exact(alg, seed=req.seed)
     rec.update(
         p_vector=_vec(p_vector(cfg)),
         gram=_mat(gs.gram),
@@ -270,10 +261,10 @@ def _analyze(cfg: DipoleConfig, req: AnalysisRequest) -> _PointAnalysis:
             lambda_P=None,
             M_P=None,
             lambda_bar={
-                "value": bf.lambda_bar,
-                "M_bar": _vec(bf.M_bar),
-                "m_bar": _vec(bf.m_bar),
-                "tol_sampling": sampling_tolerance(bf.lambda_bar, req.samples),
+                "value": wc.lambda_bar,
+                "M_bar": _vec(wc.M_bar),
+                "m_bar": _vec(wc.m_bar),
+                "tol_sampling": 0.0,
                 "certified": None,
             },
             bounds=None,
@@ -281,13 +272,7 @@ def _analyze(cfg: DipoleConfig, req: AnalysisRequest) -> _PointAnalysis:
         )
         return _PointAnalysis(rec, alg, None)
 
-    reports = [
-        bounds_report(
-            alg, p, n_samples=req.samples, refine_steps=req.refine,
-            seed=req.seed, tol_rel=req.tol, precomputed=bf,
-        )
-        for p in planes
-    ]
+    reports = [bounds_report(alg, p, seed=req.seed, tol_rel=req.tol, precomputed=wc) for p in planes]
     # primary plane: tightest certified upper bound, deterministic ties
     order = sorted(
         range(len(planes)),
@@ -349,19 +334,15 @@ def _meta(req: AnalysisRequest) -> dict:
         "name": "magalg",
         "version": __version__,
         "seed": req.seed,
-        "samples": req.samples,
-        "refine": req.refine,
         "tol": req.tol,
         "planarity_tol": PLANARITY_TOL,
-        "tol_sampling_constant": TOL_SAMPLING_C,
         "si": req.si,
     }
 
 
 def cmd_analyze(args) -> int:
     req = AnalysisRequest(
-        config_path=args.config, tol=args.tol, samples=args.samples,
-        refine=args.refine, seed=args.seed, si=args.si, out_path=args.out,
+        config_path=args.config, tol=args.tol, seed=args.seed, si=args.si, out_path=args.out,
     )
     req.validate()
     data = load_config(req.config_path)
@@ -389,8 +370,7 @@ def _fmt(value) -> str:
 
 def cmd_sweep(args) -> int:
     req = AnalysisRequest(
-        config_path=args.config, tol=args.tol, samples=args.samples,
-        refine=args.refine, seed=args.seed, si=False, out_path=args.out,
+        config_path=args.config, tol=args.tol, seed=args.seed, si=False, out_path=args.out,
     )
     req.validate()
     grid = parse_grid(args.grid)
@@ -610,8 +590,6 @@ def _parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="full analysis of a configuration")
     pa.add_argument("--config", required=True)
     pa.add_argument("--tol", type=float, default=1e-9)
-    pa.add_argument("--samples", type=int, default=20000)
-    pa.add_argument("--refine", type=int, default=100)
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--si", action="store_true")
     pa.add_argument("--out", required=True)
@@ -622,8 +600,6 @@ def _parser() -> argparse.ArgumentParser:
     ps.add_argument("--grid", required=True, help="x0:x1:nx,y0:y1:ny,z0:z1:nz")
     ps.add_argument("--out", required=True)
     ps.add_argument("--tol", type=float, default=1e-9)
-    ps.add_argument("--samples", type=int, default=2000)
-    ps.add_argument("--refine", type=int, default=60)
     ps.add_argument("--seed", type=int, default=0)
     ps.set_defaults(func=cmd_sweep)
 

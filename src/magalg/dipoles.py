@@ -14,6 +14,7 @@ stored bare (entries ~ m^-4); only force() applies the SI prefactor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,7 +124,7 @@ class MagneticAlgebra:
         b = self.basis_images
         return np.einsum("iab,jab->ij", b, b)
 
-    @property
+    @cached_property
     def scale(self) -> float:
         """Largest basis-image Frobenius norm; natural tolerance scale."""
         b = self.basis_images

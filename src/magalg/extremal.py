@@ -1,10 +1,11 @@
-"""Worst-case force magnitude: brute-force oracle and certified bounds.
+"""Worst-case force magnitude: exact solve, brute-force oracle and certified bounds.
 
 The quantity of interest is the largest principal-eigenvalue magnitude of
 the moment-dependent gradient matrix over all unit moments (lambda_bar).
-A deterministic Fibonacci-lattice sweep refined by projected gradient
-ascent gives a certified lower bound; the planar structure gives closed
-forms and a chain of upper bounds around it:
+It is attained at a Z-eigenvector of the symmetric operator tensor, which
+gives it exactly; a Fibonacci-lattice sweep refined by gradient ascent is
+kept as an independent lower-bound oracle.  The planar structure gives
+closed forms and a chain of bounds around it:
 
     ||P|| <= |lambda_MF| <= lambda_P <= lambda_bar <= |lambda_MF| + ||P||/2
 
@@ -44,32 +45,57 @@ class CandidateKind(enum.Enum):
 
 
 def principal_abs(alg: MagneticAlgebra, M) -> float:
-    """|principal eigenvalue| of the matrix induced by one moment."""
-    f = alg.matrix(M)
-    j2 = 0.5 * float(np.einsum("ab,ab->", f, f))
-    lam, _ = principal_split(j2, float(det3(f)))
-    return abs(float(lam))
+    """|principal eigenvalue| of the matrix induced by one moment.
+
+    The cubic invariants are taken of the matrix over the operator scale:
+    unscaled, det F is a cube of the scale and underflows in the far field.
+    """
+    s = alg.scale or 1.0
+    f = alg.matrix(M) / s
+    lam, _ = principal_split(0.5 * float(np.einsum("ab,ab->", f, f)), float(det3(f)))
+    return abs(float(lam)) * s
 
 
 def principal_abs_batch(alg: MagneticAlgebra, Ms) -> np.ndarray:
-    f = alg.matrices(Ms)
-    j2 = 0.5 * np.einsum("nab,nab->n", f, f)
-    lam, _ = principal_split(j2, det3(f))
-    return np.abs(lam)
+    return np.abs(principal_split_batch(alg, Ms)[0])
 
 
 def principal_split_batch(alg: MagneticAlgebra, Ms):
-    """(lam, delta, r) arrays for a batch of moments."""
-    f = alg.matrices(Ms)
-    j2 = 0.5 * np.einsum("nab,nab->n", f, f)
-    lam, delta = principal_split(j2, det3(f))
-    return lam, delta, spread_ratio(lam, delta)
+    """(lam, delta, r) arrays for a batch of moments, scaled as in principal_abs."""
+    s = alg.scale or 1.0
+    f = alg.matrices(Ms) / s
+    lam, delta = principal_split(0.5 * np.einsum("nab,nab->n", f, f), det3(f))
+    return lam * s, delta * s, spread_ratio(lam, delta)
 
 
-class BruteForceResult(NamedTuple):
+class WorstCase(NamedTuple):
+    """Worst-case magnitude with its moment M_bar and the direction m_bar it acts on."""
+
     lambda_bar: float
     M_bar: np.ndarray
     m_bar: np.ndarray
+
+
+def _worst_case(alg: MagneticAlgebra, x) -> WorstCase:
+    """The triple at moment x, with m_bar the principal eigenvector of F_x and value ||F_x m_bar||."""
+    m_bar_moment = canonical_sign(x)
+    f = alg.matrix(m_bar_moment)
+    _, m_bar = principal_axis(f)
+    return WorstCase(float(np.linalg.norm(f @ m_bar)), m_bar_moment, m_bar)
+
+
+def lambda_bar_exact(alg: MagneticAlgebra, seed=0) -> WorstCase:
+    """Worst-case magnitude, exact to rounding, with its maximizers.
+
+    By Banach's theorem on the symmetric operator tensor, lambda_bar is
+    the largest |x^T F_x x| over unit x, attained at a Z-eigenvector
+    (algebra.self_eigenvectors).  The triple is finished from the
+    eigensolver, as in lambda_bar_bruteforce.
+    """
+    if alg.is_trivial():
+        return WorstCase(0.0, _Z.copy(), _Z.copy())
+    xs = self_eigenvectors(alg, 50, seed)
+    return _worst_case(alg, max(xs, key=lambda v: abs(float(v @ alg.matrix(v) @ v))))
 
 
 def sampling_tolerance(lambda_bar, n_samples) -> float:
@@ -79,20 +105,19 @@ def sampling_tolerance(lambda_bar, n_samples) -> float:
 
 def lambda_bar_bruteforce(
     alg: MagneticAlgebra, n_samples=20000, refine_steps=100, seed=0
-) -> BruteForceResult:
-    """Certified lower bound on the worst-case magnitude, with maximizers.
+) -> WorstCase:
+    """Sampling lower bound on the worst-case magnitude, with maximizers.
 
-    Deterministic given (n_samples, seed): a seeded rotation of the
-    Fibonacci lattice picks the start (ties to the lowest index), then
-    projected gradient ascent refines it.  The returned magnitude is
-    ||F_Mbar mbar|| with mbar the principal eigenvector, so the triple is
-    self-consistent to rounding.
+    The independent cross-check of lambda_bar_exact.  Deterministic given
+    (n_samples, seed): a seeded rotation of the Fibonacci lattice picks
+    the start (ties to the lowest index), then projected gradient ascent
+    refines it; the triple is finished as in lambda_bar_exact.
     """
     n_samples = int(n_samples)
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
     if alg.is_trivial():
-        return BruteForceResult(0.0, _Z.copy(), _Z.copy())
+        return WorstCase(0.0, _Z.copy(), _Z.copy())
     pts = fibonacci_sphere(n_samples) @ seeded_rotation(seed).T
     vals = principal_abs_batch(alg, pts)
     best = int(np.argmax(vals))
@@ -102,10 +127,7 @@ def lambda_bar_bruteforce(
     )
     if v_ref < v0:
         m_ref, v_ref = m0, v0
-    m_bar_moment = canonical_sign(m_ref)
-    _, m_bar = principal_axis(alg.matrix(m_bar_moment))
-    value = float(np.linalg.norm(alg.matrix(m_bar_moment) @ m_bar))
-    return BruteForceResult(value, m_bar_moment, m_bar)
+    return _worst_case(alg, m_ref)
 
 
 class PlaneMax(NamedTuple):
@@ -121,7 +143,7 @@ def _plane_quadratic(alg, plane):
     return e1, e2, float(e1 @ g @ e1), float(e1 @ g @ e2), float(e2 @ g @ e2)
 
 
-def in_plane_abs(plane: PlanarStructure, tr2, pm):
+def in_plane_abs(tr2, pm):
     """|principal eigenvalue| for an in-plane moment from scalar data.
 
     tr2 is the squared Frobenius norm of the induced matrix and pm the
@@ -151,7 +173,7 @@ def lambda_plane(alg: MagneticAlgebra, plane: PlanarStructure) -> PlaneMax:
     roots = np.roots([-ga, de - 2.0 * be, 2.0 * ga - al, be]).real
     thetas = np.concatenate([[0.0, 0.5 * np.pi], np.arctan(roots)])
     ct, st = np.cos(thetas), np.sin(thetas)
-    vals = in_plane_abs(plane, a * ct * ct + 2.0 * b * ct * st + c * st * st, plane.norm_P * ct)
+    vals = in_plane_abs(a * ct * ct + 2.0 * b * ct * st + c * st * st, plane.norm_P * ct)
     i = int(np.argmax(vals))
     moment = canonical_sign(ct[i] * e1 + st[i] * e2)
     return PlaneMax(float(vals[i]), moment, plane.P_hat is None)
@@ -195,7 +217,7 @@ def lambda_MF_closed_form(alg: MagneticAlgebra, plane: PlanarStructure) -> float
         return 0.0
     m_f, lam_f = plane_gram_moment(alg, plane)
     pm = abs(float(plane.P @ m_f))
-    return float(in_plane_abs(plane, lam_f, pm))
+    return float(in_plane_abs(lam_f, pm))
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,9 +235,6 @@ class ExtremalReport:
     lambda_bar_certified: float | None  # exact value in the plane-dominant branch
     bounds: dict
     chain_ok: dict
-    tol_sampling: float
-    n_samples: int
-    refine_steps: int
     seed: int
 
     @property
@@ -223,7 +242,7 @@ class ExtremalReport:
         return all(self.chain_ok.values())
 
 
-def _degenerate_report(n_samples, refine_steps, seed) -> ExtremalReport:
+def _degenerate_report(seed) -> ExtremalReport:
     zeros = {
         "chain_upper": 0.0,
         "refined_upper": 0.0,
@@ -246,9 +265,6 @@ def _degenerate_report(n_samples, refine_steps, seed) -> ExtremalReport:
         lambda_bar_certified=0.0,
         bounds=zeros,
         chain_ok={"degenerate": True},
-        tol_sampling=0.0,
-        n_samples=int(n_samples),
-        refine_steps=int(refine_steps),
         seed=int(seed),
     )
 
@@ -256,35 +272,31 @@ def _degenerate_report(n_samples, refine_steps, seed) -> ExtremalReport:
 def bounds_report(
     alg: MagneticAlgebra,
     plane: PlanarStructure | None,
-    n_samples=20000,
-    refine_steps=100,
     seed=0,
     tol_rel=1e-9,
-    precomputed: BruteForceResult | None = None,
+    precomputed: WorstCase | None = None,
 ) -> ExtremalReport:
     """Evaluate the whole bound chain for one invariant plane.
 
     The branch compares lambda_P against 2||P|| with a small dead band;
     every inequality is recorded as a non-strict flag at tolerance
-    tol_rel times the value scale, with the lattice slack added where the
-    brute-force lower bound enters.  Pass a precomputed brute-force
-    result to share one oracle run across several planes.
+    tol_rel times the value scale.  Pass a precomputed worst case to
+    share one solve across several planes.
     """
     if alg.is_trivial():
-        return _degenerate_report(n_samples, refine_steps, seed)
+        return _degenerate_report(seed)
     if plane is None:
         raise ValueError("invariant plane required for a bounds report")
 
-    bf = precomputed
-    if bf is None:
-        bf = lambda_bar_bruteforce(alg, n_samples=n_samples, refine_steps=refine_steps, seed=seed)
+    wc = precomputed
+    if wc is None:
+        wc = lambda_bar_exact(alg, seed=seed)
     pm = lambda_plane(alg, plane)
     m_f, lam_f = plane_gram_moment(alg, plane)
-    abs_mf = lambda_MF_closed_form(alg, plane)
+    abs_mf = float(in_plane_abs(lam_f, abs(float(plane.P @ m_f))))
     pn = plane.norm_P
 
-    tol_s = sampling_tolerance(max(bf.lambda_bar, pm.value, abs_mf), n_samples)
-    scale = max(bf.lambda_bar, pm.value, abs_mf, pn, 1e-300)
+    scale = max(wc.lambda_bar, pm.value, abs_mf, pn, 1e-300)
     tol = tol_rel * scale
 
     chain_upper = abs_mf + 0.5 * pn
@@ -298,7 +310,7 @@ def bounds_report(
         refined_upper = plane_formula
         certified = pm.value
         branch_ok = (
-            abs(bf.lambda_bar - pm.value) <= tol_s + tol
+            abs(wc.lambda_bar - pm.value) <= tol
             and pm.value <= plane_formula + tol
             and plane_formula <= sqrt_23 + tol
         )
@@ -308,25 +320,25 @@ def bounds_report(
         plane_ratio = 2.0 * pn * float(np.sqrt(pn / (3.0 * pn - pm.value)))
         refined_upper = min(gram_plus_third, plane_ratio)
         certified = None
-        branch_ok = bf.lambda_bar <= refined_upper + tol
+        branch_ok = wc.lambda_bar <= refined_upper + tol
 
     chain_ok = {
         "norm_p_le_lambda_mf": pn <= abs_mf + tol,
         "lambda_mf_le_lambda_p": abs_mf <= pm.value + tol,
-        "lambda_p_le_lambda_bar": pm.value <= bf.lambda_bar + tol_s + tol,
-        "lambda_bar_le_chain_upper": bf.lambda_bar <= chain_upper + tol,
+        "lambda_p_le_lambda_bar": pm.value <= wc.lambda_bar + tol,
+        "lambda_bar_le_chain_upper": wc.lambda_bar <= chain_upper + tol,
         "squares_bracket": (
-            abs_mf ** 2 <= bf.lambda_bar ** 2 + 2.0 * scale * tol_s + tol * scale
-            and bf.lambda_bar ** 2 <= (2.0 / 3.0) * lam_f + tol * scale
+            abs_mf ** 2 <= wc.lambda_bar ** 2 + tol * scale
+            and wc.lambda_bar ** 2 <= (2.0 / 3.0) * lam_f + tol * scale
         ),
         "branch_bound": branch_ok,
     }
 
     return ExtremalReport(
         branch=branch,
-        lambda_bar_bf=bf.lambda_bar,
-        M_bar=bf.M_bar,
-        m_bar=bf.m_bar,
+        lambda_bar_bf=wc.lambda_bar,
+        M_bar=wc.M_bar,
+        m_bar=wc.m_bar,
         norm_P=pn,
         abs_lambda_MF=abs_mf,
         lambda_P=pm.value,
@@ -343,9 +355,6 @@ def bounds_report(
             "sqrt_two_thirds_lambda_F": sqrt_23,
         },
         chain_ok=chain_ok,
-        tol_sampling=tol_s,
-        n_samples=int(n_samples),
-        refine_steps=int(refine_steps),
         seed=int(seed),
     )
 
@@ -393,9 +402,8 @@ def locate_candidates(
     for m in self_eigenvectors(alg, n_starts, seed):
         out.append(Candidate(m, CandidateKind.EIGEN_SELF, principal_abs(alg, m)))
 
-    det_tol = det_rtol * scale ** 3
     for cand in list(out):
-        if abs(float(det3(alg.matrix(cand.moment)))) <= det_tol:
+        if abs(float(det3(alg.matrix(cand.moment) / scale))) <= det_rtol:
             out.append(Candidate(cand.moment, CandidateKind.DETZERO, cand.lambda_abs))
 
     order = {k: i for i, k in enumerate(CandidateKind)}

@@ -152,15 +152,16 @@ def test_tetrahedral_centre_has_the_six_mirror_planes(rng, shells):
     pairs = [(0, 1), (0, 2), (1, 2)]
     for _ in range(10):
         cfg, frame = tetrahedral_centre(rng, shells)
-        alg = build_algebra(cfg)
-        assert gram_spectrum(alg).multiplicity == 3
-        planes = find_invariant_planes(alg)
-        assert len(planes) == 6
         expected = [frame @ (np.eye(3)[i] + s * np.eye(3)[j]) / SQRT2 for i, j in pairs for s in (1, -1)]
-        for p in planes:
-            assert not p.degenerate
-            assert min(min(np.linalg.norm(p.n_hat - e), np.linalg.norm(p.n_hat + e)) for e in expected) <= 1e-12
-            assert p.residual <= 1e-12 * alg.scale
+        for scale in (1.0, 1e37):  # far field: the squared residuals must not underflow
+            alg = build_algebra(cfg.scaled(scale))
+            assert gram_spectrum(alg).multiplicity == 3
+            planes = find_invariant_planes(alg)
+            assert len(planes) == 6
+            for p in planes:
+                assert not p.degenerate
+                assert min(min(np.linalg.norm(p.n_hat - e), np.linalg.norm(p.n_hat + e)) for e in expected) <= 1e-12
+                assert p.residual <= 1e-12 * alg.scale
 
 
 def test_near_degenerate_gram_pair_keeps_one_normal_per_arc():

@@ -17,6 +17,11 @@ from magalg.cli import (
 )
 
 
+# five coplanar magnets; at (0.24, 1.2, 0) a 2000-sample oracle falls short by 3e-8 relative
+COPLANAR_FIVE = [[0.9973, -0.3729, 0], [-1.6985, -0.1211, 0], [0.7533, -0.1133, 0],
+                 [1.5793, 0.8791, 0], [-1.0277, -0.8218, 0]]
+
+
 def write_config(path, magnets, field_points, si=False):
     data = {
         "magnets": [{"position": list(map(float, m))} for m in magnets],
@@ -40,7 +45,7 @@ def antipodal_json(tmp_path):
 def run_analyze(tmp_path, config, **overrides):
     out = tmp_path / "report.json"
     argv = ["analyze", "--config", str(config), "--out", str(out)]
-    defaults = {"samples": 4000, "refine": 60, "seed": 0}
+    defaults = {"seed": 0}
     defaults.update(overrides)
     for key, val in defaults.items():
         argv += [f"--{key}", str(val)]
@@ -49,14 +54,14 @@ def run_analyze(tmp_path, config, **overrides):
 
 
 def test_analyze_single_dipole(tmp_path, single_dipole_json):
-    code, rep = run_analyze(tmp_path, single_dipole_json, samples=20000, refine=100)
+    code, rep = run_analyze(tmp_path, single_dipole_json)
     assert code == EXIT_OK
     assert rep["branch"] == "PLANE_DOMINANT"
-    assert rep["lambda_bar"]["value"] == pytest.approx(2.0, abs=1e-6)
+    assert rep["lambda_bar"]["value"] == pytest.approx(2.0, rel=1e-12)
+    assert rep["lambda_bar"]["tol_sampling"] == 0.0
     assert rep["lambda_bar"]["certified"] == 2.0
     assert rep["tool"]["name"] == "magalg"
     assert rep["tool"]["seed"] == 0
-    assert rep["tool"]["samples"] == 20000
     assert all(flag for flag in rep["chain_ok"].values())
     assert rep["results"][0]["branch"] == rep["branch"]
 
@@ -184,13 +189,17 @@ def test_analyze_ignores_an_underflowing_far_magnet(tmp_path):
 
 
 def test_analyze_rejects_bad_request(tmp_path, single_dipole_json):
-    code, _ = run_analyze(tmp_path, single_dipole_json, samples=10)
-    assert code == EXIT_INPUT
     code = main([
         "analyze", "--config", str(single_dipole_json),
         "--out", str(tmp_path / "r.json"), "--tol", "0",
     ])
     assert code == EXIT_INPUT
+    # the worst case is exact: the oracle's sample and refinement knobs are gone
+    for command, extra in (("analyze", []), ("sweep", ["--grid", "0:0:1,0:0:1,1:1:1"])):
+        for flag in ("--samples", "--refine"):
+            argv = [command, "--config", str(single_dipole_json), *extra,
+                    "--out", str(tmp_path / "r.out"), flag, "20000"]
+            assert main(argv) == EXIT_INPUT
 
 
 def test_analyze_nonplanar_config(tmp_path):
@@ -199,7 +208,7 @@ def test_analyze_nonplanar_config(tmp_path):
         [[0.9, 0.1, 0.2], [-0.3, 1.1, -0.4], [0.2, -0.8, 0.9], [1.2, 0.7, -0.5], [-0.9, -0.6, -1.1]],
         [[0.05, -0.02, 0.03]],
     )
-    code, rep = run_analyze(tmp_path, cfg, samples=1500, refine=40)
+    code, rep = run_analyze(tmp_path, cfg)
     assert code == EXIT_OK
     assert rep["branch"] == "NONPLANAR"
     assert rep["planes"] == []
@@ -208,16 +217,31 @@ def test_analyze_nonplanar_config(tmp_path):
 
 def test_report_roundtrip(tmp_path, single_dipole_json):
     """Re-running analyze on the embedded config reproduces all numbers."""
-    code, rep = run_analyze(tmp_path, single_dipole_json, samples=2000, refine=40, seed=7)
+    code, rep = run_analyze(tmp_path, single_dipole_json, seed=7)
     assert code == EXIT_OK
     echo = tmp_path / "echo.json"
     echo.write_text(json.dumps(rep["config"]), encoding="utf-8")
-    code2, rep2 = run_analyze(tmp_path, echo, samples=2000, refine=40, seed=7)
+    code2, rep2 = run_analyze(tmp_path, echo, seed=7)
     assert code2 == EXIT_OK
     assert rep2["lambda_bar"]["value"] == pytest.approx(rep["lambda_bar"]["value"], abs=1e-12)
     assert rep2["gram"] == rep["gram"]
     assert rep2["norm_P"] == pytest.approx(rep["norm_P"], abs=1e-12)
     assert rep2["bounds"] == rep["bounds"]
+
+
+def test_lambda_bar_is_independent_of_seed(tmp_path):
+    """--seed moves the solver's starts, not the reported worst case."""
+    cfg = write_config(
+        tmp_path / "c.json", COPLANAR_FIVE,
+        [[0.24, 1.2, 0.0], [0.3, 0.2, 0.5], [0.0, 0.0, 0.0], [1.7, -0.4, 0.2], [-0.2, 0.6, -1.1]],
+    )
+    values = []
+    for seed in range(5):
+        code, rep = run_analyze(tmp_path, cfg, seed=seed)
+        assert code == EXIT_OK
+        values.append([r["lambda_bar"]["value"] for r in rep["results"]])
+    for v in values[1:]:
+        assert v == pytest.approx(values[0], rel=1e-12)
 
 
 def test_gen_pair_stdout(capsys):
@@ -263,28 +287,36 @@ def test_parse_grid():
         parse_grid("0:1:2")
 
 
-def test_sweep_single_point_matches_analyze(tmp_path, single_dipole_json):
-    out = tmp_path / "sweep.csv"
-    code = main([
-        "sweep", "--config", str(single_dipole_json),
-        "--grid", "0:0:1,0:0:1,1:1:1", "--out", str(out),
-        "--samples", "2000", "--refine", "40",
-    ])
-    assert code == EXIT_OK
-    rows = list(csv.DictReader(out.read_text().splitlines()))
-    assert len(rows) == 1
-    row = rows[0]
-    _, rep = run_analyze(tmp_path, single_dipole_json, samples=2000, refine=40)
-    assert float(row["lambda_bar"]) == pytest.approx(rep["lambda_bar"]["value"], abs=1e-12)
-    assert float(row["lambda_P"]) == pytest.approx(rep["lambda_P"], abs=1e-12)
-    assert row["branch"] == rep["branch"]
+def test_sweep_single_point_matches_analyze(tmp_path):
+    """Each command at its own defaults reports the same numbers for one point."""
+    for magnets, point in (
+        ([[0, 0, 0]], [0.0, 0.0, 1.0]),
+        ([[1, 0, 0], [-1, 0, 0]], [0.3, 0.2, 0.5]),
+        ([[1, 0, 0], [-1, 0, 0]], [1.7, 0.4, -0.2]),
+        ([[0.9, 0.1, 0.2], [-0.3, 1.1, -0.4], [0.2, -0.8, 0.9]], [0.05, -0.02, 0.03]),
+        (COPLANAR_FIVE, [0.24, 1.2, 0.0]),
+    ):
+        cfg = write_config(tmp_path / "c.json", magnets, [point])
+        out = tmp_path / "sweep.csv"
+        grid = ",".join(f"{c!r}:{c!r}:1" for c in point)
+        code = main(["sweep", "--config", str(cfg), "--grid", grid, "--out", str(out)])
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 1
+        row = rows[0]
+        code, rep = run_analyze(tmp_path, cfg)
+        assert code == EXIT_OK
+        assert float(row["lambda_bar"]) == pytest.approx(rep["lambda_bar"]["value"], rel=1e-12)
+        if rep["lambda_P"] is not None:
+            assert float(row["lambda_P"]) == pytest.approx(rep["lambda_P"], rel=1e-12)
+        assert row["branch"] == rep["branch"]
 
 
 def test_sweep_header_exact(tmp_path, single_dipole_json):
     out = tmp_path / "sweep.csv"
     main([
         "sweep", "--config", str(single_dipole_json),
-        "--grid", "0:0:1,0:0:1,1:1:1", "--out", str(out), "--samples", "500",
+        "--grid", "0:0:1,0:0:1,1:1:1", "--out", str(out),
     ])
     header = out.read_text().splitlines()[0]
     assert header == ",".join(SWEEP_COLUMNS)
@@ -295,7 +327,7 @@ def test_sweep_singular_row(tmp_path, single_dipole_json, capsys):
     out = tmp_path / "sweep.csv"
     code = main([
         "sweep", "--config", str(single_dipole_json),
-        "--grid", "0:0:1,0:0:1,0:1:2", "--out", str(out), "--samples", "500",
+        "--grid", "0:0:1,0:0:1,0:1:2", "--out", str(out),
     ])
     assert code == EXIT_OK
     assert "singular" in capsys.readouterr().err
@@ -311,7 +343,7 @@ def test_sweep_rows_satisfy_chain(tmp_path):
     code = main([
         "sweep", "--config", str(cfg),
         "--grid", "0:0.8:3, -0.5:0.5:3, 0.4:1.2:3",
-        "--out", str(out), "--samples", "600", "--refine", "40",
+        "--out", str(out),
     ])
     assert code == EXIT_OK
     rows = list(csv.DictReader(out.read_text().splitlines()))
@@ -333,7 +365,7 @@ def test_sweep_negative_grid_start_both_forms(tmp_path):
     outs = []
     for i, grid_args in enumerate((["--grid", "-2:2:3,0.5:0.5:1,0:0:1"], ["--grid=-2:2:3,0.5:0.5:1,0:0:1"])):
         out = tmp_path / f"sweep{i}.csv"
-        argv = ["sweep", "--config", str(cfg), *grid_args, "--out", str(out), "--samples", "500", "--refine", "20"]
+        argv = ["sweep", "--config", str(cfg), *grid_args, "--out", str(out)]
         assert main(argv) == EXIT_OK
         outs.append(out.read_text())
     assert outs[0] == outs[1]
@@ -348,7 +380,7 @@ def test_sweep_runs_no_candidate_search(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "pair.json", [[1, 0, 0], [-1, 0, 0]], [])
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--config", str(cfg), "--grid", "0:1:2,0.5:0.5:1,0:0:1",
-                 "--out", str(out), "--samples", "500", "--refine", "20"])
+                 "--out", str(out)])
     assert code == EXIT_OK
     assert len(out.read_text().splitlines()) == 3
 
@@ -387,7 +419,7 @@ def test_module_entry_point_smoke(tmp_path):
     out = tmp_path / "r.json"
     proc = subprocess.run(
         [sys.executable, "-m", "magalg", "analyze", "--config", str(cfg),
-         "--out", str(out), "--samples", "500", "--refine", "20"],
+         "--out", str(out)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
