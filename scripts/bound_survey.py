@@ -30,7 +30,7 @@ def main():
         if alg.is_trivial(1e-300):
             continue
         plane = planar_structure(alg, n_hat)
-        rep = bounds_report(alg, plane, seed=made)
+        rep = bounds_report(alg, plane)
         lam = rep.lambda_bar_bf
         rows[rep.branch].append((
             (rep.bounds["chain_upper"] - lam) / lam,

@@ -18,7 +18,7 @@ def main():
         cfg = DipoleConfig([[0.0, 0.0, 0.0]], [0.0, 0.0, d])
         alg = build_algebra(cfg)
         plane = planar_structure(alg, [0.0, 1.0, 0.0])
-        rep = bounds_report(alg, plane, seed=0)
+        rep = bounds_report(alg, plane)
         print(f"{d:8.2f} {rep.lambda_bar_bf:14.6e} {rep.lambda_bar_bf * d**4:10.6f} "
               f"{rep.norm_P:12.4e} {rep.abs_lambda_MF:12.4e} {rep.lambda_P:12.4e} "
               f"{rep.bounds['chain_upper']:12.4e} {rep.branch.value:>16}")
@@ -27,7 +27,6 @@ def main():
     bf_dir = np.abs(bounds_report(
         build_algebra(DipoleConfig([[0, 0, 0]], [0, 0, 1.0])),
         planar_structure(build_algebra(DipoleConfig([[0, 0, 0]], [0, 0, 1.0])), [0, 1.0, 0]),
-        seed=0,
     ).M_bar)
     print(f"maximizer |M_bar| components: {np.round(bf_dir, 6)}")
 

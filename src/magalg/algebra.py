@@ -254,13 +254,17 @@ def self_eigenvectors(alg: MagneticAlgebra, n_starts=50, seed=0) -> list[np.ndar
     scale and is dropped if still above it after 60 residual checks; two
     moments whose cosine is within 1e-8 of +-1 count once.  The solve runs
     on the operator over its scale, where squared residuals cannot underflow.
+    Memoized on alg per (n_starts, seed); the moments are read-only.
     """
-    alg = alg * (1.0 / alg.scale)
+    key = ("self_eigenvectors", int(n_starts), int(seed))
+    if key in alg.memo:
+        return list(alg.memo[key])
+    unit_alg = alg * (1.0 / alg.scale)
     m = fibonacci_sphere(n_starts) @ seeded_rotation(seed).T
     converged = np.zeros(len(m), dtype=bool)
     active = np.arange(len(m))
     for _ in range(60):
-        stepped, res = _self_eigen_step(alg, m[active])
+        stepped, res = _self_eigen_step(unit_alg, m[active])
         done = res <= 1e-11
         converged[active[done]] = True
         m[active[~done]] = stepped[~done]
@@ -271,7 +275,9 @@ def self_eigenvectors(alg: MagneticAlgebra, n_starts=50, seed=0) -> list[np.ndar
     for x in m[converged]:
         x = canonical_sign(x)
         if all(abs(float(x @ f)) < 1.0 - 1e-8 for f in found):
+            x.setflags(write=False)
             found.append(x)
+    alg.memo[key] = tuple(found)
     return found
 
 

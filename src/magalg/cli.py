@@ -197,7 +197,7 @@ def _report_fields(rep: ExtremalReport) -> dict:
             "value": rep.lambda_bar_bf,
             "M_bar": None if degenerate else _vec(rep.M_bar),
             "m_bar": None if degenerate else _vec(rep.m_bar),
-            "tol_sampling": 0.0,  # lambda_bar is exact; the key stays in the schema
+            "tol_sampling": 0.0,  # no sampling slack: a Z-eigenvalue; the key stays in the schema
             "certified": rep.lambda_bar_certified,
         },
         "bounds": rep.bounds,
@@ -215,7 +215,7 @@ def _analyze(cfg: DipoleConfig, req: AnalysisRequest) -> _PointAnalysis:
     alg = build_algebra(cfg)
     rec: dict = {"field_point": _vec(cfg.field_point)}
     if alg.is_trivial():
-        rep = _degenerate_report(req.seed)
+        rep = _degenerate_report()
         rec.update(
             branch=rep.branch.value,
             p_vector=_vec(p_vector(cfg)),
@@ -231,7 +231,7 @@ def _analyze(cfg: DipoleConfig, req: AnalysisRequest) -> _PointAnalysis:
 
     gs = gram_spectrum(alg)
     planes = find_invariant_planes(alg, tol=PLANARITY_TOL)
-    wc = lambda_bar_exact(alg, seed=req.seed)
+    wc = lambda_bar_exact(alg)
     rec.update(
         p_vector=_vec(p_vector(cfg)),
         gram=_mat(gs.gram),
@@ -272,7 +272,7 @@ def _analyze(cfg: DipoleConfig, req: AnalysisRequest) -> _PointAnalysis:
         )
         return _PointAnalysis(rec, alg, None)
 
-    reports = [bounds_report(alg, p, seed=req.seed, tol_rel=req.tol, precomputed=wc) for p in planes]
+    reports = [bounds_report(alg, p, tol_rel=req.tol, precomputed=wc) for p in planes]
     # primary plane: tightest certified upper bound, deterministic ties
     order = sorted(
         range(len(planes)),
@@ -370,7 +370,7 @@ def _fmt(value) -> str:
 
 def cmd_sweep(args) -> int:
     req = AnalysisRequest(
-        config_path=args.config, tol=args.tol, seed=args.seed, si=False, out_path=args.out,
+        config_path=args.config, tol=args.tol, si=False, out_path=args.out,
     )
     req.validate()
     grid = parse_grid(args.grid)
@@ -600,7 +600,6 @@ def _parser() -> argparse.ArgumentParser:
     ps.add_argument("--grid", required=True, help="x0:x1:nx,y0:y1:ny,z0:z1:nz")
     ps.add_argument("--out", required=True)
     ps.add_argument("--tol", type=float, default=1e-9)
-    ps.add_argument("--seed", type=int, default=0)
     ps.set_defaults(func=cmd_sweep)
 
     pg = sub.add_parser("gen", help="emit a canonical configuration as JSON")

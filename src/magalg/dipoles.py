@@ -13,7 +13,7 @@ stored bare (entries ~ m^-4); only force() applies the SI prefactor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -100,6 +100,7 @@ class MagneticAlgebra:
     """
 
     basis_images: np.ndarray  # (3, 3, 3)
+    memo: dict = field(default_factory=dict, init=False, repr=False)  # solve results by (name, args)
 
     def __post_init__(self):
         b = np.asarray(self.basis_images, dtype=float)

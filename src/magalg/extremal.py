@@ -1,11 +1,11 @@
-"""Worst-case force magnitude: exact solve, brute-force oracle and certified bounds.
+"""Worst-case force magnitude: Z-eigenvector solve, sampling oracle and certified bounds.
 
 The quantity of interest is the largest principal-eigenvalue magnitude of
 the moment-dependent gradient matrix over all unit moments (lambda_bar).
-It is attained at a Z-eigenvector of the symmetric operator tensor, which
-gives it exactly; a Fibonacci-lattice sweep refined by gradient ascent is
-kept as an independent lower-bound oracle.  The planar structure gives
-closed forms and a chain of bounds around it:
+It is attained at a Z-eigenvector of the symmetric operator tensor, taken
+as the best a multistart Newton finds; a Fibonacci-lattice sweep refined
+by gradient ascent is kept as an independent lower-bound oracle.  The
+planar structure gives closed forms and a chain of bounds around it:
 
     ||P|| <= |lambda_MF| <= lambda_P <= lambda_bar <= |lambda_MF| + ||P||/2
 
@@ -84,17 +84,19 @@ def _worst_case(alg: MagneticAlgebra, x) -> WorstCase:
     return WorstCase(float(np.linalg.norm(f @ m_bar)), m_bar_moment, m_bar)
 
 
-def lambda_bar_exact(alg: MagneticAlgebra, seed=0) -> WorstCase:
-    """Worst-case magnitude, exact to rounding, with its maximizers.
+def lambda_bar_exact(alg: MagneticAlgebra) -> WorstCase:
+    """Worst-case magnitude at the best Z-eigenvector found, with its maximizers.
 
     By Banach's theorem on the symmetric operator tensor, lambda_bar is
-    the largest |x^T F_x x| over unit x, attained at a Z-eigenvector
-    (algebra.self_eigenvectors).  The triple is finished from the
+    the largest |x^T F_x x| over unit x, attained at a Z-eigenvector.
+    Exact to rounding only if the fixed starts of self_eigenvectors find
+    the maximizing one, which nothing certifies (checked empirically
+    against lambda_bar_bruteforce).  The triple is finished from the
     eigensolver, as in lambda_bar_bruteforce.
     """
     if alg.is_trivial():
         return WorstCase(0.0, _Z.copy(), _Z.copy())
-    xs = self_eigenvectors(alg, 50, seed)
+    xs = self_eigenvectors(alg)
     return _worst_case(alg, max(xs, key=lambda v: abs(float(v @ alg.matrix(v) @ v))))
 
 
@@ -235,14 +237,13 @@ class ExtremalReport:
     lambda_bar_certified: float | None  # exact value in the plane-dominant branch
     bounds: dict
     chain_ok: dict
-    seed: int
 
     @property
     def all_ok(self) -> bool:
         return all(self.chain_ok.values())
 
 
-def _degenerate_report(seed) -> ExtremalReport:
+def _degenerate_report() -> ExtremalReport:
     zeros = {
         "chain_upper": 0.0,
         "refined_upper": 0.0,
@@ -265,14 +266,12 @@ def _degenerate_report(seed) -> ExtremalReport:
         lambda_bar_certified=0.0,
         bounds=zeros,
         chain_ok={"degenerate": True},
-        seed=int(seed),
     )
 
 
 def bounds_report(
     alg: MagneticAlgebra,
     plane: PlanarStructure | None,
-    seed=0,
     tol_rel=1e-9,
     precomputed: WorstCase | None = None,
 ) -> ExtremalReport:
@@ -284,13 +283,13 @@ def bounds_report(
     share one solve across several planes.
     """
     if alg.is_trivial():
-        return _degenerate_report(seed)
+        return _degenerate_report()
     if plane is None:
         raise ValueError("invariant plane required for a bounds report")
 
     wc = precomputed
     if wc is None:
-        wc = lambda_bar_exact(alg, seed=seed)
+        wc = lambda_bar_exact(alg)
     pm = lambda_plane(alg, plane)
     m_f, lam_f = plane_gram_moment(alg, plane)
     abs_mf = float(in_plane_abs(lam_f, abs(float(plane.P @ m_f))))
@@ -355,7 +354,6 @@ def bounds_report(
             "sqrt_two_thirds_lambda_F": sqrt_23,
         },
         chain_ok=chain_ok,
-        seed=int(seed),
     )
 
 

@@ -57,7 +57,7 @@ def chain_corpus():
         if alg.is_trivial(1e-300):
             continue
         plane = planar_structure(alg, n_hat)
-        rep = bounds_report(alg, plane, seed=len(out))
+        rep = bounds_report(alg, plane)
         out.append((alg, plane, rep))
     return out, time.perf_counter() - start
 
@@ -68,7 +68,7 @@ def test_criterion_1_single_dipole_closed_form():
     cfg = DipoleConfig([[0.0, 0.0, 0.0]], [0.0, 0.0, d])
     alg = build_algebra(cfg)
     plane = planar_structure(alg, [0.0, 1.0, 0.0])
-    rep = bounds_report(alg, plane, seed=0)
+    rep = bounds_report(alg, plane)
     elapsed = time.perf_counter() - start
 
     # independent 1D oracle: in-plane spectrum (-c +- sqrt(4 + 5 c^2))/2

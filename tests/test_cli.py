@@ -194,12 +194,15 @@ def test_analyze_rejects_bad_request(tmp_path, single_dipole_json):
         "--out", str(tmp_path / "r.json"), "--tol", "0",
     ])
     assert code == EXIT_INPUT
-    # the worst case is exact: the oracle's sample and refinement knobs are gone
-    for command, extra in (("analyze", []), ("sweep", ["--grid", "0:0:1,0:0:1,1:1:1"])):
-        for flag in ("--samples", "--refine"):
-            argv = [command, "--config", str(single_dipole_json), *extra,
-                    "--out", str(tmp_path / "r.out"), flag, "20000"]
-            assert main(argv) == EXIT_INPUT
+    # the worst case is exact: the oracle's sample and refinement knobs are gone,
+    # and sweep, which runs no candidate search, has no seed to take
+    sweep = ["sweep", "--grid", "0:0:1,0:0:1,1:1:1"]
+    removed = [(["analyze"], "--samples"), (["analyze"], "--refine"),
+               (sweep, "--samples"), (sweep, "--refine"), (sweep, "--seed")]
+    for command, flag in removed:
+        argv = [*command, "--config", str(single_dipole_json),
+                "--out", str(tmp_path / "r.out"), flag, "20000"]
+        assert main(argv) == EXIT_INPUT
 
 
 def test_analyze_nonplanar_config(tmp_path):
@@ -230,7 +233,7 @@ def test_report_roundtrip(tmp_path, single_dipole_json):
 
 
 def test_lambda_bar_is_independent_of_seed(tmp_path):
-    """--seed moves the solver's starts, not the reported worst case."""
+    """--seed moves the candidate search's starts, not the reported worst case."""
     cfg = write_config(
         tmp_path / "c.json", COPLANAR_FIVE,
         [[0.24, 1.2, 0.0], [0.3, 0.2, 0.5], [0.0, 0.0, 0.0], [1.7, -0.4, 0.2], [-0.2, 0.6, -1.1]],
@@ -241,7 +244,7 @@ def test_lambda_bar_is_independent_of_seed(tmp_path):
         assert code == EXIT_OK
         values.append([r["lambda_bar"]["value"] for r in rep["results"]])
     for v in values[1:]:
-        assert v == pytest.approx(values[0], rel=1e-12)
+        assert v == values[0]
 
 
 def test_gen_pair_stdout(capsys):

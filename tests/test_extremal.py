@@ -248,7 +248,7 @@ def test_closed_form_matches_direct_on_random_planar(rng):
 
 
 def test_bounds_report_single_dipole(single_dipole_algebra, dipole_plane):
-    rep = bounds_report(single_dipole_algebra, dipole_plane, seed=0)
+    rep = bounds_report(single_dipole_algebra, dipole_plane)
     assert rep.branch is Branch.PLANE_DOMINANT
     assert rep.norm_P == pytest.approx(1.0, abs=1e-14)
     assert rep.abs_lambda_MF == pytest.approx(2.0, abs=1e-13)
@@ -283,7 +283,7 @@ def test_bounds_report_pair_planes(pair_config):
     planes = find_invariant_planes(alg)
     bf = lambda_bar_bruteforce(alg, n_samples=4000, refine_steps=80, seed=0)
     for plane in planes:
-        rep = bounds_report(alg, plane, seed=0)
+        rep = bounds_report(alg, plane)
         assert rep.all_ok, rep.chain_ok
         assert rep.norm_P <= rep.abs_lambda_MF + 1e-12
         assert rep.abs_lambda_MF <= rep.lambda_P + 1e-12
@@ -299,7 +299,7 @@ def test_branch_agreement(rng):
         cfg, n_hat = random_coplanar_config(rng, n_min=2)
         alg = build_algebra(cfg)
         plane = planar_structure(alg, n_hat)
-        rep = bounds_report(alg, plane, seed=1)
+        rep = bounds_report(alg, plane)
         scale = max(rep.lambda_bar_bf, rep.lambda_P, 2.0 * rep.norm_P)
         band = 1e-6 * scale
         s_plane = rep.lambda_P - 2.0 * rep.norm_P
@@ -315,7 +315,7 @@ def test_plane_dominant_exactness(rng):
         cfg, n_hat = random_coplanar_config(rng, n_min=2)
         alg = build_algebra(cfg)
         plane = planar_structure(alg, n_hat)
-        rep = bounds_report(alg, plane, seed=2)
+        rep = bounds_report(alg, plane)
         if rep.branch is Branch.PLANE_DOMINANT:
             seen += 1
             assert abs(rep.lambda_bar_bf - rep.lambda_P) <= 1e-12 * rep.lambda_P
