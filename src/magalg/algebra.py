@@ -12,11 +12,12 @@ everything into the plane.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .dipoles import MagneticAlgebra
-from .linalg3 import canonical_sign, cross_matrices, cross_matrix, unit
+from .linalg3 import canonical_sign, cross_matrices, cross_matrix, rot_about, unit
 from .sphere import fibonacci_sphere, seeded_rotation, sphere_descent, tangent_basis
 
 PLANARITY_TOL = 1e-8  # relative to the largest basis-image Frobenius norm
@@ -226,14 +227,12 @@ def _self_eigen_system(alg: MagneticAlgebra, m):
     return r, jac
 
 
-def _self_eigen_step(alg: MagneticAlgebra, x):
-    """One projected Newton step for F_m m = lambda m on each row of x.
+def _newton_step(x, r, jac):
+    """One projected Newton step for F_m m = lambda m on each row of x, from its residual and Jacobian.
 
     The step is the minimum-norm solution of J step = -r, projected to
-    the tangent plane, capped at length 0.5 and renormalized.  Returns
-    the stepped rows and the residual norms before the step.
+    the tangent plane, capped at length 0.5 and renormalized.
     """
-    r, jac = _self_eigen_system(alg, x)
     # cutoff max(M, N) * eps, as in lstsq(rcond=None)
     pinv = np.linalg.pinv(jac, rcond=3.0 * np.finfo(float).eps)
     step = -np.einsum("nab,nb->na", pinv, r)
@@ -242,43 +241,174 @@ def _self_eigen_step(alg: MagneticAlgebra, x):
     capped = length > 0.5
     step[capped] *= (0.5 / length[capped])[:, None]
     x = x + step
-    return x / np.linalg.norm(x, axis=1)[:, None], np.linalg.norm(r, axis=1)
+    return x / np.linalg.norm(x, axis=1)[:, None]
 
 
-def self_eigenvectors(alg: MagneticAlgebra, n_starts=50, seed=0) -> list[np.ndarray]:
-    """Distinct unit moments x with F_x x parallel to x, sign-canonical.
+def _converge(alg: MagneticAlgebra, m):
+    """Projected Newton on each row of m until its residual is at most 1e-11.
 
-    These are the Z-eigenvectors of the operator tensor, found by
-    projected Newton from n_starts seeded Fibonacci starts at once.  A
-    start is done once its residual is at most 1e-11 times the operator
-    scale and is dropped if still above it after 60 residual checks; two
-    moments whose cosine is within 1e-8 of +-1 count once.  The solve runs
-    on the operator over its scale, where squared residuals cannot underflow.
-    Memoized on alg per (n_starts, seed); the moments are read-only.
+    A row that is still above that after 60 residual checks is dropped;
+    returns the converged rows.
     """
-    key = ("self_eigenvectors", int(n_starts), int(seed))
-    if key in alg.memo:
-        return list(alg.memo[key])
-    unit_alg = alg * (1.0 / alg.scale)
-    m = fibonacci_sphere(n_starts) @ seeded_rotation(seed).T
+    m = np.array(m, dtype=float).reshape(-1, 3)
     converged = np.zeros(len(m), dtype=bool)
     active = np.arange(len(m))
     for _ in range(60):
-        stepped, res = _self_eigen_step(unit_alg, m[active])
-        done = res <= 1e-11
+        x = m[active]
+        r, jac = _self_eigen_system(alg, x)
+        done = np.linalg.norm(r, axis=1) <= 1e-11
         converged[active[done]] = True
-        m[active[~done]] = stepped[~done]
         active = active[~done]
         if not len(active):
             break
+        m[active] = _newton_step(x[~done], r[~done], jac[~done])
+    return m[converged]
+
+
+def _distinct(m) -> list[np.ndarray]:
+    """Sign-canonical, read-only copies of the rows of m; two whose cosine is within 1e-8 of +-1 count once."""
     found: list[np.ndarray] = []
-    for x in m[converged]:
+    for x in m:
         x = canonical_sign(x)
         if all(abs(float(x @ f)) < 1.0 - 1e-8 for f in found):
             x.setflags(write=False)
             found.append(x)
-    alg.memo[key] = tuple(found)
     return found
+
+
+# A fixed proper rotation that moves the chart's special directions (the great
+# circles x0 = 0 and x2 = 0 of the rotated frame) off the axes and planes where
+# symmetric operators put their Z-eigenvectors.
+_CHART_ROTATION = rot_about([0.43, -0.71, 0.55], 0.97)
+_EIGENPOINTS = 7  # Z-eigenvectors in P^2 of a ternary cubic with finitely many, counted over C
+_ROOT_RTOL = 1e-8  # chart roots closer than this (relative) count once; Jacobians this ill-conditioned are singular
+_STEP_RTOL = 1e-10  # a chart root is polished once its last Newton step is this small (relative)
+
+
+def _chart_polynomials(t):
+    """Coefficients p[k, i, j] of y^i z^j in C1, dC1/dy, dC1/dz, C2, dC2/dy, dC2/dz.
+
+    In the chart v = (1, y, z), with q(v) = T(., v, v), C1 = q_1 - y q_0
+    and C2 = q_2 - z q_0 vanish exactly where q(v) is parallel to v.
+    """
+    quad = np.zeros((3, 3, 3))  # coefficients of y^i z^j in q_a(1, y, z)
+    quad[:, 0, 0] = t[:, 0, 0]
+    quad[:, 1, 0] = 2.0 * t[:, 0, 1]
+    quad[:, 0, 1] = 2.0 * t[:, 0, 2]
+    quad[:, 2, 0] = t[:, 1, 1]
+    quad[:, 1, 1] = 2.0 * t[:, 1, 2]
+    quad[:, 0, 2] = t[:, 2, 2]
+    c = np.zeros((2, 4, 4))
+    c[:, :3, :3] = quad[1:]
+    c[0, 1:, :3] -= quad[0]
+    c[1, :3, 1:] -= quad[0]
+    powers = np.arange(1.0, 4.0)
+    d_y = np.zeros_like(c)
+    d_y[:, :3] = c[:, 1:] * powers[:, None]
+    d_z = np.zeros_like(c)
+    d_z[:, :, :3] = c[:, :, 1:] * powers
+    return np.stack([c[0], d_y[0], d_z[0], c[1], d_y[1], d_z[1]])
+
+
+def _chart_roots(t):
+    """All chart solutions (y, z) of C1 = C2 = 0 over C, polished by Newton.
+
+    C1 has degree 3 and C2 degree 2 in y; their 5x5 Sylvester matrix in
+    y is a cubic S(z) = S0 + z S1 + z^2 S2 + z^3 S3, and the roots z are
+    its eigenvalues.  In w = 1/z they are those of a 15x15 companion
+    matrix; the Sylvester kernel at a root is (1, y, ..., y^4), so y is
+    read from the last block of the eigenvector.  Returns y, z, the last
+    Newton step length and |det J| / ||J||_F^2 of the chart Jacobian J,
+    about its singular-value ratio when small.  Raises LinAlgError when
+    S0 is singular.
+    """
+    polys = _chart_polynomials(t)
+    s = np.zeros((4, 5, 5))  # s[j] multiplies z^j; columns are y^0..y^4
+    for k in range(2):
+        s[:, k, k:k + 4] = polys[0].T
+    for k in range(3):
+        s[:, 2 + k, k:k + 3] = polys[3, :3].T
+    companion = np.zeros((15, 15))
+    companion[:5] = -np.linalg.solve(s[0], np.hstack([s[1], s[2], s[3]]))
+    companion[5:, :10] = np.eye(10)
+    w, vecs = np.linalg.eig(companion)
+    with np.errstate(all="ignore"):  # roots of w near 0 lie at infinity; Newton may overflow on them
+        y, z = vecs[11] / vecs[10], 1.0 / w
+        for _ in range(8):
+            c1, c1_y, c1_z, c2, c2_y, c2_z = np.einsum(
+                "ni,kij,nj->kn", np.vander(y, 4, increasing=True), polys, np.vander(z, 4, increasing=True))
+            det = c1_y * c2_z - c1_z * c2_y
+            dy = (c2_z * c1 - c1_z * c2) / det
+            dz = (c1_y * c2 - c2_y * c1) / det
+            y, z = y - dy, z - dz
+        fro2 = np.abs(c1_y) ** 2 + np.abs(c1_z) ** 2 + np.abs(c2_y) ** 2 + np.abs(c2_z) ** 2
+        return y, z, np.abs(dy) + np.abs(dz), np.abs(det) / fro2
+
+
+def _algebraic_eigenvectors(unit_alg: MagneticAlgebra):
+    """Z-eigenvectors from the chart resultant, and whether they are certified complete.
+
+    A ternary cubic with finitely many eigenpoints has 7 in P^2, counted
+    with multiplicity over C (Cartwright & Sturmfels, LAA 2013).  When
+    the chart yields 7 distinct roots with nonsingular Jacobians and
+    every real one converges on the sphere, the real ones are all the
+    Z-eigenvectors.  Returns (distinct converged moments, complete).
+    """
+    r = _CHART_ROTATION
+    t = np.einsum("ai,bj,ck,ijk->abc", r, r, r, unit_alg.basis_images)
+    try:
+        y, z, step, conditioning = _chart_roots(t)
+    except np.linalg.LinAlgError:
+        return [], False
+    size = 1.0 + np.abs(y) + np.abs(z)
+    good = np.isfinite(size) & (step <= _STEP_RTOL * size) & (conditioning > _ROOT_RTOL)
+    roots: list[tuple[complex, complex, float]] = []
+    for yi, zi, si in zip(y[good], z[good], size[good]):
+        if all(abs(yi - yj) + abs(zi - zj) > _ROOT_RTOL * si for yj, zj, _ in roots):
+            roots.append((yi, zi, si))
+    real = [(yi.real, zi.real) for yi, zi, si in roots if abs(yi.imag) + abs(zi.imag) <= _ROOT_RTOL * si]
+    x = np.array([[1.0, yi, zi] for yi, zi in real]).reshape(-1, 3) @ r
+    found = _distinct(_converge(unit_alg, x / np.linalg.norm(x, axis=1, keepdims=True)))
+    return found, len(roots) == _EIGENPOINTS and len(found) == len(real)
+
+
+class ZEigenvectors(NamedTuple):
+    """The Z-eigenvectors found, and whether the 7-root certificate holds."""
+
+    moments: tuple  # read-only unit moments, sign-canonical
+    complete: bool
+
+
+def self_eigenvectors(alg: MagneticAlgebra, n_starts=50, seed=0) -> ZEigenvectors:
+    """Distinct unit moments x with F_x x parallel to x, and whether they are all of them.
+
+    These are the Z-eigenvectors of the operator tensor, sign-canonical
+    and read-only.  An algebraic solve finds them: in a fixed rotated
+    chart v = (1, y, z) the eigen-equations are two cubics in (y, z),
+    whose Sylvester resultant in y is a cubic matrix polynomial in z,
+    solved as one 15x15 eigenproblem; every root is polished by Newton.
+    complete is true when the solve finds 7 distinct nonsingular roots
+    over C and every real one converges on the sphere.  Otherwise (S0
+    singular; an axisymmetric operator, whose eigenvectors form a cone
+    and whose resultant vanishes; or fewer than 7 roots survive
+    polishing) the real roots that did converge are joined by projected
+    Newton from n_starts seeded Fibonacci starts at once, and complete is
+    false.  A moment is accepted once its residual is at most 1e-11
+    times the operator scale; two whose cosine is within 1e-8 of +-1
+    count once.  The solve runs on the operator over its scale, where
+    squared residuals cannot underflow.  Memoized on alg per
+    (n_starts, seed).
+    """
+    key = ("self_eigenvectors", int(n_starts), int(seed))
+    if key in alg.memo:
+        return alg.memo[key]
+    unit_alg = alg * (1.0 / alg.scale)
+    found, complete = _algebraic_eigenvectors(unit_alg)
+    if not complete:
+        starts = fibonacci_sphere(n_starts) @ seeded_rotation(seed).T
+        found = _distinct([*found, *_converge(unit_alg, starts)])
+    alg.memo[key] = ZEigenvectors(tuple(found), complete)
+    return alg.memo[key]
 
 
 def _circle_normals(alg: MagneticAlgebra, axis, threshold):
@@ -353,7 +483,8 @@ def find_invariant_planes(
             continue
         if len(group) == 3:
             # one more Newton step takes each axis from the 1e-11 acceptance to full precision
-            axes, _ = _self_eigen_step(alg, np.reshape(self_eigenvectors(alg), (-1, 3)))
+            x = np.reshape(self_eigenvectors(alg).moments, (-1, 3))
+            axes = _newton_step(x, *_self_eigen_system(alg, x))
         else:
             axes = [v[:, 3 - sum(group)]]  # the eigenvector outside the adjacent pair
         found: list[np.ndarray] = []

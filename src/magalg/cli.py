@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import (
+    GRAM_DEGENERACY_RTOL,
     PLANARITY_TOL,
     NotInvariantPlaneError,
     PlanarStructure,
@@ -199,10 +200,36 @@ def _report_fields(rep: ExtremalReport) -> dict:
             "m_bar": None if degenerate else _vec(rep.m_bar),
             "tol_sampling": 0.0,  # no sampling slack: a Z-eigenvalue; the key stays in the schema
             "certified": rep.lambda_bar_certified,
+            "complete": rep.lambda_bar_complete,
         },
         "bounds": rep.bounds,
         "chain_ok": rep.chain_ok,
     }
+
+
+def _sign_free_key(n) -> tuple:
+    """n rounded to 9 decimals, signed so its first nonzero component is positive; the same for -n."""
+    r = np.round(n, 9)
+    nonzero = np.flatnonzero(r)
+    return tuple(-r if nonzero.size and r[nonzero[0]] < 0.0 else r)
+
+
+def _primary_plane(planes, reports, tol) -> int:
+    """Index of the plane with the tightest refined upper bound.
+
+    Bounds within tol (relative) of the tightest tie.  Among tied planes
+    one whose report certifies lambda_bar (PLANE_DOMINANT) goes first;
+    then Gram eigenvalues within GRAM_DEGENERACY_RTOL of the largest
+    tie, and the normal, up to sign, decides the rest.  Symmetric planes
+    whose values differ only by rounding then give one answer.
+    """
+    upper = [r.bounds["refined_upper"] for r in reports]
+    best = min(upper)
+    tied = [i for i, u in enumerate(upper) if u <= best * (1.0 + tol)]
+    tied = [i for i in tied if reports[i].lambda_bar_certified is not None] or tied
+    top = max(planes[i].gram_eigenvalue for i in tied)
+    tied = [i for i in tied if planes[i].gram_eigenvalue >= top * (1.0 - GRAM_DEGENERACY_RTOL)]
+    return min(tied, key=lambda i: _sign_free_key(planes[i].n_hat))
 
 
 class _PointAnalysis(NamedTuple):
@@ -266,6 +293,7 @@ def _analyze(cfg: DipoleConfig, req: AnalysisRequest) -> _PointAnalysis:
                 "m_bar": _vec(wc.m_bar),
                 "tol_sampling": 0.0,
                 "certified": None,
+                "complete": wc.complete,
             },
             bounds=None,
             chain_ok=None,
@@ -273,16 +301,7 @@ def _analyze(cfg: DipoleConfig, req: AnalysisRequest) -> _PointAnalysis:
         return _PointAnalysis(rec, alg, None)
 
     reports = [bounds_report(alg, p, tol_rel=req.tol, precomputed=wc) for p in planes]
-    # primary plane: tightest certified upper bound, deterministic ties
-    order = sorted(
-        range(len(planes)),
-        key=lambda i: (
-            reports[i].bounds["refined_upper"],
-            -planes[i].gram_eigenvalue,
-            tuple(planes[i].n_hat),
-        ),
-    )
-    used = order[0]
+    used = _primary_plane(planes, reports, req.tol)
     rep = reports[used]
     rec.update(
         branch=rep.branch.value,

@@ -2,10 +2,13 @@
 
 The quantity of interest is the largest principal-eigenvalue magnitude of
 the moment-dependent gradient matrix over all unit moments (lambda_bar).
-It is attained at a Z-eigenvector of the symmetric operator tensor, taken
-as the best a multistart Newton finds; a Fibonacci-lattice sweep refined
-by gradient ascent is kept as an independent lower-bound oracle.  The
-planar structure gives closed forms and a chain of bounds around it:
+It is attained at a Z-eigenvector of the symmetric operator tensor.  An
+algebraic solve (a resultant eigenproblem) finds them all and certifies
+the set complete by its root count, so lambda_bar is exact to rounding;
+axisymmetric operators, which have a cone of Z-eigenvectors, fall back to
+a multistart Newton.  A Fibonacci-lattice sweep refined by gradient
+ascent is kept as an independent lower-bound oracle.  The planar
+structure gives closed forms and a chain of bounds around it:
 
     ||P|| <= |lambda_MF| <= lambda_P <= lambda_bar <= |lambda_MF| + ||P||/2
 
@@ -69,19 +72,24 @@ def principal_split_batch(alg: MagneticAlgebra, Ms):
 
 
 class WorstCase(NamedTuple):
-    """Worst-case magnitude with its moment M_bar and the direction m_bar it acts on."""
+    """Worst-case magnitude with its moment M_bar and the direction m_bar it acts on.
+
+    complete is true when lambda_bar is the maximum over a Z-eigenvector
+    set certified complete, so exact to rounding.
+    """
 
     lambda_bar: float
     M_bar: np.ndarray
     m_bar: np.ndarray
+    complete: bool = False
 
 
-def _worst_case(alg: MagneticAlgebra, x) -> WorstCase:
+def _worst_case(alg: MagneticAlgebra, x, complete=False) -> WorstCase:
     """The triple at moment x, with m_bar the principal eigenvector of F_x and value ||F_x m_bar||."""
     m_bar_moment = canonical_sign(x)
     f = alg.matrix(m_bar_moment)
     _, m_bar = principal_axis(f)
-    return WorstCase(float(np.linalg.norm(f @ m_bar)), m_bar_moment, m_bar)
+    return WorstCase(float(np.linalg.norm(f @ m_bar)), m_bar_moment, m_bar, complete)
 
 
 def lambda_bar_exact(alg: MagneticAlgebra) -> WorstCase:
@@ -89,15 +97,19 @@ def lambda_bar_exact(alg: MagneticAlgebra) -> WorstCase:
 
     By Banach's theorem on the symmetric operator tensor, lambda_bar is
     the largest |x^T F_x x| over unit x, attained at a Z-eigenvector.
-    Exact to rounding only if the fixed starts of self_eigenvectors find
-    the maximizing one, which nothing certifies (checked empirically
-    against lambda_bar_bruteforce).  The triple is finished from the
-    eigensolver, as in lambda_bar_bruteforce.
+    When self_eigenvectors certifies its set complete (7 distinct
+    nonsingular eigenpoints over C), that maximum is exact to rounding by
+    construction and complete is true.  Otherwise (axisymmetric
+    operators, and the rare operators whose roots do not all polish) it
+    is the best the multistart fallback finds, and complete is false.
+    The triple is finished from the eigensolver, as in
+    lambda_bar_bruteforce.
     """
     if alg.is_trivial():
         return WorstCase(0.0, _Z.copy(), _Z.copy())
-    xs = self_eigenvectors(alg)
-    return _worst_case(alg, max(xs, key=lambda v: abs(float(v @ alg.matrix(v) @ v))))
+    sol = self_eigenvectors(alg)
+    x = max(sol.moments, key=lambda v: abs(float(v @ alg.matrix(v) @ v)))
+    return _worst_case(alg, x, sol.complete)
 
 
 def sampling_tolerance(lambda_bar, n_samples) -> float:
@@ -237,6 +249,7 @@ class ExtremalReport:
     lambda_bar_certified: float | None  # exact value in the plane-dominant branch
     bounds: dict
     chain_ok: dict
+    lambda_bar_complete: bool = False  # lambda_bar_bf maximizes over a certified-complete Z-eigenvector set
 
     @property
     def all_ok(self) -> bool:
@@ -354,6 +367,7 @@ def bounds_report(
             "sqrt_two_thirds_lambda_F": sqrt_23,
         },
         chain_ok=chain_ok,
+        lambda_bar_complete=wc.complete,
     )
 
 
@@ -375,8 +389,9 @@ def locate_candidates(
 
     GRAM_TOP: top Gram eigenvector(s); IN_PLANE_MAX: the in-plane
     maximizer; EIGEN_SELF: moments that are eigenvectors of their own
-    matrix, found by multistart projected Newton on the sphere; DETZERO
-    duplicates any candidate whose matrix is singular.
+    matrix, from self_eigenvectors (n_starts and seed shape only its
+    multistart fallback); DETZERO duplicates any candidate whose matrix
+    is singular.
     """
     if alg.is_trivial():
         return []
@@ -397,7 +412,7 @@ def locate_candidates(
     pm = lambda_plane(alg, plane)
     out.append(Candidate(pm.moment, CandidateKind.IN_PLANE_MAX, pm.value))
 
-    for m in self_eigenvectors(alg, n_starts, seed):
+    for m in self_eigenvectors(alg, n_starts, seed).moments:
         out.append(Candidate(m, CandidateKind.EIGEN_SELF, principal_abs(alg, m)))
 
     for cand in list(out):

@@ -90,7 +90,8 @@ def test_analyze_degenerate_record_is_pinned(tmp_path, antipodal_json):
         "abs_lambda_MF": 0.0,
         "lambda_P": 0.0,
         "M_P": None,
-        "lambda_bar": {"value": 0.0, "M_bar": None, "m_bar": None, "tol_sampling": 0.0, "certified": 0.0},
+        "lambda_bar": {"value": 0.0, "M_bar": None, "m_bar": None, "tol_sampling": 0.0, "certified": 0.0,
+                       "complete": False},
         "bounds": {"chain_upper": 0.0, "refined_upper": 0.0, "gram_plus_third": None,
                    "plane_ratio": None, "plane_formula_upper": 0.0, "sqrt_two_thirds_lambda_F": 0.0},
         "chain_ok": {"degenerate": True},
@@ -216,6 +217,47 @@ def test_analyze_nonplanar_config(tmp_path):
     assert rep["branch"] == "NONPLANAR"
     assert rep["planes"] == []
     assert rep["lambda_bar"]["value"] > 0.0
+
+
+def test_analyze_records_whether_lambda_bar_is_certified(tmp_path):
+    """lambda_bar.complete is true where the 7-root certificate holds (an
+    off-axis pair, a generic NONPLANAR point) and false on the fallback (a
+    single dipole) and for DEGENERATE records."""
+    cases = [
+        ([[1, 0, 0], [-1, 0, 0]], [0.3, 0.2, 0.5], True),
+        ([[0.9, 0.1, 0.2], [-0.3, 1.1, -0.4], [0.2, -0.8, 0.9], [1.2, 0.7, -0.5], [-0.9, -0.6, -1.1]],
+         [0.05, -0.02, 0.03], True),
+        ([[0, 0, 0]], [0, 0, 1], False),
+        ([[0, 0, 1], [0, 0, -1]], [0, 0, 0], False),
+    ]
+    for magnets, fp, complete in cases:
+        code, rep = run_analyze(tmp_path, write_config(tmp_path / "c.json", magnets, [fp]))
+        assert code == EXIT_OK
+        assert rep["lambda_bar"]["complete"] is complete
+
+
+def test_primary_plane_of_symmetric_planes_does_not_follow_rounding():
+    """Two concentric axis-aligned tetrahedra: the six mirror planes tie, and
+    a 1e-12 shift of the field point must not change which normal (up to
+    sign) is primary, nor its bounds."""
+    from magalg.cli import AnalysisRequest, analyze_point
+    from magalg.dipoles import DipoleConfig
+    from test_algebra import TETRA
+
+    fp = np.array([0.2, -0.1, 0.3])
+    magnets = np.concatenate([fp + r * TETRA for r in (0.6, 1.3)])
+    picked = []
+    for shift in (0.0, 1e-12, -1e-12):
+        for direction in np.eye(3):
+            rec = analyze_point(DipoleConfig(magnets, fp + shift * direction), AnalysisRequest(config_path=""))
+            assert len(rec["planes"]) == 6
+            n = np.array(rec["planes"][rec["plane_used"]]["n_hat"])
+            picked.append((n, rec["bounds"]))
+    n0, bounds0 = picked[0]
+    for n, bounds in picked[1:]:
+        assert abs(float(n @ n0)) == pytest.approx(1.0, abs=1e-9)
+        for key, value in bounds0.items():
+            assert bounds[key] == pytest.approx(value, rel=1e-9)
 
 
 def test_report_roundtrip(tmp_path, single_dipole_json):

@@ -29,8 +29,9 @@ from magalg.corpus import (
     random_mirror_config,
     random_moments,
 )
-from magalg.algebra import _self_eigen_system
+from magalg.algebra import _converge, _distinct, _self_eigen_system, self_eigenvectors
 from magalg.extremal import principal_split_batch
+from magalg.sphere import fibonacci_sphere, seeded_rotation
 
 SQRT2 = np.sqrt(2.0)
 
@@ -104,14 +105,28 @@ _FAMILIES = {
     data=st.data(),
 )
 def test_lambda_bar_is_invariant_under_rotation_and_permutation(family, seed, axis, angle, data):
+    """lambda_bar, the plane count and the branch of an analyze record do not
+    change under rotations, mirror images (improper rotations) or magnet order."""
+    from magalg.cli import AnalysisRequest, analyze_point
+
+    def summary(c):
+        rec = analyze_point(c, AnalysisRequest(config_path=""))
+        return rec["lambda_bar"]["value"], len(rec["planes"]), rec["branch"]
+
     cfg = _FAMILIES[family](np.random.default_rng(seed))
     fp, magnets = cfg.field_point, cfg.magnet_positions
-    base = lambda_bar_exact(build_algebra(cfg)).lambda_bar
-    rotated = fp + (magnets - fp) @ rot_about(axis, angle).T
-    assert lambda_bar_exact(build_algebra(DipoleConfig(rotated, fp))).lambda_bar == pytest.approx(base, rel=1e-12)
+    base = summary(cfg)
+    rot = rot_about(axis, angle)
+    a = np.asarray(axis) / np.linalg.norm(axis)
     order = data.draw(st.permutations(range(len(magnets))))
-    permuted = DipoleConfig(magnets[list(order)], fp)
-    assert lambda_bar_exact(build_algebra(permuted)).lambda_bar == pytest.approx(base, rel=1e-12)
+    for moved in (
+        DipoleConfig(fp + (magnets - fp) @ rot.T, fp),
+        DipoleConfig(fp + (magnets - fp) @ (rot @ (np.eye(3) - 2.0 * np.outer(a, a))).T, fp),
+        DipoleConfig(magnets[list(order)], fp),
+    ):
+        value, n_planes, branch = summary(moved)
+        assert value == pytest.approx(base[0], rel=1e-12)
+        assert (n_planes, branch) == base[1:]
 
 
 def test_lambda_plane_single_dipole(single_dipole_algebra, dipole_plane):
@@ -372,6 +387,74 @@ def test_eigen_self_candidates_converged_and_distinct(rng):
         assert (np.linalg.norm(r, axis=1) <= 1e-11 * alg.scale).all()
         overlap = np.abs(ms @ ms.T)[np.triu_indices(len(ms), 1)]
         assert (overlap < 1.0 - 1e-8).all()
+
+
+def six_pair_corpus():
+    """One default_rng(5) drawing 200 coplanar (two or more magnets), 200 mirror and 200 generic configs."""
+    rng = np.random.default_rng(5)
+    coplanar = [random_coplanar_config(rng, n_min=2)[0] for _ in range(200)]
+    mirror = [random_mirror_config(rng)[0] for _ in range(200)]
+    generic = [random_config(rng) for _ in range(200)]
+    return coplanar + mirror + generic
+
+
+def test_the_five_six_pair_configs_are_certified_with_seven():
+    """Coplanar draws 92, 107, 183, mirror 16 and generic 160 of the corpus:
+    the 50-start multistart alone finds 6 Z-eigenvector pairs, one short of
+    the 7 the algebraic solve finds and certifies."""
+    corpus = six_pair_corpus()
+    for i in (92, 107, 183, 200 + 16, 400 + 160):
+        alg = build_algebra(corpus[i])
+        unit_alg = alg * (1.0 / alg.scale)
+        multistart = _distinct(_converge(unit_alg, fibonacci_sphere(50) @ seeded_rotation(0).T))
+        assert len(multistart) == 6
+        sol = self_eigenvectors(alg)
+        assert sol.complete
+        assert len(sol.moments) == 7
+        for x in multistart:
+            assert max(abs(float(x @ m)) for m in sol.moments) >= 1.0 - 1e-8
+
+
+def test_certified_real_counts_are_odd():
+    """Complex eigenpoints pair up, so a complete set has an odd number of real pairs."""
+    certified = 0
+    for cfg in six_pair_corpus():
+        sol = self_eigenvectors(build_algebra(cfg))
+        if sol.complete:
+            certified += 1
+            assert len(sol.moments) % 2 == 1
+    assert certified >= 0.95 * 600  # none of these is axisymmetric
+
+
+@pytest.mark.parametrize("magnets, field_point", [
+    ([[0.0, 0.0, 0.0]], [0.0, 0.0, 1.0]),
+    ([[0.0, 0.0, 0.0]], [0.3, -1.2, 2.0]),
+    ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [3.0, 0.0, 0.0]),
+    ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [-1.7, 0.0, 0.0]),
+])
+def test_axisymmetric_operators_fall_back_to_the_exact_value(magnets, field_point):
+    """A single dipole or an on-axis pair has a cone of Z-eigenvectors: no
+    finite certificate, and the multistart still gives lambda_bar = 2 sum d^-4."""
+    cfg = DipoleConfig(magnets, field_point)
+    wc = lambda_bar_exact(build_algebra(cfg))
+    assert not wc.complete
+    _, dist = cfg.separations()
+    assert wc.lambda_bar / (2.0 * np.sum(dist ** -4.0)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("radii", [[1.0], [0.6, 1.3]])
+def test_axis_aligned_tetrahedral_centre_is_certified(radii):
+    """Its 7 Z-eigenvector pairs are the 3 coordinate axes and the 4 vertex
+    directions; the rotated chart keeps the axes off its special circles."""
+    from test_algebra import TETRA
+
+    fp = np.array([0.2, -0.1, 0.3])
+    alg = build_algebra(DipoleConfig(np.concatenate([fp + r * TETRA for r in radii]), fp))
+    sol = self_eigenvectors(alg)
+    assert sol.complete
+    assert len(sol.moments) == 7
+    for x in np.concatenate([np.eye(3), TETRA]):
+        assert max(abs(float(x @ m)) for m in sol.moments) >= 1.0 - 1e-12
 
 
 def test_locate_candidates_best_matches_oracle(rng):
