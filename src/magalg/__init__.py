@@ -55,7 +55,6 @@ from .extremal import (
     locate_candidates,
     plane_gram_moment,
     principal_abs,
-    sampling_tolerance,
     verify_theorems,
 )
 from .linalg3 import (
@@ -82,5 +81,5 @@ __all__ = [
     "lambda_bar_bruteforce", "lambda_bar_exact", "lambda_plane", "locate_candidates",
     "plane_gram_moment", "plane_residual", "planar_structure",
     "principal_abs", "principal_axis", "p_vector", "rot_about",
-    "sampling_tolerance", "unit", "vec3", "verify_theorems",
+    "unit", "vec3", "verify_theorems",
 ]

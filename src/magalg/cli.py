@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -541,7 +542,7 @@ def _verify_trial(alg, n_hat, accum, samples, seed):
     note("decomposition_into_plane", worst_plane, worst_plane <= 1e-10 * dec_scale)
     note("decomposition_equivariance", worst_equi, worst_equi <= 1e-10 * dec_scale)
 
-    checks = verify_theorems(alg, plane, trials=200, seed=seed, n_samples=samples, refine_steps=40)
+    checks = verify_theorems(alg, plane, trials=200, seed=seed, n_samples=samples)
     for name, chk in checks.items():
         note(name, chk.residual, chk.ok)
 
@@ -556,6 +557,8 @@ def _trial_violates(alg, n_hat, accum, samples, seed) -> bool:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ConfigError("trials must be at least 1")
+    if args.samples < 1:
+        raise ConfigError("samples must be at least 1")
     accum: dict = {}
     offending = None
     if args.config:
@@ -599,7 +602,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VIOLATION
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused; parsing keeps no state in it."""
     p = argparse.ArgumentParser(
         prog="magalg",
         description="Worst-case translational forces of synchronized dipole arrays",
@@ -645,7 +650,7 @@ def _parser() -> argparse.ArgumentParser:
     pv.add_argument("--trials", type=int, default=100)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--config")
-    pv.add_argument("--samples", type=int, default=1500)
+    pv.add_argument("--samples", type=int, default=1500, help="size of the lattice cross-check")
     pv.set_defaults(func=cmd_verify)
     return p
 

@@ -11,6 +11,13 @@ if str(_SRC) not in sys.path:
 
 from magalg import DipoleConfig, build_algebra, gen_pair  # noqa: E402
 
+TOL_SAMPLING_C = 25.0  # lattice-gap constant, calibrated on the single-dipole closed form
+
+
+def sampling_tolerance(lambda_bar, n_samples) -> float:
+    """Slack of the sampling oracle's lower bound: C * lambda_bar / n."""
+    return TOL_SAMPLING_C * max(float(lambda_bar), 0.0) / int(n_samples)
+
 
 @pytest.fixture
 def single_dipole():

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import sampling_tolerance
 from magalg import (
     Branch,
     DipoleConfig,
@@ -26,7 +27,6 @@ from magalg import (
     planar_structure,
     principal_abs,
     rot_about,
-    sampling_tolerance,
 )
 from magalg.corpus import (
     random_algebra,

@@ -7,14 +7,19 @@ import warnings
 import numpy as np
 import pytest
 
+from magalg import cli, extremal
+from magalg.algebra import planar_structure
 from magalg.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_SINGULAR,
+    EXIT_VIOLATION,
     SWEEP_COLUMNS,
     main,
     parse_grid,
 )
+from magalg.corpus import random_mirror_config
+from magalg.dipoles import build_algebra
 
 
 # five coplanar magnets; at (0.24, 1.2, 0) a 2000-sample oracle falls short by 3e-8 relative
@@ -443,6 +448,7 @@ def test_verify_passes_and_is_deterministic(capsys):
     out1 = capsys.readouterr().out
     assert code == EXIT_OK
     assert "verify: PASS" in out1
+    assert "exact_above_lattice: ok" in out1
     code = main(["verify", "--trials", "6", "--seed", "12", "--samples", "800"])
     out2 = capsys.readouterr().out
     assert code == EXIT_OK
@@ -451,6 +457,34 @@ def test_verify_passes_and_is_deterministic(capsys):
 
 def test_verify_zero_trials(capsys):
     assert main(["verify", "--trials", "0"]) == EXIT_INPUT
+    assert main(["verify", "--samples", "0"]) == EXIT_INPUT
+
+
+def test_lattice_cross_check_catches_a_missed_maximizer(tmp_path, monkeypatch, capsys):
+    """A solve that misses the maximizing Z-eigenvectors fails verify, and the config is printed for replay."""
+    solve = extremal.self_eigenvectors
+
+    def missing_best(alg, *args, **kwargs):
+        # mirror images of the maximizer tie with it: drop every moment at the top value
+        sol = solve(alg, *args, **kwargs)
+        tau = [abs(float(m @ alg.matrix(m) @ m)) for m in sol.moments]
+        kept = tuple(m for m, t in zip(sol.moments, tau) if t < max(tau) * (1.0 - 1e-9))
+        return sol._replace(moments=kept)
+
+    monkeypatch.setattr(extremal, "self_eigenvectors", missing_best)
+    cfg, n_hat = random_mirror_config(np.random.default_rng(4))  # second-best Z-eigenvalue at 0.91 of the best
+    alg = build_algebra(cfg)
+    checks = extremal.verify_theorems(alg, planar_structure(alg, n_hat), trials=200, seed=0, n_samples=1500)
+    assert not checks["exact_above_lattice"].ok
+    assert checks["exact_above_lattice"].residual > 0.05
+
+    path = write_config(tmp_path / "mirror.json", cfg.magnet_positions, [cfg.field_point])
+    assert main(["verify", "--config", str(path)]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert "exact_above_lattice: VIOLATION" in captured.out
+    assert "verify: FAIL" in captured.out
+    offending = json.loads(captured.err.splitlines()[-1])
+    assert offending["magnets"] == json.loads(path.read_text())["magnets"]
 
 
 def test_verify_with_config(tmp_path, single_dipole_json, capsys):
@@ -469,6 +503,37 @@ def test_module_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["branch"] == "PLANE_DOMINANT"
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    """main reuses one parser; each call's output equals that of a freshly built parser."""
+    cfg = write_config(tmp_path / "pair.json", [[1, 0, 0], [-1, 0, 0]], [[0, 0.5, 1]])
+    csv_out = tmp_path / "sweep.csv"
+    calls = [
+        ["gen", "mirror", "--normal", "z", "--base", "1,0,0:1", "--base", "0,1,0:2"],
+        ["gen", "mirror", "--normal", "z", "--base", "1,0,0:1"],
+        ["analyze", "--config", str(cfg), "--seed", "x", "--si", "--out", "-"],
+        ["sweep", "--config", str(cfg), "--grid", "-1:1:2,0.5:0.5:1,0:0:1", "--out", str(csv_out)],
+        ["analyze", "--config", str(cfg), "--out", "-"],
+    ]
+
+    def run(fresh):
+        outputs = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            written = csv_out.read_text() if argv[0] == "sweep" else None
+            outputs.append((code, captured.out, captured.err, written))
+        return outputs
+
+    fresh = run(fresh=True)
+    assert [o[0] for o in fresh] == [EXIT_OK, EXIT_OK, EXIT_INPUT, EXIT_OK, EXIT_OK]
+    assert [len(json.loads(o[1])["magnets"]) for o in fresh[:2]] == [4, 2]
+    parser = cli._parser()
+    assert run(fresh=False) == fresh
+    assert cli._parser() is parser
 
 
 def test_unknown_subcommand_is_input_error():
