@@ -24,6 +24,8 @@ PLANARITY_TOL = 1e-8  # relative to the largest basis-image Frobenius norm
 _FRAME_TOL = 1e-12  # below this (relative), the coupling vector is treated as zero
 GRAM_DEGENERACY_RTOL = 1e-9  # Gram eigenvalues this close (relative to the top one) count as equal
 _FAMILY_SIZE = 8  # representatives returned for a continuous family of planes
+_FAMILY_ANGLES = np.arange(_FAMILY_SIZE) * (np.pi / _FAMILY_SIZE)  # their angles on the circle of normals
+_EIGEN_TOL = 1e-11  # on the operator over its scale, a moment whose residual is at most this is a Z-eigenvector
 
 
 class TrivialAlgebraError(ValueError):
@@ -245,7 +247,7 @@ def _newton_step(x, r, jac):
 
 
 def _converge(alg: MagneticAlgebra, m):
-    """Projected Newton on each row of m until its residual is at most 1e-11.
+    """Projected Newton on each row of m until its residual is at most _EIGEN_TOL.
 
     A row that is still above that after 60 residual checks is dropped;
     returns the converged rows.
@@ -256,7 +258,7 @@ def _converge(alg: MagneticAlgebra, m):
     for _ in range(60):
         x = m[active]
         r, jac = _self_eigen_system(alg, x)
-        done = np.linalg.norm(r, axis=1) <= 1e-11
+        done = np.linalg.norm(r, axis=1) <= _EIGEN_TOL
         converged[active[done]] = True
         active = active[~done]
         if not len(active):
@@ -372,6 +374,27 @@ def _algebraic_eigenvectors(unit_alg: MagneticAlgebra):
     return found, len(roots) == _EIGENPOINTS and len(found) == len(real)
 
 
+def _zonal_axis(t):
+    """The axis a of a unit-scale operator tensor t = k Z_a, or None.
+
+    Z_a = (5 a⊗a⊗a - sym(a⊗I)) / 2, sym summing a⊗I over its 3 index
+    placements, is the degree-3 zonal harmonic about a, with Z_a(a,a,a)
+    = 1 and Gram eigenvalues (1, 1, 3) / 2: a is the top Gram eigenvector
+    over a 2-fold pair.  That split alone does not make t zonal (a
+    trigonal cubic can have it too), so t is accepted only when
+    ||t - k Z_a||_F <= _EIGEN_TOL for k = t(a,a,a).
+    """
+    w, v = np.linalg.eigh(np.einsum("iab,jab->ij", t, t))
+    if [len(g) for g in _group_eigenvalues(w, 1e-7)] != [2, 1]:
+        return None
+    a = v[:, 2]
+    a_eye = np.einsum("i,jk->ijk", a, np.eye(3))
+    zonal = 0.5 * (5.0 * np.einsum("i,j,k->ijk", a, a, a)
+                   - a_eye - a_eye.transpose(1, 0, 2) - a_eye.transpose(1, 2, 0))
+    k = float(np.einsum("ijk,i,j,k->", t, a, a, a))
+    return a if np.linalg.norm(t - k * zonal) <= _EIGEN_TOL else None
+
+
 class ZEigenvectors(NamedTuple):
     """The Z-eigenvectors found, and whether the 7-root certificate holds."""
 
@@ -383,17 +406,23 @@ def self_eigenvectors(alg: MagneticAlgebra, n_starts=50, seed=0) -> ZEigenvector
     """Distinct unit moments x with F_x x parallel to x, and whether they are all of them.
 
     These are the Z-eigenvectors of the operator tensor, sign-canonical
-    and read-only.  An algebraic solve finds them: in a fixed rotated
-    chart v = (1, y, z) the eigen-equations are two cubics in (y, z),
-    whose Sylvester resultant in y is a cubic matrix polynomial in z,
-    solved as one 15x15 eigenproblem; every root is polished by Newton.
+    and read-only.  An axisymmetric operator (a single dipole, a field
+    point on a magnet axis or on a 4-fold axis) is a multiple k of the
+    zonal cubic about its axis a.  Its Z-eigenvectors are a and the cone
+    at cosine +-1/sqrt(5) about a, where |T(x,x,x)| is |k|/sqrt(5); they
+    come in closed form as a and 2 _FAMILY_SIZE cone points, one pair
+    in each meridian plane that find_invariant_planes reports for the
+    family, and complete is false since the cone is a continuum.  Any
+    other operator is solved algebraically: in a fixed rotated chart
+    v = (1, y, z) the eigen-equations are two cubics in (y, z), whose
+    Sylvester resultant in y is a cubic matrix polynomial in z, solved
+    as one 15x15 eigenproblem; every root is polished by Newton.
     complete is true when the solve finds 7 distinct nonsingular roots
     over C and every real one converges on the sphere.  Otherwise (S0
-    singular; an axisymmetric operator, whose eigenvectors form a cone
-    and whose resultant vanishes; or fewer than 7 roots survive
+    singular, a singular eigenpoint, or fewer than 7 roots survive
     polishing) the real roots that did converge are joined by projected
     Newton from n_starts seeded Fibonacci starts at once, and complete is
-    false.  A moment is accepted once its residual is at most 1e-11
+    false.  A moment is accepted once its residual is at most _EIGEN_TOL
     times the operator scale; two whose cosine is within 1e-8 of +-1
     count once.  The solve runs on the operator over its scale, where
     squared residuals cannot underflow.  Memoized on alg per
@@ -403,12 +432,25 @@ def self_eigenvectors(alg: MagneticAlgebra, n_starts=50, seed=0) -> ZEigenvector
     if key in alg.memo:
         return alg.memo[key]
     unit_alg = alg * (1.0 / alg.scale)
-    found, complete = _algebraic_eigenvectors(unit_alg)
-    if not complete:
-        starts = fibonacci_sphere(n_starts) @ seeded_rotation(seed).T
-        found = _distinct([*found, *_converge(unit_alg, starts)])
+    a = _zonal_axis(unit_alg.basis_images)
+    if a is not None:
+        # a x n_j = n_(j+4) up to sign, so the pair (a +- 2 n_j) / sqrt(5) lies in a family plane
+        u = (2.0 / np.sqrt(5.0)) * _great_circle(a)(_FAMILY_ANGLES)
+        cone = a / np.sqrt(5.0) + np.concatenate([u, -u])
+        found, complete = _distinct(_converge(unit_alg, np.vstack([a, cone]))), False
+    else:
+        found, complete = _algebraic_eigenvectors(unit_alg)
+        if not complete:
+            starts = fibonacci_sphere(n_starts) @ seeded_rotation(seed).T
+            found = _distinct([*found, *_converge(unit_alg, starts)])
     alg.memo[key] = ZEigenvectors(tuple(found), complete)
     return alg.memo[key]
+
+
+def _great_circle(axis):
+    """The map t -> unit vectors at angles t on the great circle orthogonal to axis."""
+    u, v = tangent_basis(axis)
+    return lambda t: np.cos(t)[:, None] * u + np.sin(t)[:, None] * v
 
 
 def _circle_normals(alg: MagneticAlgebra, axis, threshold):
@@ -420,11 +462,7 @@ def _circle_normals(alg: MagneticAlgebra, axis, threshold):
     sample or stationary point is above threshold the circle is a family;
     otherwise each arc between points above threshold gives its lowest.
     """
-    u, v = tangent_basis(axis)
-
-    def on_circle(t):
-        return np.cos(t)[:, None] * u + np.sin(t)[:, None] * v
-
+    on_circle = _great_circle(axis)
     t = np.arange(12) * (np.pi / 12)
     res = plane_residual_batch(alg, on_circle(t))
     # coefficient of z^k, k = 0..3, of the squared residual over the scale (unscaled,
@@ -437,7 +475,7 @@ def _circle_normals(alg: MagneticAlgebra, axis, threshold):
     res = np.concatenate([res, plane_residual_batch(alg, on_circle(t_stat))])
     low = res <= threshold
     if low.all():
-        return on_circle(np.arange(_FAMILY_SIZE) * (np.pi / _FAMILY_SIZE)), True
+        return on_circle(_FAMILY_ANGLES), True
     order = np.argsort(t)
     high = np.flatnonzero(~low[order])
     order = np.roll(order, -high[0])  # start the sweep at a point above threshold

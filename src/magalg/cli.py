@@ -494,7 +494,11 @@ def cmd_gen(args) -> int:
 
 
 def _verify_trial(alg, n_hat, accum, samples, seed):
-    """Run the per-configuration check battery, updating worst residuals."""
+    """Run the per-configuration check battery, updating worst residuals.
+
+    With n_hat None (no invariant plane) only its plane-free part runs:
+    the algebra identities and verify_theorems without a plane.
+    """
     scale = alg.scale
 
     def note(name, residual, ok):
@@ -508,13 +512,24 @@ def _verify_trial(alg, n_hat, accum, samples, seed):
     det = alg.det_residual()
     note("det_identity", det, det <= 1e-12 * scale ** 3)
 
-    try:
-        plane = planar_structure(alg, n_hat)
-    except NotInvariantPlaneError as e:
-        note("planarity_residual", e.residual, False)
-        return
-    note("planarity_residual", plane.residual, True)
+    plane = None
+    if n_hat is not None:
+        try:
+            plane = planar_structure(alg, n_hat)
+        except NotInvariantPlaneError as e:
+            note("planarity_residual", e.residual, False)
+            return
+        _plane_checks(alg, plane, note, seed)
 
+    checks = verify_theorems(alg, plane, trials=200, seed=seed, n_samples=samples)
+    for name, chk in checks.items():
+        note(name, chk.residual, chk.ok)
+
+
+def _plane_checks(alg, plane, note, seed):
+    """The checks of the battery that need an invariant plane."""
+    scale = alg.scale
+    note("planarity_residual", plane.residual, True)
     g = alg.gram
     eig_res = float(np.linalg.norm(g @ plane.n_hat - 2.0 * plane.norm_P ** 2 * plane.n_hat))
     note("gram_eigenvector", eig_res, eig_res <= 1e-9 * max(scale ** 2, 1e-300))
@@ -542,10 +557,6 @@ def _verify_trial(alg, n_hat, accum, samples, seed):
     note("decomposition_into_plane", worst_plane, worst_plane <= 1e-10 * dec_scale)
     note("decomposition_equivariance", worst_equi, worst_equi <= 1e-10 * dec_scale)
 
-    checks = verify_theorems(alg, plane, trials=200, seed=seed, n_samples=samples)
-    for name, chk in checks.items():
-        note(name, chk.residual, chk.ok)
-
 
 def _trial_violates(alg, n_hat, accum, samples, seed) -> bool:
     """Run one verification trial; True when it makes a check that held so far fail."""
@@ -567,18 +578,15 @@ def cmd_verify(args) -> int:
             raise ConfigError("verify needs a field point in the config")
         positions = config_positions(data)
         for fp in data["field_points"]:
-            cfg = DipoleConfig(positions, fp)
-            alg = build_algebra(cfg)
+            alg = build_algebra(DipoleConfig(positions, fp))
             if alg.is_trivial():
                 continue
-            try:
-                planes = find_invariant_planes(alg)
-            except TrivialAlgebraError:
-                continue
-            if not planes:
-                continue
-            if _trial_violates(alg, planes[0].n_hat, accum, args.samples, args.seed) and offending is None:
+            planes = find_invariant_planes(alg)
+            n_hat = planes[0].n_hat if planes else None
+            if _trial_violates(alg, n_hat, accum, args.samples, args.seed) and offending is None:
                 offending = data
+        if not accum:
+            raise ConfigError("no field point of the config has a nonzero operator; nothing to verify")
     else:
         for t in range(args.trials):
             rng = np.random.default_rng([args.seed, t])

@@ -5,9 +5,9 @@ the moment-dependent gradient matrix over all unit moments (lambda_bar).
 It is attained at a Z-eigenvector of the symmetric operator tensor.  An
 algebraic solve (a resultant eigenproblem) finds them all and certifies
 the set complete by its root count, so lambda_bar is exact to rounding;
-axisymmetric operators, which have a cone of Z-eigenvectors, fall back to
-a multistart Newton.  The planar structure gives closed forms and a
-chain of bounds around it:
+axisymmetric operators, whose Z-eigenvectors are their axis and a cone
+about it, are solved in closed form, the axis giving lambda_bar.  The
+planar structure gives closed forms and a chain of bounds around it:
 
     ||P|| <= |lambda_MF| <= lambda_P <= lambda_bar <= |lambda_MF| + ||P||/2
 
@@ -104,11 +104,13 @@ def lambda_bar_exact(alg: MagneticAlgebra) -> WorstCase:
     the largest |x^T F_x x| over unit x, attained at a Z-eigenvector.
     When self_eigenvectors certifies its set complete (7 distinct
     nonsingular eigenpoints over C), that maximum is exact to rounding by
-    construction and complete is true.  Otherwise (axisymmetric
-    operators, and the rare operators whose roots do not all polish) it
-    is the best the multistart fallback finds, and complete is false.
-    The triple is finished from the eigensolver, as in
-    lambda_bar_bruteforce.
+    construction and complete is true.  On an axisymmetric operator it
+    is attained on the axis, which beats the cone of the other
+    Z-eigenvectors by a factor sqrt(5): exact too, but complete is false,
+    as the set is a continuum.  Otherwise (a singular eigenpoint, or the
+    rare operators whose roots do not all polish) it is the best the
+    multistart fallback finds, and complete is false.  The triple is
+    finished from the eigensolver, as in lambda_bar_bruteforce.
     """
     if alg.is_trivial():
         return WorstCase(0.0, _Z.copy(), _Z.copy())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from magalg import cli, extremal
-from magalg.algebra import planar_structure
+from magalg.algebra import _FAMILY_SIZE, planar_structure
 from magalg.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -25,6 +25,8 @@ from magalg.dipoles import build_algebra
 # five coplanar magnets; at (0.24, 1.2, 0) a 2000-sample oracle falls short by 3e-8 relative
 COPLANAR_FIVE = [[0.9973, -0.3729, 0], [-1.6985, -0.1211, 0], [0.7533, -0.1133, 0],
                  [1.5793, 0.8791, 0], [-1.0277, -0.8218, 0]]
+# five magnets in general position; (0.05, -0.02, 0.03) has no invariant plane
+NONPLANAR_FIVE = [[0.9, 0.1, 0.2], [-0.3, 1.1, -0.4], [0.2, -0.8, 0.9], [1.2, 0.7, -0.5], [-0.9, -0.6, -1.1]]
 
 
 def write_config(path, magnets, field_points, si=False):
@@ -212,11 +214,7 @@ def test_analyze_rejects_bad_request(tmp_path, single_dipole_json):
 
 
 def test_analyze_nonplanar_config(tmp_path):
-    cfg = write_config(
-        tmp_path / "np.json",
-        [[0.9, 0.1, 0.2], [-0.3, 1.1, -0.4], [0.2, -0.8, 0.9], [1.2, 0.7, -0.5], [-0.9, -0.6, -1.1]],
-        [[0.05, -0.02, 0.03]],
-    )
+    cfg = write_config(tmp_path / "np.json", NONPLANAR_FIVE, [[0.05, -0.02, 0.03]])
     code, rep = run_analyze(tmp_path, cfg)
     assert code == EXIT_OK
     assert rep["branch"] == "NONPLANAR"
@@ -226,12 +224,11 @@ def test_analyze_nonplanar_config(tmp_path):
 
 def test_analyze_records_whether_lambda_bar_is_certified(tmp_path):
     """lambda_bar.complete is true where the 7-root certificate holds (an
-    off-axis pair, a generic NONPLANAR point) and false on the fallback (a
-    single dipole) and for DEGENERATE records."""
+    off-axis pair, a generic NONPLANAR point) and false for a single
+    dipole, whose Z-eigenvectors include a cone, and for DEGENERATE records."""
     cases = [
         ([[1, 0, 0], [-1, 0, 0]], [0.3, 0.2, 0.5], True),
-        ([[0.9, 0.1, 0.2], [-0.3, 1.1, -0.4], [0.2, -0.8, 0.9], [1.2, 0.7, -0.5], [-0.9, -0.6, -1.1]],
-         [0.05, -0.02, 0.03], True),
+        (NONPLANAR_FIVE, [0.05, -0.02, 0.03], True),
         ([[0, 0, 0]], [0, 0, 1], False),
         ([[0, 0, 1], [0, 0, -1]], [0, 0, 0], False),
     ]
@@ -292,6 +289,14 @@ def test_lambda_bar_is_independent_of_seed(tmp_path):
         values.append([r["lambda_bar"]["value"] for r in rep["results"]])
     for v in values[1:]:
         assert v == values[0]
+
+
+def test_seed_does_not_move_the_candidates_of_a_single_dipole(tmp_path, single_dipole_json):
+    """Its Z-eigenvectors come in closed form, so the multistart's seed has nothing to rotate."""
+    _, rep0 = run_analyze(tmp_path, single_dipole_json, seed=0)
+    _, rep5 = run_analyze(tmp_path, single_dipole_json, seed=5)
+    assert rep0["candidates"] == rep5["candidates"]
+    assert sum(c["kind"] == "EIGEN_SELF" for c in rep0["candidates"]) == 1 + 2 * _FAMILY_SIZE
 
 
 def test_gen_pair_stdout(capsys):
@@ -491,6 +496,24 @@ def test_verify_with_config(tmp_path, single_dipole_json, capsys):
     code = main(["verify", "--trials", "1", "--config", str(single_dipole_json), "--samples", "800"])
     assert code == EXIT_OK
     assert "verify: PASS" in capsys.readouterr().out
+
+
+def test_verify_checks_a_point_without_invariant_planes(tmp_path, capsys):
+    """A NONPLANAR point gets the plane-free part of the battery."""
+    path = write_config(tmp_path / "np.json", NONPLANAR_FIVE, [[0.05, -0.02, 0.03]])
+    assert main(["verify", "--config", str(path), "--samples", "800"]) == EXIT_OK
+    out = capsys.readouterr().out
+    for name in ("reciprocity", "trace", "det_identity", "squares_bracket", "subadditive", "exact_above_lattice"):
+        assert f"{name}: ok" in out
+    assert "planarity_residual" not in out
+    assert "verify: PASS" in out
+
+
+def test_verify_with_nothing_to_check_is_an_input_error(antipodal_json, capsys):
+    assert main(["verify", "--config", str(antipodal_json)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "verify: PASS" not in captured.out
+    assert "nothing to verify" in captured.err
 
 
 def test_module_entry_point_smoke(tmp_path):

@@ -29,7 +29,8 @@ from magalg.corpus import (
     random_mirror_config,
     random_moments,
 )
-from magalg.algebra import _converge, _distinct, _self_eigen_system, self_eigenvectors
+from magalg import algebra
+from magalg.algebra import _FAMILY_SIZE, _converge, _distinct, _self_eigen_system, self_eigenvectors
 from magalg.extremal import principal_split_batch
 from magalg.sphere import fibonacci_sphere, seeded_rotation
 
@@ -442,6 +443,62 @@ def test_axisymmetric_operators_fall_back_to_the_exact_value(magnets, field_poin
     assert wc.lambda_bar / (2.0 * np.sum(dist ** -4.0)) == pytest.approx(1.0, abs=1e-12)
 
 
+_SOURCE = np.array([0.3, -1.2, 2.0]) / np.linalg.norm([0.3, -1.2, 2.0])
+_SQUARE = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+
+
+@pytest.mark.parametrize("magnets, field_point, axis", [
+    ([[0.0, 0.0, 0.0]], 1e-9 * _SOURCE, _SOURCE),
+    ([[0.0, 0.0, 0.0]], _SOURCE, _SOURCE),
+    ([[0.0, 0.0, 0.0]], 1e30 * _SOURCE, _SOURCE),
+    ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [3.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    (_SQUARE, [0.0, 0.0, 0.7], [0.0, 0.0, 1.0]),
+])
+def test_axisymmetric_operators_are_solved_in_closed_form(monkeypatch, magnets, field_point, axis):
+    """A single dipole, an on-axis pair and a 4-fold axis give a zonal operator:
+    the axis and 2 _FAMILY_SIZE cone points come back without the resultant
+    solve or the multistart."""
+    def not_called(*args, **kwargs):
+        raise AssertionError("the closed form should not need this")
+
+    monkeypatch.setattr(algebra, "_algebraic_eigenvectors", not_called)
+    monkeypatch.setattr(algebra, "fibonacci_sphere", not_called)
+    alg = build_algebra(DipoleConfig(magnets, field_point))
+    sol = self_eigenvectors(alg)
+    assert not sol.complete
+    assert len(sol.moments) == 1 + 2 * _FAMILY_SIZE
+    best = max(sol.moments, key=lambda m: abs(float(m @ alg.matrix(m) @ m)))
+    assert min(np.linalg.norm(best - axis), np.linalg.norm(best + axis)) <= 1e-12
+    r, _ = _self_eigen_system(alg * (1.0 / alg.scale), np.array(sol.moments))
+    assert np.linalg.norm(r, axis=1).max() <= 1e-11
+
+
+_TRIANGLE = np.array([[np.cos(t), np.sin(t), 0.0] for t in 2.0 * np.pi * np.arange(3) / 3.0])
+
+
+@pytest.mark.parametrize("magnets, field_point", [
+    (_TRIANGLE, [0.0, 0.0, 1.5]),  # axisymmetric Gram, trigonal cubic
+    ([[0.0, 0.0, 0.0], [60.0, 40.0, -20.0]], [0.3, -1.2, 2.0]),  # second magnet at 9e-7 of the first
+])
+def test_nearly_axisymmetric_operators_take_the_algebraic_solve(monkeypatch, magnets, field_point):
+    solve = algebra._algebraic_eigenvectors
+    calls = []
+    monkeypatch.setattr(algebra, "_algebraic_eigenvectors", lambda a: calls.append(a) or solve(a))
+    alg = build_algebra(DipoleConfig(magnets, field_point))
+    wc = lambda_bar_exact(alg)
+    assert len(calls) == 1
+    bf = lambda_bar_bruteforce(alg, n_samples=20000, refine_steps=100, seed=0)
+    assert bf.lambda_bar <= wc.lambda_bar * (1.0 + 1e-12)
+    assert wc.lambda_bar <= bf.lambda_bar + sampling_tolerance(bf.lambda_bar, 20000)
+
+
+def test_a_trigonal_cubic_passes_the_gram_test_and_fails_the_residual():
+    alg = build_algebra(DipoleConfig(_TRIANGLE, [0.0, 0.0, 1.5]))
+    w = np.linalg.eigvalsh(alg.gram)
+    assert [len(g) for g in algebra._group_eigenvalues(w, 1e-7)] == [2, 1]
+    assert algebra._zonal_axis(alg.basis_images / alg.scale) is None
+
+
 @pytest.mark.parametrize("radii", [[1.0], [0.6, 1.3]])
 def test_axis_aligned_tetrahedral_centre_is_certified(radii):
     """Its 7 Z-eigenvector pairs are the 3 coordinate axes and the 4 vertex
@@ -549,3 +606,5 @@ def test_candidates_of_a_far_single_dipole_match_the_near_one():
         assert sorted(c.kind.value for c in far) == sorted(c.kind.value for c in near)
         scaled = np.array([c.lambda_abs for c in far]) * d ** 4
         assert scaled == pytest.approx([c.lambda_abs for c in near], rel=1e-12)
+        for c in far:
+            assert any(n.kind is c.kind and np.abs(n.moment - c.moment).max() <= 1e-12 for n in near)
