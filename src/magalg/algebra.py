@@ -1,9 +1,9 @@
 """Structure analysis of a moment -> matrix map.
 
 Given an algebra of traceless symmetric images with reciprocity, this
-module validates it, computes the Gram matrix of basis images and its top
-eigenpair, detects invariant planes (2D subspaces closed under the
-induced product), builds the orthonormal frame attached to a plane, and
+module computes the Gram matrix of basis images and its top eigenpair,
+detects invariant planes (2D subspaces closed under the induced
+product), builds the orthonormal frame attached to a plane, and
 constructs the one-parameter family of splits of the map into a part
 equivariant under rotations about the coupling vector and a part mapping
 everything into the plane.
@@ -11,13 +11,14 @@ everything into the plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .dipoles import MagneticAlgebra
 from .linalg3 import canonical_sign, cross_matrices, cross_matrix, rot_about, unit
+# sphere_descent stays bound here for tracing; nothing in this module calls it
 from .sphere import fibonacci_sphere, seeded_rotation, sphere_descent, tangent_basis
 
 PLANARITY_TOL = 1e-8  # relative to the largest basis-image Frobenius norm
@@ -41,24 +42,6 @@ class NotInvariantPlaneError(ValueError):
         )
         self.residual = float(residual)
         self.threshold = float(threshold)
-
-
-@dataclass(frozen=True)
-class AlgebraCheck:
-    reciprocity_residual: float
-    trace_residual: float
-    det_residual: float
-    nontrivial: bool
-
-
-def check_algebra(alg: MagneticAlgebra) -> AlgebraCheck:
-    """Report-style validation; never raises."""
-    return AlgebraCheck(
-        reciprocity_residual=alg.reciprocity_residual(),
-        trace_residual=alg.trace_residual(),
-        det_residual=alg.det_residual(),
-        nontrivial=not alg.is_trivial(),
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,18 +173,6 @@ def _group_eigenvalues(w, rtol):
         else:
             groups.append([i])
     return groups
-
-
-def _separated_seeds(points, res, max_seeds, min_dot=0.98):
-    """Lowest-residual points, greedily kept angularly apart (mod sign)."""
-    seeds = []
-    for i in np.argsort(res):
-        p = points[i]
-        if all(abs(float(p @ q)) < min_dot for q in seeds):
-            seeds.append(p)
-            if len(seeds) >= max_seeds:
-                break
-    return seeds
 
 
 def _dedupe_normals(normals):
@@ -487,11 +458,7 @@ def _circle_normals(alg: MagneticAlgebra, axis, threshold):
     return on_circle(np.array(best)), False
 
 
-def find_invariant_planes(
-    alg: MagneticAlgebra,
-    tol=PLANARITY_TOL,
-    global_scan=False,
-) -> list[PlanarStructure]:
+def find_invariant_planes(alg: MagneticAlgebra, tol=PLANARITY_TOL) -> list[PlanarStructure]:
     """All invariant-plane normals of the algebra.
 
     Candidates are restricted to eigenvectors of the Gram matrix, which
@@ -499,9 +466,7 @@ def find_invariant_planes(
     circle orthogonal to the third eigenvector; in a 3-fold one every
     normal lies on the circle orthogonal to a self-eigenvector (the
     maximizer of x^T F_x x on the plane).  Continuous families come back
-    as representatives flagged degenerate.  global_scan additionally
-    sweeps the whole sphere (Fibonacci lattice plus local descent) to
-    catch near-planes of slightly perturbed configurations.
+    as representatives flagged degenerate.
     """
     scale = alg.scale
     if scale == 0.0:
@@ -533,16 +498,6 @@ def find_invariant_planes(
         # different accuracy: the most accurate comes first, so dedupe keeps it
         res = [plane_residual(alg, n) for n in found]
         accepted.extend(found[i] for i in np.argsort(res, kind="stable") if res[i] <= threshold)
-
-    if global_scan:
-        pts = fibonacci_sphere(10_000)
-        res = plane_residual_batch(alg, pts)
-        for p in _separated_seeds(pts, res, max_seeds=16):
-            n, r = sphere_descent(
-                lambda x: plane_residual_batch(alg, [x])[0], p, steps=80
-            )
-            if r <= threshold:
-                accepted.append(n)
 
     out = [planar_structure(alg, n, tol=tol) for n in _dedupe_normals(accepted)]
     seen = [p.n_hat for p in out]

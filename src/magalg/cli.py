@@ -26,7 +26,6 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .algebra import (
     GRAM_DEGENERACY_RTOL,
     PLANARITY_TOL,
     NotInvariantPlaneError,
-    PlanarStructure,
     TrivialAlgebraError,
     decompose,
     find_invariant_planes,
@@ -46,7 +44,6 @@ from .corpus import random_coplanar_config, random_mirror_config, random_moments
 from .dipoles import (
     FORCE_PREFACTOR,
     DipoleConfig,
-    MagneticAlgebra,
     SingularFieldPointError,
     build_algebra,
     gen_cubic_lattice,
@@ -55,8 +52,7 @@ from .dipoles import (
     p_vector,
 )
 from .extremal import (  # lambda_bar_bruteforce and lambda_plane stay bound here for tracing
-    Branch,
-    ExtremalReport,
+    WorstCase,
     _degenerate_report,
     bounds_report,
     lambda_bar_bruteforce,
@@ -92,8 +88,9 @@ class AnalysisRequest:
     out_path: str | None = None
 
     def validate(self):
-        if self.tol <= 0.0:
-            raise ConfigError("tol must be positive")
+        # nan fails both comparisons; a relative tolerance of 1 or more accepts any chain
+        if not 0.0 < self.tol < 1.0:
+            raise ConfigError(f"tol must be a number in (0, 1), got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -168,10 +165,13 @@ def validate_config(data) -> dict:
     if not isinstance(fps, list):
         raise ConfigError("'field_points' must be a list of [x, y, z]")
     points = [_coords(fp, f"field point {i}") for i, fp in enumerate(fps)]
+    si = data.get("si_prefactor", False)
+    if not isinstance(si, bool):
+        raise ConfigError(f"'si_prefactor' must be true or false, got {json.dumps(si)}")
     return {
         "magnets": [{"position": p} for p in positions],
         "field_points": points,
-        "si_prefactor": bool(data.get("si_prefactor", False)),
+        "si_prefactor": si,
     }
 
 
@@ -187,24 +187,15 @@ def _mat(m):
     return [[float(x) for x in row] for row in np.asarray(m)]
 
 
-def _report_fields(rep: ExtremalReport) -> dict:
-    """Record fields taken from one bounds report; a degenerate one has no maximizer."""
-    degenerate = rep.branch is Branch.DEGENERATE
+def _lambda_bar(wc: WorstCase | None, certified) -> dict:
+    """The lambda_bar block of a record; wc is None on a DEGENERATE point, which has no maximizer."""
     return {
-        "norm_P": rep.norm_P,
-        "abs_lambda_MF": rep.abs_lambda_MF,
-        "lambda_P": rep.lambda_P,
-        "M_P": None if rep.M_P is None else _vec(rep.M_P),
-        "lambda_bar": {
-            "value": rep.lambda_bar_bf,
-            "M_bar": None if degenerate else _vec(rep.M_bar),
-            "m_bar": None if degenerate else _vec(rep.m_bar),
-            "tol_sampling": 0.0,  # no sampling slack: a Z-eigenvalue; the key stays in the schema
-            "certified": rep.lambda_bar_certified,
-            "complete": rep.lambda_bar_complete,
-        },
-        "bounds": rep.bounds,
-        "chain_ok": rep.chain_ok,
+        "value": 0.0 if wc is None else wc.lambda_bar,
+        "M_bar": None if wc is None else _vec(wc.M_bar),
+        "m_bar": None if wc is None else _vec(wc.m_bar),
+        "tol_sampling": 0.0,  # no sampling slack: a Z-eigenvalue; the key stays in the schema
+        "certified": certified,
+        "complete": False if wc is None else wc.complete,
     }
 
 
@@ -233,17 +224,20 @@ def _primary_plane(planes, reports, tol) -> int:
     return min(tied, key=lambda i: _sign_free_key(planes[i].n_hat))
 
 
-class _PointAnalysis(NamedTuple):
-    record: dict
-    alg: MagneticAlgebra
-    plane: PlanarStructure | None  # the plane of the primary bounds report
+def _point_record(cfg: DipoleConfig, req: AnalysisRequest, candidates: bool) -> dict:
+    """The record of one field point, for every branch.
 
-
-def _analyze(cfg: DipoleConfig, req: AnalysisRequest) -> _PointAnalysis:
+    A DEGENERATE point (the zero operator) has no Gram spectrum, plane
+    or maximizer, and a NONPLANAR one no plane and so no bound chain;
+    the planar branches take the chain of the primary plane.  With
+    candidates set, the candidate search of that plane follows chain_ok;
+    the SI keys come last.
+    """
     alg = build_algebra(cfg)
     rec: dict = {"field_point": _vec(cfg.field_point)}
+    plane = None
     if alg.is_trivial():
-        rep = _degenerate_report()
+        wc, rep = None, _degenerate_report()
         rec.update(
             branch=rep.branch.value,
             p_vector=_vec(p_vector(cfg)),
@@ -253,100 +247,92 @@ def _analyze(cfg: DipoleConfig, req: AnalysisRequest) -> _PointAnalysis:
             gram_multiplicity=3,
             planes=[],
             plane_used=None,
-            **_report_fields(rep),
         )
-        return _PointAnalysis(rec, alg, None)
-
-    gs = gram_spectrum(alg)
-    planes = find_invariant_planes(alg, tol=PLANARITY_TOL)
-    wc = lambda_bar_exact(alg)
-    rec.update(
-        p_vector=_vec(p_vector(cfg)),
-        gram=_mat(gs.gram),
-        lambda_F=gs.lambda_F,
-        M_F=_vec(gs.M_F),
-        gram_eigenvalues=_vec(gs.eigenvalues),
-        gram_multiplicity=gs.multiplicity,
-        planes=[
-            {
-                "n_hat": _vec(p.n_hat),
-                "P": _vec(p.P),
-                "norm_P": p.norm_P,
-                "residual": p.residual,
-                "gram_eigenvalue": p.gram_eigenvalue,
-                "degenerate": p.degenerate,
-            }
-            for p in planes
-        ],
-    )
-
-    if not planes:
+    else:
+        gs = gram_spectrum(alg)
+        planes = find_invariant_planes(alg, tol=PLANARITY_TOL)
+        wc = lambda_bar_exact(alg)
         rec.update(
-            branch="NONPLANAR",
-            plane_used=None,
+            p_vector=_vec(p_vector(cfg)),
+            gram=_mat(gs.gram),
+            lambda_F=gs.lambda_F,
+            M_F=_vec(gs.M_F),
+            gram_eigenvalues=_vec(gs.eigenvalues),
+            gram_multiplicity=gs.multiplicity,
+            planes=[
+                {
+                    "n_hat": _vec(p.n_hat),
+                    "P": _vec(p.P),
+                    "norm_P": p.norm_P,
+                    "residual": p.residual,
+                    "gram_eigenvalue": p.gram_eigenvalue,
+                    "degenerate": p.degenerate,
+                }
+                for p in planes
+            ],
+        )
+        if planes:
+            reports = [bounds_report(alg, p, tol_rel=req.tol, precomputed=wc) for p in planes]
+            used = _primary_plane(planes, reports, req.tol)
+            rep, plane = reports[used], planes[used]
+            rec.update(
+                branch=rep.branch.value,
+                plane_used=used,
+                plane_reports=[
+                    {
+                        "branch": r.branch.value,
+                        "norm_P": r.norm_P,
+                        "abs_lambda_MF": r.abs_lambda_MF,
+                        "lambda_P": r.lambda_P,
+                        "bounds": r.bounds,
+                        "chain_ok": r.chain_ok,
+                    }
+                    for r in reports
+                ],
+            )
+        else:
+            rep = None
+            rec.update(branch="NONPLANAR", plane_used=None)
+
+    if rep is None:
+        rec.update(
             norm_P=None,
             abs_lambda_MF=principal_abs(alg, gs.M_F),
             lambda_P=None,
             M_P=None,
-            lambda_bar={
-                "value": wc.lambda_bar,
-                "M_bar": _vec(wc.M_bar),
-                "m_bar": _vec(wc.m_bar),
-                "tol_sampling": 0.0,
-                "certified": None,
-                "complete": wc.complete,
-            },
+            lambda_bar=_lambda_bar(wc, None),
             bounds=None,
             chain_ok=None,
         )
-        return _PointAnalysis(rec, alg, None)
-
-    reports = [bounds_report(alg, p, tol_rel=req.tol, precomputed=wc) for p in planes]
-    used = _primary_plane(planes, reports, req.tol)
-    rep = reports[used]
-    rec.update(
-        branch=rep.branch.value,
-        plane_used=used,
-        plane_reports=[
-            {
-                "branch": r.branch.value,
-                "norm_P": r.norm_P,
-                "abs_lambda_MF": r.abs_lambda_MF,
-                "lambda_P": r.lambda_P,
-                "bounds": r.bounds,
-                "chain_ok": r.chain_ok,
-            }
-            for r in reports
-        ],
-        **_report_fields(rep),
-    )
+    else:
+        rec.update(
+            norm_P=rep.norm_P,
+            abs_lambda_MF=rep.abs_lambda_MF,
+            lambda_P=rep.lambda_P,
+            M_P=None if rep.M_P is None else _vec(rep.M_P),
+            lambda_bar=_lambda_bar(wc, rep.lambda_bar_certified),
+            bounds=rep.bounds,
+            chain_ok=rep.chain_ok,
+        )
+    if candidates:
+        found = [] if plane is None else locate_candidates(alg, plane, seed=req.seed)
+        rec["candidates"] = [
+            {"moment": _vec(c.moment), "kind": c.kind.value, "lambda_abs": c.lambda_abs}
+            for c in found
+        ]
     if cfg.si_prefactor or req.si:
         rec["force_scale_si"] = FORCE_PREFACTOR
-        rec["max_force_si_per_unit_moments"] = FORCE_PREFACTOR * rep.lambda_bar_bf
-    return _PointAnalysis(rec, alg, planes[used])
+        rec["max_force_si_per_unit_moments"] = FORCE_PREFACTOR * rec["lambda_bar"]["value"]
+    return rec
 
 
 def analyze_point(cfg: DipoleConfig, req: AnalysisRequest) -> dict:
     """Full analysis of one field point as a JSON-ready record.
 
     Candidate search is not part of it: only `analyze` reports
-    candidates, and it adds them itself.
+    candidates.
     """
-    return _analyze(cfg, req).record
-
-
-def _with_candidates(point: _PointAnalysis, seed) -> dict:
-    """The record with a `candidates` list right after `chain_ok`."""
-    cands = [] if point.plane is None else locate_candidates(point.alg, point.plane, seed=seed)
-    rec = dict(point.record)
-    keys = list(rec)
-    tail = {k: rec.pop(k) for k in keys[keys.index("chain_ok") + 1:]}
-    rec["candidates"] = [
-        {"moment": _vec(c.moment), "kind": c.kind.value, "lambda_abs": c.lambda_abs}
-        for c in cands
-    ]
-    rec.update(tail)
-    return rec
+    return _point_record(cfg, req, candidates=False)
 
 
 def _meta(req: AnalysisRequest) -> dict:
@@ -371,7 +357,7 @@ def cmd_analyze(args) -> int:
     positions = config_positions(data)
     si = data["si_prefactor"] or req.si
     results = [
-        _with_candidates(_analyze(DipoleConfig(positions, fp, si), req), req.seed)
+        _point_record(DipoleConfig(positions, fp, si), req, candidates=True)
         for fp in data["field_points"]
     ]
     report = {"tool": _meta(req), "config": data, "results": results}
@@ -523,7 +509,8 @@ def _verify_trial(alg, n_hat, accum, samples, seed):
 
     checks = verify_theorems(alg, plane, trials=200, seed=seed, n_samples=samples)
     for name, chk in checks.items():
-        note(name, chk.residual, chk.ok)
+        if plane is not None or name != "plane_chain":  # without a plane it was skipped, not passed
+            note(name, chk.residual, chk.ok)
 
 
 def _plane_checks(alg, plane, note, seed):
@@ -600,7 +587,10 @@ def cmd_verify(args) -> int:
             if _trial_violates(alg, n_hat, accum, args.samples, args.seed + t) and offending is None:
                 offending = _config_json(cfg)
     all_ok = all(ok for _, ok in accum.values())
-    for name in sorted(accum):
+    for name in sorted({*accum, "plane_chain"}):
+        if name not in accum:
+            print(f"{name}: skipped")  # no checked point had an invariant plane
+            continue
         worst, ok = accum[name]
         print(f"{name}: {'ok' if ok else 'VIOLATION'} worst_residual={worst!r}")
     print(f"verify: {'PASS' if all_ok else 'FAIL'}")

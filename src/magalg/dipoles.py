@@ -79,9 +79,6 @@ class DipoleConfig:
             raise SingularFieldPointError(bad[0], dist[bad[0]])
         return d / dist[:, None], dist
 
-    def at(self, field_point) -> "DipoleConfig":
-        return DipoleConfig(self.magnet_positions, field_point, self.si_prefactor)
-
     def scaled(self, s) -> "DipoleConfig":
         """Uniformly rescale all lengths; the operator scales as s^-4."""
         return DipoleConfig(
@@ -115,9 +112,6 @@ class MagneticAlgebra:
     def matrices(self, Ms) -> np.ndarray:
         Ms = np.asarray(Ms, dtype=float)
         return np.einsum("nk,kab->nab", Ms, self.basis_images)
-
-    def apply(self, M, m) -> np.ndarray:
-        return self.matrix(M) @ np.asarray(m, dtype=float)
 
     @property
     def gram(self) -> np.ndarray:

@@ -20,10 +20,6 @@ Vec3 = np.ndarray
 Mat3 = np.ndarray
 
 
-def vec3(x, y, z) -> Vec3:
-    return np.array([x, y, z], dtype=float)
-
-
 def unit(v) -> Vec3:
     """v / ||v||, rejecting the zero vector."""
     v = np.asarray(v, dtype=float)
@@ -86,33 +82,6 @@ def det3(a) -> np.ndarray:
         - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
         + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0])
     )
-
-
-def symmetric_residual(A) -> float:
-    A = np.asarray(A, dtype=float)
-    return float(np.abs(A - A.T).max())
-
-
-def traceless_residual(A):
-    """(|tr A|, |det A - tr(A^3)/3|); both vanish on traceless symmetric input."""
-    A = np.asarray(A, dtype=float)
-    tr = float(np.trace(A))
-    det = float(det3(A))
-    tr3 = float(np.trace(A @ A @ A))
-    return abs(tr), abs(det - tr3 / 3.0)
-
-
-def assert_traceless_symmetric(A, rtol=1e-12):
-    """Validate the traceless-symmetric contract (entry-scale relative)."""
-    A = np.asarray(A, dtype=float)
-    scale = max(float(np.abs(A).max()), 1.0)
-    if symmetric_residual(A) > rtol * scale:
-        raise ValueError("matrix is not symmetric")
-    tr_res, det_res = traceless_residual(A)
-    if tr_res > rtol * scale:
-        raise ValueError("matrix is not traceless")
-    if det_res > rtol * scale ** 3:
-        raise ValueError("det(A) is inconsistent with tr(A^3)/3")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from magalg import DipoleConfig, build_algebra, gen_pair  # noqa: E402
+from magalg.dipoles import DipoleConfig, build_algebra, gen_pair  # noqa: E402
 
 TOL_SAMPLING_C = 25.0  # lattice-gap constant, calibrated on the single-dipole closed form
 

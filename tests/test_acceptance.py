@@ -13,21 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import sampling_tolerance
-from magalg import (
-    Branch,
-    DipoleConfig,
-    bounds_report,
-    build_algebra,
-    decompose,
-    gen_pair,
-    lambda_MF_closed_form,
-    lambda_bar_bruteforce,
-    lambda_bar_exact,
-    plane_gram_moment,
-    planar_structure,
-    principal_abs,
-    rot_about,
-)
+from magalg.algebra import decompose, planar_structure
 from magalg.corpus import (
     random_algebra,
     random_config,
@@ -35,7 +21,18 @@ from magalg.corpus import (
     random_mirror_config,
     random_moments,
 )
-from magalg.extremal import principal_split_batch
+from magalg.dipoles import DipoleConfig, build_algebra, gen_pair
+from magalg.extremal import (
+    Branch,
+    bounds_report,
+    lambda_MF_closed_form,
+    lambda_bar_bruteforce,
+    lambda_bar_exact,
+    plane_gram_moment,
+    principal_abs,
+    principal_split_batch,
+)
+from magalg.linalg3 import rot_about
 
 CHAIN_N = 1000
 

@@ -108,6 +108,72 @@ def test_analyze_degenerate_record_is_pinned(tmp_path, antipodal_json):
     assert json.dumps(rec) == json.dumps(expected)
 
 
+LAMBDA_BAR_KEYS = ["value", "M_bar", "m_bar", "tol_sampling", "certified", "complete"]
+
+
+def test_analyze_nonplanar_record_is_pinned(tmp_path):
+    """A NONPLANAR record's keys in order, and every value that has no plane to come from."""
+    _, rep = run_analyze(tmp_path, write_config(tmp_path / "np.json", NONPLANAR_FIVE, [[0.05, -0.02, 0.03]]))
+    rec = rep["results"][0]
+    assert list(rec) == [
+        "field_point", "p_vector", "gram", "lambda_F", "M_F", "gram_eigenvalues", "gram_multiplicity",
+        "planes", "branch", "plane_used", "norm_P", "abs_lambda_MF", "lambda_P", "M_P", "lambda_bar",
+        "bounds", "chain_ok", "candidates",
+    ]
+    assert list(rec["lambda_bar"]) == LAMBDA_BAR_KEYS
+    assert {k: rec[k] for k in ("planes", "branch", "plane_used", "norm_P", "lambda_P", "M_P", "bounds",
+                                "chain_ok", "candidates")} == {
+        "planes": [], "branch": "NONPLANAR", "plane_used": None, "norm_P": None, "lambda_P": None,
+        "M_P": None, "bounds": None, "chain_ok": None, "candidates": [],
+    }
+    assert rec["lambda_bar"]["tol_sampling"] == 0.0 and rec["lambda_bar"]["certified"] is None
+
+
+def test_analyze_planar_record_keys_are_pinned(tmp_path):
+    """A planar record's keys in order, nested ones included."""
+    cfg = write_config(tmp_path / "pair.json", [[1, 0, 0], [-1, 0, 0]], [[0.3, 0.2, 0.5]])
+    _, rep = run_analyze(tmp_path, cfg)
+    rec = rep["results"][0]
+    assert list(rec) == [
+        "field_point", "p_vector", "gram", "lambda_F", "M_F", "gram_eigenvalues", "gram_multiplicity",
+        "planes", "branch", "plane_used", "plane_reports", "norm_P", "abs_lambda_MF", "lambda_P", "M_P",
+        "lambda_bar", "bounds", "chain_ok", "candidates",
+    ]
+    bounds = ["chain_upper", "refined_upper", "gram_plus_third", "plane_ratio", "plane_formula_upper",
+              "sqrt_two_thirds_lambda_F"]
+    chain = ["norm_p_le_lambda_mf", "lambda_mf_le_lambda_p", "lambda_p_le_lambda_bar",
+             "lambda_bar_le_chain_upper", "squares_bracket", "branch_bound"]
+    assert [list(p) for p in rec["planes"]] == [["n_hat", "P", "norm_P", "residual", "gram_eigenvalue", "degenerate"]]
+    assert [list(r) for r in rec["plane_reports"]] == [
+        ["branch", "norm_P", "abs_lambda_MF", "lambda_P", "bounds", "chain_ok"]]
+    assert [list(r["bounds"]) for r in rec["plane_reports"]] == [bounds]
+    assert [list(r["chain_ok"]) for r in rec["plane_reports"]] == [chain]
+    assert list(rec["lambda_bar"]) == LAMBDA_BAR_KEYS
+    assert list(rec["bounds"]) == bounds
+    assert list(rec["chain_ok"]) == chain
+
+
+@pytest.mark.parametrize("asked_by", ["--si", "si_prefactor"])
+def test_si_keys_close_the_record_of_every_branch(tmp_path, asked_by):
+    """Under --si, or "si_prefactor": true in the config, every branch ends with both SI keys."""
+    cases = [
+        ([[1, 0, 0], [-1, 0, 0]], [0.3, 0.2, 0.5], "PLANE_DOMINANT"),
+        (NONPLANAR_FIVE, [0.05, -0.02, 0.03], "NONPLANAR"),
+        ([[0, 0, 1], [0, 0, -1]], [0, 0, 0], "DEGENERATE"),
+    ]
+    out = tmp_path / "r.json"
+    for magnets, fp, branch in cases:
+        cfg = write_config(tmp_path / "c.json", magnets, [fp], si=asked_by == "si_prefactor")
+        argv = ["analyze", "--config", str(cfg), "--out", str(out)]
+        assert main(argv + (["--si"] if asked_by == "--si" else [])) == EXIT_OK
+        rep = json.loads(out.read_text())
+        for rec in (rep, rep["results"][0]):
+            assert rec["branch"] == branch
+            assert list(rec)[-2:] == ["force_scale_si", "max_force_si_per_unit_moments"]
+            assert rec["force_scale_si"] == 3e-7
+            assert rec["max_force_si_per_unit_moments"] == 3e-7 * rec["lambda_bar"]["value"]
+
+
 def test_analyze_candidates_follow_chain_ok(tmp_path):
     cfg = write_config(tmp_path / "pair.json", [[1, 0, 0], [-1, 0, 0]], [[0.3, 0.2, 0.5]], si=True)
     code, rep = run_analyze(tmp_path, cfg)
@@ -122,14 +188,19 @@ def test_analyze_candidates_follow_chain_ok(tmp_path):
     assert values[0] == pytest.approx(rec["lambda_bar"]["value"], rel=1e-9)
 
 
-@pytest.mark.parametrize("value", [True, "1", None])
-@pytest.mark.parametrize("where", ["magnet 1 position", "field point 0"])
-def test_analyze_rejects_non_numeric_coordinate(tmp_path, capsys, value, where):
+@pytest.mark.parametrize("where, value", [
+    *((where, value) for where in ("magnet 1 position", "field point 0") for value in (True, "1", None)),
+    # si_prefactor takes JSON true or false only
+    ("si_prefactor", "false"), ("si_prefactor", 1), ("si_prefactor", None),
+])
+def test_analyze_rejects_non_numeric_coordinate(tmp_path, capsys, where, value):
     data = {"magnets": [{"position": [1, 0, 0]}, {"position": [-1, 0, 0]}], "field_points": [[0, 0, 1]]}
     if where.startswith("magnet"):
         data["magnets"][1]["position"][2] = value
-    else:
+    elif where.startswith("field"):
         data["field_points"][0][0] = value
+    else:
+        data[where] = value
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(data), encoding="utf-8")
     code = main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
@@ -196,12 +267,14 @@ def test_analyze_ignores_an_underflowing_far_magnet(tmp_path):
     assert rep["lambda_bar"]["certified"] == 2.0
 
 
-def test_analyze_rejects_bad_request(tmp_path, single_dipole_json):
-    code = main([
-        "analyze", "--config", str(single_dipole_json),
-        "--out", str(tmp_path / "r.json"), "--tol", "0",
-    ])
-    assert code == EXIT_INPUT
+def test_analyze_rejects_bad_request(tmp_path, single_dipole_json, capsys):
+    # a relative tolerance must be a number in (0, 1): at 1 or above, or inf, every chain flag holds
+    for tol in ("0", "nan", "inf", "1", "-1"):
+        for command in (["analyze"], ["sweep", "--grid", "0:0:1,0:0:1,1:1:1"]):
+            argv = [*command, "--config", str(single_dipole_json), "--out", str(tmp_path / "r.out"), "--tol", tol]
+            assert main(argv) == EXIT_INPUT
+            assert "tol must be a number in (0, 1)" in capsys.readouterr().err
+            assert not (tmp_path / "r.out").exists()
     # the worst case is exact: the oracle's sample and refinement knobs are gone,
     # and sweep, which runs no candidate search, has no seed to take
     sweep = ["sweep", "--grid", "0:0:1,0:0:1,1:1:1"]
@@ -506,7 +579,12 @@ def test_verify_checks_a_point_without_invariant_planes(tmp_path, capsys):
     for name in ("reciprocity", "trace", "det_identity", "squares_bracket", "subadditive", "exact_above_lattice"):
         assert f"{name}: ok" in out
     assert "planarity_residual" not in out
+    assert "plane_chain: skipped\n" in out  # skipped, not passed
     assert "verify: PASS" in out
+    # with an invariant plane the check runs and reports its residual
+    path = write_config(tmp_path / "dipole.json", [[0, 0, 0]], [[0, 0, 1]])
+    assert main(["verify", "--config", str(path), "--samples", "800"]) == EXIT_OK
+    assert "plane_chain: ok worst_residual=" in capsys.readouterr().out
 
 
 def test_verify_with_nothing_to_check_is_an_input_error(antipodal_json, capsys):

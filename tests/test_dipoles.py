@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magalg import (
+from magalg.dipoles import (
     DipoleConfig,
     SingularFieldPointError,
     build_algebra,

@@ -4,24 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sampling_tolerance
-from magalg import (
-    Branch,
-    CandidateKind,
-    DipoleConfig,
-    bounds_report,
-    build_algebra,
-    eig_traceless,
-    lambda_MF_closed_form,
-    lambda_bar_bruteforce,
-    lambda_bar_exact,
-    lambda_plane,
-    rot_about,
-    locate_candidates,
-    plane_gram_moment,
-    planar_structure,
-    principal_abs,
-    verify_theorems,
-)
+from magalg import algebra
+from magalg.algebra import _FAMILY_SIZE, _converge, _distinct, _self_eigen_system, planar_structure, self_eigenvectors
 from magalg.corpus import (
     random_algebra,
     random_config,
@@ -29,9 +13,22 @@ from magalg.corpus import (
     random_mirror_config,
     random_moments,
 )
-from magalg import algebra
-from magalg.algebra import _FAMILY_SIZE, _converge, _distinct, _self_eigen_system, self_eigenvectors
-from magalg.extremal import principal_split_batch
+from magalg.dipoles import DipoleConfig, build_algebra
+from magalg.extremal import (
+    Branch,
+    CandidateKind,
+    bounds_report,
+    lambda_MF_closed_form,
+    lambda_bar_bruteforce,
+    lambda_bar_exact,
+    lambda_plane,
+    locate_candidates,
+    plane_gram_moment,
+    principal_abs,
+    principal_split_batch,
+    verify_theorems,
+)
+from magalg.linalg3 import eig_traceless, rot_about
 from magalg.sphere import fibonacci_sphere, seeded_rotation
 
 SQRT2 = np.sqrt(2.0)
@@ -189,7 +186,7 @@ def test_lambda_plane_matches_dense_eigensolver_scan(rng):
 def test_tetrahedral_centre_reports_are_rotation_invariant(rng):
     """The in-plane Gram block is isotropic at a tetrahedral centre; the
     per-plane values and the GRAM_TOP magnitudes must not follow rounding."""
-    from magalg import DipoleConfig, find_invariant_planes, rot_about
+    from magalg.algebra import find_invariant_planes
     from test_algebra import tetrahedral_centre
 
     for shells in (1, 2, 1, 2):
@@ -219,7 +216,7 @@ def test_lambda_plane_degenerate_frame(rng):
     """Coupling-free plane: triangle of magnets, field point at the center."""
     angles = np.array([0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0])
     pts = np.stack([np.cos(angles), np.sin(angles), np.zeros(3)], axis=1)
-    from magalg import DipoleConfig
+    from magalg.dipoles import DipoleConfig
 
     alg = build_algebra(DipoleConfig(pts, [0.0, 0.0, 0.0]))
     plane = planar_structure(alg, [0, 0, 1.0])
@@ -242,7 +239,7 @@ def test_closed_form_lambda_mf_single_dipole(single_dipole_algebra, dipole_plane
 def test_closed_form_normal_case_returns_norm_p():
     """When the normal carries the top Gram eigenvalue the formula gives ||P||."""
     # mirror pair with a tall stack: the normal direction dominates
-    from magalg import gen_mirror_symmetric
+    from magalg.dipoles import gen_mirror_symmetric
 
     cfg = gen_mirror_symmetric([([0.6, 0.0, 0.0], 1.5)], [], [0, 0, 1.0])
     alg = build_algebra(cfg)
@@ -293,7 +290,7 @@ def test_bounds_report_requires_plane(single_dipole_algebra):
 
 def test_bounds_report_pair_planes(pair_config):
     """Chain holds for each invariant plane independently."""
-    from magalg import find_invariant_planes
+    from magalg.algebra import find_invariant_planes
 
     alg = build_algebra(pair_config)
     planes = find_invariant_planes(alg)
@@ -435,7 +432,7 @@ def test_certified_real_counts_are_odd():
 ])
 def test_axisymmetric_operators_fall_back_to_the_exact_value(magnets, field_point):
     """A single dipole or an on-axis pair has a cone of Z-eigenvectors: no
-    finite certificate, and the multistart still gives lambda_bar = 2 sum d^-4."""
+    finite certificate, and the closed axisymmetric form gives lambda_bar = 2 sum d^-4."""
     cfg = DipoleConfig(magnets, field_point)
     wc = lambda_bar_exact(build_algebra(cfg))
     assert not wc.complete

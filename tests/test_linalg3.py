@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magalg.linalg3 import (
-    assert_traceless_symmetric,
     canonical_sign,
     cross_matrix,
     det3,
@@ -153,14 +152,6 @@ def test_principal_axis_matches_eig(rng):
         assert lam == pytest.approx(t.lam, abs=1e-10 * scale)
         assert np.linalg.norm(a @ v - lam * v) <= 1e-9 * scale
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_assert_traceless_symmetric():
-    assert_traceless_symmetric(np.diag([1.0, 1.0, -2.0]))
-    with pytest.raises(ValueError, match="symmetric"):
-        assert_traceless_symmetric(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
-    with pytest.raises(ValueError, match="traceless"):
-        assert_traceless_symmetric(np.eye(3))
 
 
 def test_unit_and_canonical_sign():
