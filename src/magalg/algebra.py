@@ -164,7 +164,7 @@ def planar_structure(alg: MagneticAlgebra, n_hat, tol=PLANARITY_TOL, degenerate=
 
 
 def _group_eigenvalues(w, rtol):
-    """Indices of eigh output grouped by near-equality."""
+    """Indices of ascending values w grouped by near-equality: within rtol * |w[-1]| of the first of a group."""
     groups = [[0]]
     tol = rtol * max(abs(w[-1]), 1e-300)
     for i in range(1, len(w)):
@@ -505,8 +505,26 @@ def find_invariant_planes(alg: MagneticAlgebra, tol=PLANARITY_TOL) -> list[Plana
         if all(abs(float(n @ m)) < 1.0 - 1e-9 for m in seen):
             out.append(planar_structure(alg, n, tol=tol, degenerate=True))
             seen.append(n)
-    out.sort(key=lambda p: (-p.gram_eigenvalue, p.n_hat[0], p.n_hat[1], p.n_hat[2]))
-    return out
+    return _in_plane_order(out)
+
+
+def _sign_free_key(n) -> tuple:
+    """n rounded to 9 decimals, signed so its first nonzero component is positive; the same for -n."""
+    r = np.round(n, 9)
+    nonzero = np.flatnonzero(r)
+    return tuple(-r if nonzero.size and r[nonzero[0]] < 0.0 else r)
+
+
+def _in_plane_order(planes):
+    """Planes by Gram eigenvalue, largest first, and by the normal up to sign among eigenvalues that tie.
+
+    Eigenvalues tie as in _group_eigenvalues at GRAM_DEGENERACY_RTOL, so
+    planes that symmetry makes equal keep one order whatever rounding
+    does to their eigenvalues.
+    """
+    planes = sorted(planes, key=lambda p: p.gram_eigenvalue)
+    runs = _group_eigenvalues([p.gram_eigenvalue for p in planes], GRAM_DEGENERACY_RTOL) if planes else []
+    return [planes[i] for run in runs[::-1] for i in sorted(run, key=lambda i: _sign_free_key(planes[i].n_hat))]
 
 
 @dataclass(frozen=True, eq=False)

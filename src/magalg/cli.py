@@ -35,6 +35,7 @@ from .algebra import (
     PLANARITY_TOL,
     NotInvariantPlaneError,
     TrivialAlgebraError,
+    _sign_free_key,
     decompose,
     find_invariant_planes,
     gram_spectrum,
@@ -197,13 +198,6 @@ def _lambda_bar(wc: WorstCase | None, certified) -> dict:
         "certified": certified,
         "complete": False if wc is None else wc.complete,
     }
-
-
-def _sign_free_key(n) -> tuple:
-    """n rounded to 9 decimals, signed so its first nonzero component is positive; the same for -n."""
-    r = np.round(n, 9)
-    nonzero = np.flatnonzero(r)
-    return tuple(-r if nonzero.size and r[nonzero[0]] < 0.0 else r)
 
 
 def _primary_plane(planes, reports, tol) -> int:

@@ -313,8 +313,8 @@ def test_analyze_records_whether_lambda_bar_is_certified(tmp_path):
 
 def test_primary_plane_of_symmetric_planes_does_not_follow_rounding():
     """Two concentric axis-aligned tetrahedra: the six mirror planes tie, and
-    a 1e-12 shift of the field point must not change which normal (up to
-    sign) is primary, nor its bounds."""
+    a 1e-12 shift of the field point must not change the order of the
+    planes, which normal (up to sign) is primary, nor its bounds."""
     from magalg.cli import AnalysisRequest, analyze_point
     from magalg.dipoles import DipoleConfig
     from test_algebra import TETRA
@@ -326,11 +326,12 @@ def test_primary_plane_of_symmetric_planes_does_not_follow_rounding():
         for direction in np.eye(3):
             rec = analyze_point(DipoleConfig(magnets, fp + shift * direction), AnalysisRequest(config_path=""))
             assert len(rec["planes"]) == 6
-            n = np.array(rec["planes"][rec["plane_used"]]["n_hat"])
-            picked.append((n, rec["bounds"]))
-    n0, bounds0 = picked[0]
-    for n, bounds in picked[1:]:
-        assert abs(float(n @ n0)) == pytest.approx(1.0, abs=1e-9)
+            normals = np.array([p["n_hat"] for p in rec["planes"]])
+            picked.append((normals, rec["plane_used"], rec["bounds"]))
+    normals0, used0, bounds0 = picked[0]
+    for normals, used, bounds in picked[1:]:
+        assert np.abs(np.einsum("na,na->n", normals, normals0)) == pytest.approx(np.ones(6), abs=1e-9)
+        assert used == used0
         for key, value in bounds0.items():
             assert bounds[key] == pytest.approx(value, rel=1e-9)
 
