@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dipoles import MagneticAlgebra
-from .linalg3 import canonical_sign, cross_matrices, cross_matrix, rot_about, unit
+from .linalg3 import canonical_sign, cross, cross_matrices, cross_matrix, rot_about, unit
 # sphere_descent stays bound here for tracing; nothing in this module calls it
 from .sphere import fibonacci_sphere, seeded_rotation, sphere_descent, tangent_basis
 
@@ -63,19 +63,15 @@ class GramSpectrum:
 
 
 def gram_spectrum(alg: MagneticAlgebra, degeneracy_rtol=GRAM_DEGENERACY_RTOL) -> GramSpectrum:
-    g = alg.gram
-    w, v = np.linalg.eigh(g)
-    lam = float(max(w[-1], 0.0))
-    tol = degeneracy_rtol * max(lam, 1e-300)
-    mult = int(np.sum(w >= lam - tol))
-    return GramSpectrum(
-        gram=g,
-        lambda_F=lam,
-        M_F=canonical_sign(v[:, -1]),
-        eigenvalues=w,
-        eigenvectors=v,
-        multiplicity=mult,
-    )
+    """The Gram matrix with its eigh, memoized on alg per degeneracy_rtol: callers share it and must not modify it."""
+    key = ("gram_spectrum", degeneracy_rtol)
+    if key not in alg.memo:
+        g = alg.gram
+        w, v = np.linalg.eigh(g)
+        lam = float(max(w[-1], 0.0))
+        mult = int(np.sum(w >= lam - degeneracy_rtol * max(lam, 1e-300)))
+        alg.memo[key] = GramSpectrum(g, lam, canonical_sign(v[:, -1]), w, v, mult)
+    return alg.memo[key]
 
 
 def plane_residual(alg: MagneticAlgebra, n_hat) -> float:
@@ -139,7 +135,7 @@ def planar_structure(alg: MagneticAlgebra, n_hat, tol=PLANARITY_TOL, degenerate=
     norm_p = float(np.linalg.norm(P))
     if norm_p > _FRAME_TOL * scale:
         p_hat = P / norm_p
-        q_hat = np.cross(n, p_hat)
+        q_hat = cross(n, p_hat)
     else:
         p_hat = None
         q_hat = None
@@ -173,15 +169,6 @@ def _group_eigenvalues(w, rtol):
         else:
             groups.append([i])
     return groups
-
-
-def _dedupe_normals(normals):
-    out = []
-    for n in normals:
-        n = canonical_sign(unit(n))
-        if all(abs(float(n @ m)) < 1.0 - 1e-9 for m in out):
-            out.append(n)
-    return out
 
 
 def _self_eigen_system(alg: MagneticAlgebra, m):
@@ -238,15 +225,17 @@ def _converge(alg: MagneticAlgebra, m):
     return m[converged]
 
 
-def _distinct(m) -> list[np.ndarray]:
-    """Sign-canonical, read-only copies of the rows of m; two whose cosine is within 1e-8 of +-1 count once."""
-    found: list[np.ndarray] = []
-    for x in m:
-        x = canonical_sign(x)
-        if all(abs(float(x @ f)) < 1.0 - 1e-8 for f in found):
-            x.setflags(write=False)
-            found.append(x)
-    return found
+def _distinct(m, cos_tol=1e-8) -> list[np.ndarray]:
+    """Sign-canonical, read-only copies of the rows of m, in order, dropping each whose cosine with a kept one is within cos_tol of +-1."""
+    x = np.array(m, dtype=float).reshape(-1, 3)
+    keep: list[int] = []
+    for i, near in enumerate((np.abs(x @ x.T) >= 1.0 - cos_tol).tolist()):
+        if not any(near[j] for j in keep):
+            keep.append(i)
+    x = x[keep]
+    x *= np.where(x[np.arange(len(x)), np.abs(x).argmax(axis=1)] < 0.0, -1.0, 1.0)[:, None]  # canonical_sign per row
+    x.setflags(write=False)
+    return list(x)
 
 
 # A fixed proper rotation that moves the chart's special directions (the great
@@ -406,7 +395,7 @@ def self_eigenvectors(alg: MagneticAlgebra, n_starts=50, seed=0) -> ZEigenvector
     a = _zonal_axis(unit_alg.basis_images)
     if a is not None:
         # a x n_j = n_(j+4) up to sign, so the pair (a +- 2 n_j) / sqrt(5) lies in a family plane
-        u = (2.0 / np.sqrt(5.0)) * _great_circle(a)(_FAMILY_ANGLES)
+        u = (2.0 / np.sqrt(5.0)) * _great_circles(a[None])(_FAMILY_ANGLES, 0)
         cone = a / np.sqrt(5.0) + np.concatenate([u, -u])
         found, complete = _distinct(_converge(unit_alg, np.vstack([a, cone]))), False
     else:
@@ -418,94 +407,104 @@ def self_eigenvectors(alg: MagneticAlgebra, n_starts=50, seed=0) -> ZEigenvector
     return alg.memo[key]
 
 
-def _great_circle(axis):
-    """The map t -> unit vectors at angles t on the great circle orthogonal to axis."""
-    u, v = tangent_basis(axis)
-    return lambda t: np.cos(t)[:, None] * u + np.sin(t)[:, None] * v
+def _great_circles(axes):
+    """The map (t, i) -> unit vectors at angles t on the great circles orthogonal to rows i of (m, 3) axes."""
+    u, v = tangent_basis(axes)
+    return lambda t, i: np.cos(t)[..., None] * u[i] + np.sin(t)[..., None] * v[i]
 
 
-def _circle_normals(alg: MagneticAlgebra, axis, threshold):
-    """Plane normals on the great circle orthogonal to axis, and whether they form a family.
+def _circle_normals(alg: MagneticAlgebra, axes, threshold):
+    """Plane normals on the great circles orthogonal to the rows of axes, and representatives of families.
 
-    Along the circle, ||[n] F_n [n]||^2 is a trigonometric polynomial of
+    Along a circle, ||[n] F_n [n]||^2 is a trigonometric polynomial of
     degree 3 in 2t: twelve samples give it exactly, and its stationary
-    points are the roots of a degree-6 polynomial in z = exp(2it).  If no
-    sample or stationary point is above threshold the circle is a family;
-    otherwise each arc between points above threshold gives its lowest.
+    points are the roots of a degree-6 polynomial in z = exp(2it).  The
+    circles share one residual batch of samples, one rfft, one batch of
+    companion eigenproblems built as np.roots builds them (a row whose
+    leading coefficient is exactly 0 has lower degree and takes np.roots)
+    and one residual batch at the stationary points.  A circle with no
+    point above threshold is a family, given by _FAMILY_SIZE normals; on
+    any other, each arc between points above threshold gives its lowest.
     """
-    on_circle = _great_circle(axis)
+    on_circle, m = _great_circles(axes), len(axes)
     t = np.arange(12) * (np.pi / 12)
-    res = plane_residual_batch(alg, on_circle(t))
+    res = plane_residual_batch(alg, on_circle(t, np.arange(m)[:, None]).reshape(-1, 3)).reshape(m, 12)
     # coefficient of z^k, k = 0..3, of the squared residual over the scale (unscaled,
     # it underflows in the far field); that of z^-k is its conjugate
-    c = np.fft.rfft((res / alg.scale) ** 2)[:4] / 12
-    k = np.arange(-3, 4)
-    # z^3 f'(t) / 2i = sum_k k c_k z^(k+3); np.roots wants the highest power first
-    t_stat = np.angle(np.roots((k * np.concatenate([np.conj(c[:0:-1]), c]))[::-1])) / 2
-    t = np.concatenate([t, t_stat]) % np.pi
-    res = np.concatenate([res, plane_residual_batch(alg, on_circle(t_stat))])
-    low = res <= threshold
-    if low.all():
-        return on_circle(_FAMILY_ANGLES), True
-    order = np.argsort(t)
-    high = np.flatnonzero(~low[order])
-    order = np.roll(order, -high[0])  # start the sweep at a point above threshold
-    best = []
-    for arc in np.split(order, high[1:] - high[0]):
-        arc = arc[low[arc]]
-        if arc.size:
-            best.append(t[arc[np.argmin(res[arc])]])
-    return on_circle(np.array(best)), False
+    c = np.fft.rfft((res / alg.scale) ** 2)[:, :4] / 12
+    # z^3 f'(t) / 2i = sum_k k c_k z^(k+3), highest power first
+    poly = (np.arange(-3, 4) * np.concatenate([np.conj(c[:, :0:-1]), c], axis=1))[:, ::-1]
+    full = poly[:, 0] != 0
+    companion = np.zeros((np.count_nonzero(full), 6, 6), complex)
+    companion[:, 1:, :-1] = np.eye(5)
+    companion[:, 0] = -poly[full, 1:] / poly[full, :1]
+    roots = iter(np.linalg.eigvals(companion))
+    t_stat = [np.angle(next(roots) if f else np.roots(p)) / 2 for f, p in zip(full, poly)]
+    counts = [len(ts) for ts in t_stat]
+    res_stat = plane_residual_batch(alg, on_circle(np.concatenate([[], *t_stat]), np.repeat(np.arange(m), counts)))
+    best, rows, family = [], [], []
+    for i, (ts, end) in enumerate(zip(t_stat, np.cumsum(counts).tolist())):
+        ti = np.concatenate([t, ts]) % np.pi
+        ri = np.concatenate([res[i], res_stat[end - len(ts):end]]).tolist()
+        low = [r <= threshold for r in ri]
+        if all(low):
+            family.extend(on_circle(_FAMILY_ANGLES, i))
+            continue
+        order = np.argsort(ti).tolist()
+        first = next(j for j, k in enumerate(order) if not low[k])
+        lowest = None  # the lowest point so far of the arc being swept
+        # sweep from a point above threshold round to it again; each such point closes an arc
+        for k in order[first:] + order[:first + 1]:
+            if low[k] and (lowest is None or ri[k] < ri[lowest]):
+                lowest = k
+            elif not low[k] and lowest is not None:
+                best.append(ti[lowest])
+                rows.append(i)
+                lowest = None
+    return on_circle(np.array(best), np.array(rows, dtype=int)), family
 
 
 def find_invariant_planes(alg: MagneticAlgebra, tol=PLANARITY_TOL) -> list[PlanarStructure]:
-    """All invariant-plane normals of the algebra.
+    """All invariant-plane normals of the algebra, by Gram eigenvalue, largest first.
 
     Candidates are restricted to eigenvectors of the Gram matrix, which
     is exhaustive for exact planes.  A 2-fold eigenspace is the great
     circle orthogonal to the third eigenvector; in a 3-fold one every
     normal lies on the circle orthogonal to a self-eigenvector (the
-    maximizer of x^T F_x x on the plane).  Continuous families come back
-    as representatives flagged degenerate.
+    maximizer of x^T F_x x on the plane).  The circles of a group are
+    searched in one batch; their normals and the simple eigenvectors are
+    scored in one residual batch.  Families come back as representatives
+    flagged degenerate.  Gram eigenvalues that group at GRAM_DEGENERACY_RTOL
+    tie, and the normal up to sign orders a tie, so the order (and
+    plane_used in an analyze record) does not follow rounding.
     """
-    scale = alg.scale
-    if scale == 0.0:
+    if alg.is_trivial():
         raise TrivialAlgebraError("trivial algebra")
-    threshold = tol * scale
+    threshold = tol * alg.scale
     gs = gram_spectrum(alg)
-    w, v = gs.eigenvalues, gs.eigenvectors
-
-    accepted: list[np.ndarray] = []
-    family: list[np.ndarray] = []
-
-    for group in _group_eigenvalues(w, 1e-7):
-        if len(group) == 1:
-            n = v[:, group[0]]
-            if plane_residual(alg, n) <= threshold:
-                accepted.append(n)
-            continue
+    v, groups = gs.eigenvectors, _group_eigenvalues(gs.eigenvalues, 1e-7)
+    found, family = [v[:, [g[0] for g in groups if len(g) == 1]].T], []
+    for group in [g for g in groups if len(g) > 1]:
         if len(group) == 3:
             # one more Newton step takes each axis from the 1e-11 acceptance to full precision
             x = np.reshape(self_eigenvectors(alg).moments, (-1, 3))
-            axes = _newton_step(x, *_self_eigen_system(alg, x))
+            normals, reps = _circle_normals(alg, _newton_step(x, *_self_eigen_system(alg, x)), threshold)
         else:
-            axes = [v[:, 3 - sum(group)]]  # the eigenvector outside the adjacent pair
-        found: list[np.ndarray] = []
-        for axis in axes:
-            normals, is_family = _circle_normals(alg, axis, threshold)
-            (family if is_family else found).extend(normals)
-        # several circles can pass through one normal and locate it with
-        # different accuracy: the most accurate comes first, so dedupe keeps it
-        res = [plane_residual(alg, n) for n in found]
-        accepted.extend(found[i] for i in np.argsort(res, kind="stable") if res[i] <= threshold)
-
-    out = [planar_structure(alg, n, tol=tol) for n in _dedupe_normals(accepted)]
-    seen = [p.n_hat for p in out]
-    for n in _dedupe_normals(family):
-        if all(abs(float(n @ m)) < 1.0 - 1e-9 for m in seen):
-            out.append(planar_structure(alg, n, tol=tol, degenerate=True))
-            seen.append(n)
-    return _in_plane_order(out)
+            normals, reps = _circle_normals(alg, v[:, [3 - sum(group)]].T, threshold)  # about the third eigenvector
+        found.append(normals)
+        family.extend(reps)
+    # several circles can pass through one normal and locate it with
+    # different accuracy: the most accurate comes first, so dedupe keeps it
+    found = np.concatenate(found)
+    res = plane_residual_batch(alg, found)
+    out = [planar_structure(alg, n, tol=tol)
+           for n in _distinct([unit(found[i]) for i in np.argsort(res, kind="stable") if res[i] <= threshold], 1e-9)]
+    # the isolated normals lead and are all kept, so the family normals follow them
+    normals = _distinct([*(p.n_hat for p in out), *(unit(n) for n in family)], 1e-9)[len(out):] if family else []
+    out = sorted(out + [planar_structure(alg, n, tol=tol, degenerate=True) for n in normals],
+                 key=lambda p: p.gram_eigenvalue)
+    ties = _group_eigenvalues([p.gram_eigenvalue for p in out], GRAM_DEGENERACY_RTOL) if out else []
+    return [out[i] for tie in ties[::-1] for i in sorted(tie, key=lambda i: _sign_free_key(out[i].n_hat))]
 
 
 def _sign_free_key(n) -> tuple:
@@ -513,18 +512,6 @@ def _sign_free_key(n) -> tuple:
     r = np.round(n, 9)
     nonzero = np.flatnonzero(r)
     return tuple(-r if nonzero.size and r[nonzero[0]] < 0.0 else r)
-
-
-def _in_plane_order(planes):
-    """Planes by Gram eigenvalue, largest first, and by the normal up to sign among eigenvalues that tie.
-
-    Eigenvalues tie as in _group_eigenvalues at GRAM_DEGENERACY_RTOL, so
-    planes that symmetry makes equal keep one order whatever rounding
-    does to their eigenvalues.
-    """
-    planes = sorted(planes, key=lambda p: p.gram_eigenvalue)
-    runs = _group_eigenvalues([p.gram_eigenvalue for p in planes], GRAM_DEGENERACY_RTOL) if planes else []
-    return [planes[i] for run in runs[::-1] for i in sorted(run, key=lambda i: _sign_free_key(planes[i].n_hat))]
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,11 +31,9 @@ import numpy as np
 
 from . import __version__
 from .algebra import (
-    GRAM_DEGENERACY_RTOL,
     PLANARITY_TOL,
     NotInvariantPlaneError,
     TrivialAlgebraError,
-    _sign_free_key,
     decompose,
     find_invariant_planes,
     gram_spectrum,
@@ -200,22 +198,18 @@ def _lambda_bar(wc: WorstCase | None, certified) -> dict:
     }
 
 
-def _primary_plane(planes, reports, tol) -> int:
+def _primary_plane(reports, tol) -> int:
     """Index of the plane with the tightest refined upper bound.
 
     Bounds within tol (relative) of the tightest tie.  Among tied planes
-    one whose report certifies lambda_bar (PLANE_DOMINANT) goes first;
-    then Gram eigenvalues within GRAM_DEGENERACY_RTOL of the largest
-    tie, and the normal, up to sign, decides the rest.  Symmetric planes
-    whose values differ only by rounding then give one answer.
+    one whose report certifies lambda_bar (PLANE_DOMINANT) goes first,
+    then the first in find_invariant_planes' order, which does not
+    follow rounding: symmetric planes whose values differ only by
+    rounding then give one answer.
     """
     upper = [r.bounds["refined_upper"] for r in reports]
-    best = min(upper)
-    tied = [i for i, u in enumerate(upper) if u <= best * (1.0 + tol)]
-    tied = [i for i in tied if reports[i].lambda_bar_certified is not None] or tied
-    top = max(planes[i].gram_eigenvalue for i in tied)
-    tied = [i for i in tied if planes[i].gram_eigenvalue >= top * (1.0 - GRAM_DEGENERACY_RTOL)]
-    return min(tied, key=lambda i: _sign_free_key(planes[i].n_hat))
+    tied = [i for i, u in enumerate(upper) if u <= min(upper) * (1.0 + tol)]
+    return ([i for i in tied if reports[i].lambda_bar_certified is not None] or tied)[0]
 
 
 def _point_record(cfg: DipoleConfig, req: AnalysisRequest, candidates: bool) -> dict:
@@ -267,7 +261,7 @@ def _point_record(cfg: DipoleConfig, req: AnalysisRequest, candidates: bool) -> 
         )
         if planes:
             reports = [bounds_report(alg, p, tol_rel=req.tol, precomputed=wc) for p in planes]
-            used = _primary_plane(planes, reports, req.tol)
+            used = _primary_plane(reports, req.tol)
             rep, plane = reports[used], planes[used]
             rec.update(
                 branch=rep.branch.value,
@@ -356,7 +350,7 @@ def cmd_analyze(args) -> int:
     ]
     report = {"tool": _meta(req), "config": data, "results": results}
     report.update(results[0])  # hoist the first record for convenience
-    out = json.dumps(report, indent=2)
+    out = json.dumps(report)  # indent would bypass the C encoder
     if req.out_path in (None, "-"):
         print(out)
     else:

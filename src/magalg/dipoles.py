@@ -113,9 +113,9 @@ class MagneticAlgebra:
         Ms = np.asarray(Ms, dtype=float)
         return np.einsum("nk,kab->nab", Ms, self.basis_images)
 
-    @property
+    @cached_property
     def gram(self) -> np.ndarray:
-        """3x3 matrix of pairwise Frobenius inner products of basis images."""
+        """3x3 matrix of pairwise Frobenius inner products of basis images, computed once: do not modify it."""
         b = self.basis_images
         return np.einsum("iab,jab->ij", b, b)
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import GRAM_DEGENERACY_RTOL, PlanarStructure, gram_spectrum, self_eigenvectors
+from .algebra import GRAM_DEGENERACY_RTOL, PlanarStructure, _distinct, gram_spectrum, self_eigenvectors
 from .corpus import random_algebra, random_moments
 from .dipoles import MagneticAlgebra
 from .linalg3 import canonical_sign, det3, principal_axis, principal_split, spread_ratio, unit
@@ -181,7 +181,11 @@ def lambda_plane(alg: MagneticAlgebra, plane: PlanarStructure) -> PlaneMax:
     frame.  Its stationary points are theta = pi/2 and the roots
     t = tan(theta) of -ga t^3 + (de - 2 be) t^2 + (2 ga - al) t + be; the
     objective is evaluated there and at theta = 0, where |P . M| = ||P||.
+    Memoized on alg per plane object.
     """
+    key = ("lambda_plane", plane)
+    if key in alg.memo:
+        return alg.memo[key]
     e1, e2, a, b, c = _plane_quadratic(alg, plane)
     f1 = alg.matrix(e1)
     al, be, ga = float(e1 @ f1 @ e1), float(e1 @ f1 @ e2), float(e2 @ f1 @ e2)
@@ -193,7 +197,8 @@ def lambda_plane(alg: MagneticAlgebra, plane: PlanarStructure) -> PlaneMax:
     vals = in_plane_abs(a * ct * ct + 2.0 * b * ct * st + c * st * st, plane.norm_P * ct)
     i = int(np.argmax(vals))
     moment = canonical_sign(ct[i] * e1 + st[i] * e2)
-    return PlaneMax(float(vals[i]), moment, plane.P_hat is None)
+    alg.memo[key] = PlaneMax(float(vals[i]), moment, plane.P_hat is None)
+    return alg.memo[key]
 
 
 def plane_gram_moment(alg: MagneticAlgebra, plane: PlanarStructure):
@@ -204,24 +209,30 @@ def plane_gram_moment(alg: MagneticAlgebra, plane: PlanarStructure):
     the choice this way keeps the closed form below applicable even when
     the top eigenvalue is degenerate.  An isotropic in-plane block gives
     the frame's second axis (Q_hat when P is nonzero), so the choice
-    follows the geometry rather than rounding.  Returns (M_F, lambda_F).
+    follows the geometry rather than rounding.  Returns (M_F, lambda_F),
+    memoized on alg per plane object.
     """
+    key = ("plane_gram_moment", plane)
+    if key in alg.memo:
+        return alg.memo[key]
     e1, e2, a, b, c = _plane_quadratic(alg, plane)
     n = plane.n_hat
     lam_n = float(n @ alg.gram @ n)
     disc = float(np.hypot(0.5 * (a - c), b))  # squaring Gram entries underflows in the far field
     mu = 0.5 * (a + c) + disc
-    if mu >= lam_n:
-        if 2.0 * disc <= GRAM_DEGENERACY_RTOL * mu:
-            return canonical_sign(e2), mu
+    if mu < lam_n:
+        alg.memo[key] = n, lam_n
+    elif 2.0 * disc <= GRAM_DEGENERACY_RTOL * mu:
+        alg.memo[key] = canonical_sign(e2), mu
+    else:
         # eigenvector of [[a, b], [b, c]] for mu: pick the better-conditioned
         # of the two cofactor forms; both vanish only when the block is mu*I
         c1 = np.array([mu - c, b])
         c2 = np.array([b, mu - a])
         n1, n2 = np.hypot(*c1), np.hypot(*c2)
         coeff = c1 / n1 if n1 >= n2 else c2 / n2
-        return canonical_sign(coeff[0] * e1 + coeff[1] * e2), mu
-    return n, lam_n
+        alg.memo[key] = canonical_sign(coeff[0] * e1 + coeff[1] * e2), mu
+    return alg.memo[key]
 
 
 def lambda_MF_closed_form(alg: MagneticAlgebra, plane: PlanarStructure) -> float:
@@ -394,33 +405,24 @@ def locate_candidates(
     maximizer; EIGEN_SELF: moments that are eigenvectors of their own
     matrix, from self_eigenvectors (n_starts and seed shape only its
     multistart fallback); DETZERO duplicates any candidate whose matrix
-    is singular.
+    is singular.  The Gram spectrum, the plane's Gram moment and in-plane
+    maximum and the Z-eigenvectors come from alg's memos, which analyze
+    fills first; magnitudes take one principal_split_batch, determinants one det3.
     """
     if alg.is_trivial():
         return []
-    scale = alg.scale
-    out: list[Candidate] = []
-
     # a degenerate top eigenvalue leaves eigh's basis arbitrary: only the canonical M_F is used
     gs = gram_spectrum(alg)
     m_f, _ = plane_gram_moment(alg, plane)
-    tops = [m_f] if gs.multiplicity > 1 else [gs.eigenvectors[:, -1], m_f]
-    seen: list[np.ndarray] = []
-    for m in tops:
-        m = canonical_sign(unit(m))
-        if all(abs(float(m @ s)) < 1.0 - 1e-9 for s in seen):
-            seen.append(m)
-            out.append(Candidate(m, CandidateKind.GRAM_TOP, principal_abs(alg, m)))
-
+    seen = _distinct([unit(m) for m in ([m_f] if gs.multiplicity > 1 else [gs.eigenvectors[:, -1], m_f])], 1e-9)
     pm = lambda_plane(alg, plane)
+    eigen = self_eigenvectors(alg, n_starts, seed).moments
+    lam = np.abs(principal_split_batch(alg, [*seen, *eigen])[0]).tolist()
+    out = [Candidate(m, CandidateKind.GRAM_TOP, v) for m, v in zip(seen, lam)]
     out.append(Candidate(pm.moment, CandidateKind.IN_PLANE_MAX, pm.value))
-
-    for m in self_eigenvectors(alg, n_starts, seed).moments:
-        out.append(Candidate(m, CandidateKind.EIGEN_SELF, principal_abs(alg, m)))
-
-    for cand in list(out):
-        if abs(float(det3(alg.matrix(cand.moment) / scale))) <= det_rtol:
-            out.append(Candidate(cand.moment, CandidateKind.DETZERO, cand.lambda_abs))
+    out += [Candidate(m, CandidateKind.EIGEN_SELF, v) for m, v in zip(eigen, lam[len(seen):])]
+    det = det3(alg.matrices([c.moment for c in out]) / alg.scale)
+    out += [Candidate(c.moment, CandidateKind.DETZERO, c.lambda_abs) for c, d in zip(out, det) if abs(d) <= det_rtol]
 
     order = {k: i for i, k in enumerate(CandidateKind)}
     out.sort(key=lambda c: (-c.lambda_abs, order[c.kind], c.moment[0], c.moment[1], c.moment[2]))

@@ -40,6 +40,12 @@ def canonical_sign(v) -> Vec3:
     return -v if v[i] < 0.0 else v
 
 
+def cross(a, b) -> np.ndarray:
+    """Cross product of 3-vectors or of the rows of (..., 3) arrays, with np.cross's arithmetic and less overhead."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+
+
 def cross_matrix(n) -> Mat3:
     """Antisymmetric matrix [n] with [n] @ v == np.cross(n, v)."""
     n1, n2, n3 = np.asarray(n, dtype=float)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg3 import unit
+from .linalg3 import cross, unit
 
 _GOLDEN = np.pi * (3.0 - np.sqrt(5.0))
 
@@ -39,12 +39,11 @@ def seeded_rotation(seed) -> np.ndarray:
 
 
 def tangent_basis(n):
-    """Two unit vectors spanning the plane orthogonal to unit n."""
+    """Two unit vectors spanning the plane orthogonal to unit n; for the rows of (m, 3) n, two (m, 3) arrays."""
     n = np.asarray(n, dtype=float)
-    a = np.eye(3)[int(np.argmin(np.abs(n)))]
-    t1 = unit(np.cross(n, a))
-    t2 = np.cross(n, t1)
-    return t1, t2
+    t1 = cross(n, np.eye(3)[np.argmin(np.abs(n), axis=-1)])
+    t1 = t1 / np.sqrt(t1[..., None, :] @ t1[..., :, None])[..., 0]  # as unit() divides by sqrt(t1 . t1)
+    return t1, cross(n, t1)
 
 
 def sphere_ascent(f, x0, steps=100, fd_step=1e-6, step0=0.1):
