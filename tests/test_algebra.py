@@ -4,13 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magalg.algebra import (
+    _FAMILY_ANGLES,
     NotInvariantPlaneError,
     TrivialAlgebraError,
+    _circle_normals,
+    _distinct,
+    _newton_step,
+    _self_eigen_system,
     decompose,
     find_invariant_planes,
     gram_spectrum,
     plane_residual,
+    plane_residual_batch,
     planar_structure,
+    self_eigenvectors,
 )
 from magalg.corpus import (
     random_config,
@@ -20,7 +27,8 @@ from magalg.corpus import (
     random_moments,
 )
 from magalg.dipoles import MagneticAlgebra, build_algebra
-from magalg.linalg3 import rot_about
+from magalg.linalg3 import canonical_sign, rot_about
+from magalg.sphere import tangent_basis
 
 SQRT2 = np.sqrt(2.0)
 TETRA = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float) / np.sqrt(3.0)
@@ -160,6 +168,100 @@ def test_tetrahedral_centre_has_the_six_mirror_planes(rng, shells):
                 assert not p.degenerate
                 assert min(min(np.linalg.norm(p.n_hat - e), np.linalg.norm(p.n_hat + e)) for e in expected) <= 1e-12
                 assert p.residual <= 1e-12 * alg.scale
+
+
+# a tetrahedral centre one of whose seven circles has a squared residual
+# without a 6th harmonic: its stationary-point polynomial has a zero leading
+# coefficient, and that circle takes np.roots
+TETRA_LOW_DEGREE = ([[1.6899179534401985, 0.1355570191134029, 0.6581454589751655],
+                     [0.3642440755169424, 1.2204854277033717, 1.2097482043237497],
+                     [1.5229877151829, 1.7827966192162337, -0.04717891070035385],
+                     [0.3154806311157823, 0.508193417791464, -0.44222294861916145]],
+                    [0.9731575938139558, 0.9117581209561181, 0.34462295099484996])
+
+
+def _one_circle(alg, axis, threshold):
+    """The search of one circle as it was before it was batched: np.roots and a split into arcs.
+
+    Returns (normals, family representatives, whether the polynomial's
+    leading coefficient is exactly 0)."""
+    u, v = tangent_basis(axis)
+
+    def on_circle(t):
+        return np.cos(t)[:, None] * u + np.sin(t)[:, None] * v
+
+    t = np.arange(12) * (np.pi / 12)
+    res = plane_residual_batch(alg, on_circle(t))
+    c = np.fft.rfft((res / alg.scale) ** 2)[:4] / 12
+    poly = (np.arange(-3, 4) * np.concatenate([np.conj(c[:0:-1]), c]))[::-1]
+    t_stat = np.angle(np.roots(poly)) / 2
+    t = np.concatenate([t, t_stat]) % np.pi
+    res = np.concatenate([res, plane_residual_batch(alg, on_circle(t_stat))])
+    low = res <= threshold
+    if low.all():
+        return [], list(on_circle(_FAMILY_ANGLES)), poly[0] == 0
+    order = np.argsort(t)
+    high = np.flatnonzero(~low[order])
+    arcs = [arc[low[arc]] for arc in np.split(np.roll(order, -high[0]), high[1:] - high[0])]
+    return list(on_circle(np.array([t[a[np.argmin(res[a])]] for a in arcs if a.size]))), [], poly[0] == 0
+
+
+def test_batched_circle_search_matches_one_circle_at_a_time(rng):
+    """All circles of a Gram group solved in one batch give, bitwise, the normals
+    and family representatives of solving each circle on its own, in axis order,
+    also on a circle whose polynomial loses its leading coefficient."""
+    from magalg import DipoleConfig
+
+    cases = [DipoleConfig(*TETRA_LOW_DEGREE), DipoleConfig([[0.3, -0.2, 0.1]], [-0.4, 0.5, 0.9])]
+    cases += [tetrahedral_centre(rng, shells)[0] for shells in (1, 2, 1, 2)]
+    cases += [random_mirror_config(rng)[0] for _ in range(6)]
+    low_degree = 0
+    for cfg in cases:
+        alg = build_algebra(cfg)
+        gs = gram_spectrum(alg)
+        w, v = gs.eigenvalues, gs.eigenvectors
+        if gs.multiplicity == 3:
+            x = np.reshape(self_eigenvectors(alg).moments, (-1, 3))
+            axes = _newton_step(x, *_self_eigen_system(alg, x))
+        elif w[1] - w[0] <= 1e-7 * w[2] or w[2] - w[1] <= 1e-7 * w[2]:
+            axes = v[:, [2 if w[1] - w[0] <= 1e-7 * w[2] else 0]].T
+        else:
+            continue
+        threshold = 1e-8 * alg.scale
+        normals, family = _circle_normals(alg, axes, threshold)
+        want_normals, want_family = [], []
+        for axis in axes:
+            got_normals, got_family, zero_lead = _one_circle(alg, axis, threshold)
+            want_normals += got_normals
+            want_family += got_family
+            low_degree += bool(zero_lead)
+        assert np.array_equal(normals, np.reshape(want_normals, (-1, 3)))
+        assert np.array_equal(np.reshape(family, (-1, 3)), np.reshape(want_family, (-1, 3)))
+    assert low_degree >= 1
+
+
+def test_distinct_keeps_the_rows_the_pairwise_loop_kept(rng):
+    """_distinct's cosine matrix keeps the same rows, in the same order and
+    bitwise, as comparing each row with every kept one in turn."""
+    def pairwise(m, cos_tol):
+        found = []
+        for x in m:
+            x = canonical_sign(x)
+            if all(abs(float(x @ f)) < 1.0 - cos_tol for f in found):
+                found.append(x)
+        return found
+
+    for n in (0, 1, 2, 7, 30, 60):
+        m = rng.standard_normal((n, 3))
+        m /= np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-300)
+        if n >= 7:  # near copies, some flipped, on both sides of the tolerance
+            m[3] = -m[0] * (1.0 + 1e-13)
+            m[4] = m[1] + 1e-12 * m[2]
+            m[5] = np.cos(2e-4) * m[2] + np.sin(2e-4) * np.cross(m[2], m[6]) / np.linalg.norm(np.cross(m[2], m[6]))
+        for cos_tol in (1e-8, 1e-9):
+            got, want = _distinct(m, cos_tol), pairwise(m, cos_tol)
+            assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert all(not a.flags.writeable for a in got)
 
 
 def test_near_degenerate_gram_pair_keeps_one_normal_per_arc():

@@ -336,6 +336,108 @@ def test_primary_plane_of_symmetric_planes_does_not_follow_rounding():
             assert bounds[key] == pytest.approx(value, rel=1e-9)
 
 
+def _metamorphic_case(name):
+    """A tetrahedral centre (3-fold Gram spectrum), a single dipole (a plane family) or a
+    pair seen from its bisector plane (two isolated planes), rescaled so that the
+    nearest magnet is 1 m from the field point."""
+    from magalg.corpus import random_frame
+    from magalg.dipoles import DipoleConfig, gen_pair
+    from test_algebra import tetrahedral_centre
+
+    rng = np.random.default_rng(20261018)
+    if name == "tetra":
+        cfg, _ = tetrahedral_centre(rng, 2)
+    elif name == "dipole":
+        cfg = DipoleConfig([rng.uniform(-1.0, 1.0, 3)], rng.uniform(-1.0, 1.0, 3))
+    else:
+        f = random_frame(rng)
+        cfg = gen_pair(f[:, 0], -f[:, 0], field_point=0.7 * f[:, 1] + 0.3 * f[:, 2])
+    return cfg.scaled(1.0 / cfg.separations()[1].min())
+
+
+def _assert_same_planes(rec, expected, rot=np.eye(3)):
+    """The planes of rec are those of expected with normals rotated by rot: the same
+    normals up to sign, or for a family the same circle of normals."""
+    got = np.array([p["n_hat"] for p in rec["planes"]])
+    want = np.array([p["n_hat"] for p in expected["planes"]]) @ rot.T
+    assert [p["degenerate"] for p in rec["planes"]] == [p["degenerate"] for p in expected["planes"]]
+    if expected["planes"][0]["degenerate"]:
+        axis = np.linalg.svd(want)[2][-1]  # the family's normals span the plane orthogonal to it
+        assert np.abs(got @ axis).max() <= 1e-12
+        return
+    gap = np.minimum(np.linalg.norm(got[:, None] - want, axis=2), np.linalg.norm(got[:, None] + want, axis=2))
+    assert np.sort(gap.argmin(axis=1)).tolist() == list(range(len(want)))
+    assert gap.min(axis=1).max() <= 1e-12
+
+
+def _assert_same_bounds(rec, expected, s):
+    """bounds and plane_reports of rec equal those of expected times s^-4 (planes as a set)."""
+    def table(r, k):
+        return np.array(sorted(
+            [q["norm_P"] * k, q["abs_lambda_MF"] * k, q["lambda_P"] * k]
+            + [q["bounds"][b] * k
+               for b in ("chain_upper", "refined_upper", "plane_formula_upper", "sqrt_two_thirds_lambda_F")]
+            for q in r["plane_reports"]))
+
+    assert (rec["branch"], rec["chain_ok"]) == (expected["branch"], expected["chain_ok"])
+    flags = [sorted(json.dumps([q["branch"], q["chain_ok"]]) for q in r["plane_reports"]) for r in (rec, expected)]
+    assert flags[0] == flags[1]
+    for key, value in expected["bounds"].items():
+        assert (rec["bounds"][key] is None) == (value is None)
+        if value is not None:
+            assert rec["bounds"][key] * s ** 4 == pytest.approx(value, rel=1e-13)
+    want = table(expected, 1.0)
+    assert np.abs(table(rec, s ** 4) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["tetra", "dipole", "pair"])
+def test_records_are_invariant_under_rotation_and_permutation_and_scale_as_d_minus_4(name):
+    """Rotating the magnets about the field point rotates the planes and keeps
+    bounds and plane_reports; permuting the magnets keeps all three; scaling
+    every length by s, with the nearest magnet from 2e-9 m to 1e30 m, keeps
+    the planes and scales every bound by s^-4.  Plane order may change, as
+    ties between symmetric planes are broken by the normal's coordinates."""
+    from magalg.cli import AnalysisRequest, analyze_point
+    from magalg.corpus import random_frame
+    from magalg.dipoles import DipoleConfig
+
+    cfg = _metamorphic_case(name)
+    req = AnalysisRequest(config_path="")
+    base = analyze_point(cfg, req)
+    assert base["planes"] and base["branch"] not in ("NONPLANAR", "DEGENERATE")
+    fp, magnets = cfg.field_point, cfg.magnet_positions
+    rng = np.random.default_rng(7)
+    rot = random_frame(rng)
+    rec = analyze_point(DipoleConfig(fp + (magnets - fp) @ rot.T, fp), req)
+    _assert_same_planes(rec, base, rot)
+    _assert_same_bounds(rec, base, 1.0)
+    rec = analyze_point(DipoleConfig(magnets[rng.permutation(len(magnets))[::-1]], fp), req)
+    _assert_same_planes(rec, base)
+    _assert_same_bounds(rec, base, 1.0)
+    for s in (2e-9, 1e-3, 1e7, 1e30):
+        rec = analyze_point(cfg.scaled(s), req)
+        _assert_same_planes(rec, base)
+        _assert_same_bounds(rec, base, s)
+
+
+@pytest.mark.parametrize("low_degree", [False, True])
+def test_circle_axis_order_does_not_change_the_record(low_degree, monkeypatch):
+    """The seven circles of a tetrahedral centre are searched in one batch;
+    solving them in reverse order gives the same analyze record, candidates
+    included, also when one circle's polynomial takes np.roots."""
+    from magalg import algebra
+    from magalg.cli import AnalysisRequest, _point_record
+    from magalg.dipoles import DipoleConfig
+    from test_algebra import TETRA_LOW_DEGREE
+
+    cfg = DipoleConfig(*TETRA_LOW_DEGREE) if low_degree else _metamorphic_case("tetra")
+    req = AnalysisRequest(config_path="")
+    base = json.dumps(_point_record(cfg, req, candidates=True))
+    circle_normals = algebra._circle_normals
+    monkeypatch.setattr(algebra, "_circle_normals", lambda alg, axes, threshold: circle_normals(alg, axes[::-1], threshold))
+    assert json.dumps(_point_record(cfg, req, candidates=True)) == base
+
+
 def test_report_roundtrip(tmp_path, single_dipole_json):
     """Re-running analyze on the embedded config reproduces all numbers."""
     code, rep = run_analyze(tmp_path, single_dipole_json, seed=7)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from magalg.linalg3 import (
     canonical_sign,
+    cross,
     cross_matrix,
     det3,
     eig_traceless,
@@ -71,6 +72,33 @@ def test_cross_matrix_matches_np_cross(n):
     n = np.array(n)
     v = np.array([0.3, -1.2, 2.5])
     assert np.allclose(cross_matrix(n) @ v, np.cross(n, v), atol=1e-9)
+
+
+def test_cross_is_np_cross_bitwise(rng):
+    """cross replaces np.cross with the same arithmetic, on single vectors and on rows."""
+    a = rng.standard_normal((500, 3)) * 10.0 ** rng.uniform(-150, 150, size=(500, 1))
+    b = rng.standard_normal((500, 3))
+    assert np.array_equal(cross(a, b), np.cross(a, b))
+    assert np.array_equal(cross(a, b[0]), np.cross(a, b[0]))
+    for x, y in zip(a[:50], b):
+        assert np.array_equal(cross(x, y), np.cross(x, y))
+
+
+def test_tangent_basis_rows_match_single_vectors(rng):
+    """The batched tangent basis gives each row what the 1-D call gives, bitwise,
+    and the 1-D call normalizes as unit() does."""
+    from magalg.sphere import tangent_basis
+
+    n = rng.standard_normal((300, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    u, v = tangent_basis(n)
+    for i, row in enumerate(n):
+        u1, v1 = tangent_basis(row)
+        assert np.array_equal(u1, u[i]) and np.array_equal(v1, v[i])
+        assert np.array_equal(u1, unit(np.cross(row, np.eye(3)[np.argmin(np.abs(row))])))
+    assert np.abs(np.einsum("na,na->n", u, n)).max() <= 1e-15
+    assert np.abs(np.einsum("na,na->n", v, n)).max() <= 1e-15
+    assert np.abs(np.einsum("na,na->n", u, v)).max() <= 1e-15
 
 
 def test_rot_quarter_turn():
