@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dipoles import MagneticAlgebra
-from .linalg3 import canonical_sign, cross, cross_matrices, cross_matrix, rot_about, unit
+from .linalg3 import canonical_sign, cross, cross_matrices, rot_about, unit
 # sphere_descent stays bound here for tracing; nothing in this module calls it
 from .sphere import fibonacci_sphere, seeded_rotation, sphere_descent, tangent_basis
 
@@ -74,14 +74,8 @@ def gram_spectrum(alg: MagneticAlgebra, degeneracy_rtol=GRAM_DEGENERACY_RTOL) ->
     return alg.memo[key]
 
 
-def plane_residual(alg: MagneticAlgebra, n_hat) -> float:
-    """Frobenius norm of [n] F_n [n]; zero exactly on invariant-plane normals."""
-    n = unit(n_hat)
-    k = cross_matrix(n)
-    return float(np.linalg.norm(k @ alg.matrix(n) @ k))
-
-
 def plane_residual_batch(alg: MagneticAlgebra, ns) -> np.ndarray:
+    """Frobenius norm of [n] F_n [n] for each row n of ns, normalized first; zero exactly on invariant-plane normals."""
     ns = np.asarray(ns, dtype=float)
     ns = ns / np.linalg.norm(ns, axis=-1, keepdims=True)
     k = cross_matrices(ns)
@@ -126,7 +120,7 @@ def planar_structure(alg: MagneticAlgebra, n_hat, tol=PLANARITY_TOL, degenerate=
     if scale == 0.0:
         raise TrivialAlgebraError("trivial algebra")
     n = unit(n_hat)
-    res = plane_residual(alg, n)
+    res = float(plane_residual_batch(alg, n[None])[0])  # the value find_invariant_planes accepted n by
     threshold = tol * scale
     if res > threshold:
         raise NotInvariantPlaneError(res, threshold)
@@ -141,11 +135,10 @@ def planar_structure(alg: MagneticAlgebra, n_hat, tol=PLANARITY_TOL, degenerate=
         q_hat = None
     # cheap consistency check of the frame's defining action: in-plane
     # moments must send n to multiples of itself with factor P . M
-    e1, e2 = (p_hat, q_hat) if p_hat is not None else tangent_basis(n)
-    for m in (e1, e2):
-        err = np.linalg.norm(alg.matrix(m) @ n - float(P @ m) * n)
-        if err > 10.0 * max(threshold, 1e-13 * scale):
-            raise NotInvariantPlaneError(float(err), threshold)
+    e = np.array((p_hat, q_hat) if p_hat is not None else tangent_basis(n))
+    err = float(np.linalg.norm(alg.matrices(e) @ n - (e @ P)[:, None] * n, axis=1).max())
+    if err > 10.0 * max(threshold, 1e-13 * scale):
+        raise NotInvariantPlaneError(err, threshold)
     g = alg.gram
     return PlanarStructure(
         n_hat=canonical_sign(n),
@@ -171,13 +164,16 @@ def _group_eigenvalues(w, rtol):
     return groups
 
 
-def _self_eigen_system(alg: MagneticAlgebra, m):
+def _self_eigen_system(alg, m):
     """Residual r = F_m m - (m . F_m m) m of each row of m, with its tangent Jacobian.
 
-    g = F_m m is quadratic in m and m^T F_m = g^T, so the derivative of
-    r(m / |m|) at a unit m is J = [2 F_m - 3 m g^T - (m . g) I](I - m m^T).
+    alg is a MagneticAlgebra, or an (n, 3, 3, 3) stack of basis images,
+    one per row of m.  g = F_m m is quadratic in m and m^T F_m = g^T, so
+    the derivative of r(m / |m|) at a unit m is
+    J = [2 F_m - 3 m g^T - (m . g) I](I - m m^T).
     """
-    f = alg.matrices(m)
+    images = getattr(alg, "basis_images", alg)
+    f = np.einsum("nk,kab->nab" if images.ndim == 3 else "nk,nkab->nab", m, images)
     g = np.einsum("nab,nb->na", f, m)
     s = np.einsum("na,na->n", m, g)
     r = g - s[:, None] * m
@@ -204,25 +200,27 @@ def _newton_step(x, r, jac):
     return x / np.linalg.norm(x, axis=1)[:, None]
 
 
-def _converge(alg: MagneticAlgebra, m):
+def _converge(alg, m):
     """Projected Newton on each row of m until its residual is at most _EIGEN_TOL.
 
-    A row that is still above that after 60 residual checks is dropped;
-    returns the converged rows.
+    alg is as in _self_eigen_system.  Returns the rows after Newton and a
+    mask of those that converged: a row still above _EIGEN_TOL after 60
+    residual checks has not.
     """
     m = np.array(m, dtype=float).reshape(-1, 3)
+    images = getattr(alg, "basis_images", alg)
     converged = np.zeros(len(m), dtype=bool)
     active = np.arange(len(m))
     for _ in range(60):
         x = m[active]
-        r, jac = _self_eigen_system(alg, x)
+        r, jac = _self_eigen_system(images if images.ndim == 3 else images[active], x)
         done = np.linalg.norm(r, axis=1) <= _EIGEN_TOL
         converged[active[done]] = True
         active = active[~done]
         if not len(active):
             break
         m[active] = _newton_step(x[~done], r[~done], jac[~done])
-    return m[converged]
+    return m, converged
 
 
 def _distinct(m, cos_tol=1e-8) -> list[np.ndarray]:
@@ -247,58 +245,86 @@ _ROOT_RTOL = 1e-8  # chart roots closer than this (relative) count once; Jacobia
 _STEP_RTOL = 1e-10  # a chart root is polished once its last Newton step is this small (relative)
 
 
+# q_a(1, y, z) = T(a, v, v) has the terms y^i z^j below, with coefficient t[a, b, c] (flat b c) times 1 or 2
+_QUAD_TERMS = {(0, 0): (0, 1.0), (1, 0): (1, 2.0), (0, 1): (2, 2.0), (2, 0): (4, 1.0), (1, 1): (5, 2.0), (0, 2): (8, 1.0)}
+
+
+def _chart_tables():
+    """Gather tables of _chart_polynomials: p[k, i, j] = (q[plus] - q[minus]) * factor.
+
+    q holds the 6 coefficients of each q_a and then a zero, so a term
+    that does not exist reads 0.  C1 = q_1 - y q_0 at y^i z^j is
+    q_1[i, j] - q_0[i - 1, j], C2 = q_2 - z q_0 is q_2[i, j] - q_0[i, j - 1],
+    and d/dy at y^i z^j is (i + 1) times the coefficient at y^(i+1) z^j.
+    """
+    slots = {term: s for s, term in enumerate(_QUAD_TERMS)}
+
+    def q(a, i, j):  # the slot of q_a's coefficient at y^i z^j
+        return 7 * a + slots.get((i, j), 6)
+
+    plus, minus = np.zeros((2, 6, 4, 4), dtype=int)
+    factor = np.ones((6, 4, 4))
+    for e, i, j in np.ndindex(2, 4, 4):
+        for k, (ci, cj, f) in enumerate([(i, j, 1), (i + 1, j, i + 1), (i, j + 1, j + 1)]):
+            plus[3 * e + k, i, j] = q(e + 1, ci, cj)
+            minus[3 * e + k, i, j] = q(0, ci - 1, cj) if e == 0 else q(0, ci, cj - 1)
+            factor[3 * e + k, i, j] = f
+    return plus, minus, factor
+
+
+_CHART_PLUS, _CHART_MINUS, _CHART_FACTOR = _chart_tables()
+_QUAD_SLOTS, _QUAD_SCALES = (np.array(v) for v in zip(*_QUAD_TERMS.values()))
+
+
 def _chart_polynomials(t):
-    """Coefficients p[k, i, j] of y^i z^j in C1, dC1/dy, dC1/dz, C2, dC2/dy, dC2/dz.
+    """Coefficients p[n, k, i, j] of y^i z^j in C1, dC1/dy, dC1/dz, C2, dC2/dy, dC2/dz of each tensor t[n].
 
     In the chart v = (1, y, z), with q(v) = T(., v, v), C1 = q_1 - y q_0
     and C2 = q_2 - z q_0 vanish exactly where q(v) is parallel to v.
     """
-    quad = np.zeros((3, 3, 3))  # coefficients of y^i z^j in q_a(1, y, z)
-    quad[:, 0, 0] = t[:, 0, 0]
-    quad[:, 1, 0] = 2.0 * t[:, 0, 1]
-    quad[:, 0, 1] = 2.0 * t[:, 0, 2]
-    quad[:, 2, 0] = t[:, 1, 1]
-    quad[:, 1, 1] = 2.0 * t[:, 1, 2]
-    quad[:, 0, 2] = t[:, 2, 2]
-    c = np.zeros((2, 4, 4))
-    c[:, :3, :3] = quad[1:]
-    c[0, 1:, :3] -= quad[0]
-    c[1, :3, 1:] -= quad[0]
-    powers = np.arange(1.0, 4.0)
-    d_y = np.zeros_like(c)
-    d_y[:, :3] = c[:, 1:] * powers[:, None]
-    d_z = np.zeros_like(c)
-    d_z[:, :, :3] = c[:, :, 1:] * powers
-    return np.stack([c[0], d_y[0], d_z[0], c[1], d_y[1], d_z[1]])
+    q = np.zeros((len(t), 3, 7))
+    q[..., :6] = t.reshape(-1, 3, 9)[..., _QUAD_SLOTS] * _QUAD_SCALES
+    q = q.reshape(-1, 21)
+    return (q[:, _CHART_PLUS] - q[:, _CHART_MINUS]) * _CHART_FACTOR
+
+
+def _powers(x):
+    """1, x, x^2, x^3 along a new last axis, multiplied out as np.vander does."""
+    v = np.empty(x.shape + (4,), x.dtype)
+    v[..., 0] = 1.0
+    v[..., 1:] = x[..., None]
+    np.multiply.accumulate(v[..., 1:], axis=-1, out=v[..., 1:])
+    return v
 
 
 def _chart_roots(t):
-    """All chart solutions (y, z) of C1 = C2 = 0 over C, polished by Newton.
+    """All chart solutions (y, z) of C1 = C2 = 0 over C of each tensor t[n], polished by Newton.
 
     C1 has degree 3 and C2 degree 2 in y; their 5x5 Sylvester matrix in
     y is a cubic S(z) = S0 + z S1 + z^2 S2 + z^3 S3, and the roots z are
     its eigenvalues.  In w = 1/z they are those of a 15x15 companion
     matrix; the Sylvester kernel at a root is (1, y, ..., y^4), so y is
-    read from the last block of the eigenvector.  Returns y, z, the last
-    Newton step length and |det J| / ||J||_F^2 of the chart Jacobian J,
-    about its singular-value ratio when small.  Raises LinAlgError when
-    S0 is singular.
+    read from the last block of the eigenvector.  The tensors share one
+    stacked solve, eig and Newton pass; each operator's arithmetic is the
+    same as alone.  Returns (n, 15) arrays of y, z, the last Newton step
+    length and |det J| / ||J||_F^2 of the chart Jacobian J, about its
+    singular-value ratio when small.  Raises LinAlgError when an S0 is
+    singular.
     """
     polys = _chart_polynomials(t)
-    s = np.zeros((4, 5, 5))  # s[j] multiplies z^j; columns are y^0..y^4
+    s = np.zeros((len(t), 4, 5, 5))  # s[:, j] multiplies z^j; columns are y^0..y^4
     for k in range(2):
-        s[:, k, k:k + 4] = polys[0].T
+        s[:, :, k, k:k + 4] = polys[:, 0].transpose(0, 2, 1)
     for k in range(3):
-        s[:, 2 + k, k:k + 3] = polys[3, :3].T
-    companion = np.zeros((15, 15))
-    companion[:5] = -np.linalg.solve(s[0], np.hstack([s[1], s[2], s[3]]))
-    companion[5:, :10] = np.eye(10)
+        s[:, :, 2 + k, k:k + 3] = polys[:, 3, :3].transpose(0, 2, 1)
+    companion = np.zeros((len(t), 15, 15))
+    companion[:, :5] = -np.linalg.solve(s[:, 0], np.concatenate([s[:, 1], s[:, 2], s[:, 3]], axis=2))
+    companion[:, 5:, :10] = np.eye(10)
     w, vecs = np.linalg.eig(companion)
     with np.errstate(all="ignore"):  # roots of w near 0 lie at infinity; Newton may overflow on them
-        y, z = vecs[11] / vecs[10], 1.0 / w
+        y, z = vecs[:, 11] / vecs[:, 10], 1.0 / w
         for _ in range(8):
-            c1, c1_y, c1_z, c2, c2_y, c2_z = np.einsum(
-                "ni,kij,nj->kn", np.vander(y, 4, increasing=True), polys, np.vander(z, 4, increasing=True))
+            c1, c1_y, c1_z, c2, c2_y, c2_z = np.einsum("nri,nkij,nrj->knr", _powers(y), polys, _powers(z))
             det = c1_y * c2_z - c1_z * c2_y
             dy = (c2_z * c1 - c1_z * c2) / det
             dz = (c1_y * c2 - c2_y * c1) / det
@@ -307,31 +333,43 @@ def _chart_roots(t):
         return y, z, np.abs(dy) + np.abs(dz), np.abs(det) / fro2
 
 
-def _algebraic_eigenvectors(unit_alg: MagneticAlgebra):
-    """Z-eigenvectors from the chart resultant, and whether they are certified complete.
+def _algebraic_eigenvectors(unit_algs):
+    """Z-eigenvectors of each operator from the chart resultant, and whether they are certified complete.
 
     A ternary cubic with finitely many eigenpoints has 7 in P^2, counted
     with multiplicity over C (Cartwright & Sturmfels, LAA 2013).  When
     the chart yields 7 distinct roots with nonsingular Jacobians and
     every real one converges on the sphere, the real ones are all the
-    Z-eigenvectors.  Returns (distinct converged moments, complete).
+    Z-eigenvectors.  The operators share one _chart_roots call and one
+    _converge call; one whose S0 is singular finds no roots.  Returns
+    one (distinct converged moments, complete) per operator, in order.
     """
     r = _CHART_ROTATION
-    t = np.einsum("ai,bj,ck,ijk->abc", r, r, r, unit_alg.basis_images)
+    images = np.array([u.basis_images for u in unit_algs])
     try:
-        y, z, step, conditioning = _chart_roots(t)
-    except np.linalg.LinAlgError:
-        return [], False
+        y, z, step, conditioning = _chart_roots(np.einsum("ai,bj,ck,nijk->nabc", r, r, r, images))
+    except np.linalg.LinAlgError:  # solve one at a time to find the singular S0
+        return [([], False)] if len(unit_algs) == 1 else [_algebraic_eigenvectors([u])[0] for u in unit_algs]
     size = 1.0 + np.abs(y) + np.abs(z)
     good = np.isfinite(size) & (step <= _STEP_RTOL * size) & (conditioning > _ROOT_RTOL)
-    roots: list[tuple[complex, complex, float]] = []
-    for yi, zi, si in zip(y[good], z[good], size[good]):
-        if all(abs(yi - yj) + abs(zi - zj) > _ROOT_RTOL * si for yj, zj, _ in roots):
-            roots.append((yi, zi, si))
-    real = [(yi.real, zi.real) for yi, zi, si in roots if abs(yi.imag) + abs(zi.imag) <= _ROOT_RTOL * si]
-    x = np.array([[1.0, yi, zi] for yi, zi in real]).reshape(-1, 3) @ r
-    found = _distinct(_converge(unit_alg, x / np.linalg.norm(x, axis=1, keepdims=True)))
-    return found, len(roots) == _EIGENPOINTS and len(found) == len(real)
+    counts, starts, owner = [], [], []
+    for i, keep in enumerate(good):
+        roots: list[tuple[complex, complex, float]] = []
+        for yi, zi, si in zip(y[i, keep], z[i, keep], size[i, keep]):
+            if all(abs(yi - yj) + abs(zi - zj) > _ROOT_RTOL * si for yj, zj, _ in roots):
+                roots.append((yi, zi, si))
+        real = [(1.0, yi.real, zi.real) for yi, zi, si in roots if abs(yi.imag) + abs(zi.imag) <= _ROOT_RTOL * si]
+        counts.append((len(roots), len(real)))
+        starts += real
+        owner += [i] * len(real)
+    x = np.array(starts).reshape(-1, 3) @ r
+    owner = np.array(owner, dtype=int)
+    x, converged = _converge(images[owner], x / np.linalg.norm(x, axis=1, keepdims=True))
+    out = []
+    for i, (n_roots, n_real) in enumerate(counts):
+        found = _distinct(x[converged & (owner == i)])
+        out.append((found, n_roots == _EIGENPOINTS and len(found) == n_real))
+    return out
 
 
 def _zonal_axis(t):
@@ -386,25 +424,44 @@ def self_eigenvectors(alg: MagneticAlgebra, n_starts=50, seed=0) -> ZEigenvector
     times the operator scale; two whose cosine is within 1e-8 of +-1
     count once.  The solve runs on the operator over its scale, where
     squared residuals cannot underflow.  Memoized on alg per
-    (n_starts, seed).
+    (n_starts, seed): this is self_eigenvectors_batch of [alg], so it
+    reads what a batch call already solved.
     """
     key = ("self_eigenvectors", int(n_starts), int(seed))
-    if key in alg.memo:
-        return alg.memo[key]
-    unit_alg = alg * (1.0 / alg.scale)
-    a = _zonal_axis(unit_alg.basis_images)
-    if a is not None:
-        # a x n_j = n_(j+4) up to sign, so the pair (a +- 2 n_j) / sqrt(5) lies in a family plane
-        u = (2.0 / np.sqrt(5.0)) * _great_circles(a[None])(_FAMILY_ANGLES, 0)
-        cone = a / np.sqrt(5.0) + np.concatenate([u, -u])
-        found, complete = _distinct(_converge(unit_alg, np.vstack([a, cone]))), False
-    else:
-        found, complete = _algebraic_eigenvectors(unit_alg)
-        if not complete:
-            starts = fibonacci_sphere(n_starts) @ seeded_rotation(seed).T
-            found = _distinct([*found, *_converge(unit_alg, starts)])
-    alg.memo[key] = ZEigenvectors(tuple(found), complete)
-    return alg.memo[key]
+    return alg.memo[key] if key in alg.memo else self_eigenvectors_batch([alg], n_starts, seed)[0]
+
+
+def self_eigenvectors_batch(algs, n_starts=50, seed=0) -> list[ZEigenvectors]:
+    """self_eigenvectors of each algebra of algs, with one stacked resultant solve for all of them.
+
+    Each result is memoized on its algebra under the key self_eigenvectors
+    reads, and is bitwise the one a solve of that algebra alone gives, in
+    any order of algs.  Algebras already solved are not solved again;
+    axisymmetric operators take the closed form and uncertified ones the
+    multistart, one at a time.  Raises TrivialAlgebraError on a zero
+    operator.
+    """
+    key = ("self_eigenvectors", int(n_starts), int(seed))
+    todo = list(dict.fromkeys(a for a in algs if key not in a.memo))  # each object once
+    if any(a.is_trivial() for a in todo):
+        raise TrivialAlgebraError("trivial algebra")
+    units = [a * (1.0 / a.scale) for a in todo]
+    axes = [_zonal_axis(u.basis_images) for u in units]
+    generic = [u for u, a in zip(units, axes) if a is None]
+    solved = iter(_algebraic_eigenvectors(generic) if generic else [])
+    for alg, unit_alg, a in zip(todo, units, axes):
+        if a is not None:
+            # a x n_j = n_(j+4) up to sign, so the pair (a +- 2 n_j) / sqrt(5) lies in a family plane
+            u = (2.0 / np.sqrt(5.0)) * _great_circles(a[None])(_FAMILY_ANGLES, 0)
+            x, converged = _converge(unit_alg, np.vstack([a, a / np.sqrt(5.0) + np.concatenate([u, -u])]))
+            found, complete = _distinct(x[converged]), False
+        else:
+            found, complete = next(solved)
+            if not complete:
+                x, converged = _converge(unit_alg, fibonacci_sphere(n_starts) @ seeded_rotation(seed).T)
+                found = _distinct([*found, *x[converged]])
+        alg.memo[key] = ZEigenvectors(tuple(found), complete)
+    return [a.memo[key] for a in algs]
 
 
 def _great_circles(axes):
@@ -528,17 +585,20 @@ class Decomposition:
     gamma: float
 
     def equivariant_part(self, M) -> np.ndarray:
+        """E(M) for one moment, or for each row of an (n, 3) array."""
         M = np.asarray(M, dtype=float)
         P = self.plane.P
         return (
-            np.outer(P, M)
-            + np.outer(M, P)
-            + float(M @ P) * np.eye(3)
+            P[:, None] * M[..., None, :]
+            + M[..., :, None] * P
+            + (M @ P)[..., None, None] * np.eye(3)
             - self.gamma * np.outer(P, P)
         )
 
     def plane_part(self, M) -> np.ndarray:
-        return self.equivariant_part(M) - self.algebra.matrix(M)
+        """Pi(M) = E(M) - F_M, shaped as equivariant_part."""
+        M = np.asarray(M, dtype=float)
+        return self.equivariant_part(M) - np.einsum("...k,kab->...ab", M, self.algebra.basis_images)
 
 
 def decompose(alg: MagneticAlgebra, plane: PlanarStructure, gamma=0.0) -> Decomposition:

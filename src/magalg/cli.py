@@ -38,6 +38,7 @@ from .algebra import (
     find_invariant_planes,
     gram_spectrum,
     planar_structure,
+    self_eigenvectors_batch,
 )
 from .corpus import random_coplanar_config, random_mirror_config, random_moments
 from .dipoles import (
@@ -67,6 +68,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_SINGULAR = 3
+
+_SOLVE_BLOCK = 1024  # at most this many field points share one stacked Z-eigenvector solve
 
 SWEEP_COLUMNS = [
     "x", "y", "z", "norm_P", "abs_lambda_MF", "lambda_P",
@@ -212,16 +215,18 @@ def _primary_plane(reports, tol) -> int:
     return ([i for i in tied if reports[i].lambda_bar_certified is not None] or tied)[0]
 
 
-def _point_record(cfg: DipoleConfig, req: AnalysisRequest, candidates: bool) -> dict:
+def _point_record(cfg: DipoleConfig, req: AnalysisRequest, candidates: bool, alg=None) -> dict:
     """The record of one field point, for every branch.
 
     A DEGENERATE point (the zero operator) has no Gram spectrum, plane
     or maximizer, and a NONPLANAR one no plane and so no bound chain;
     the planar branches take the chain of the primary plane.  With
     candidates set, the candidate search of that plane follows chain_ok;
-    the SI keys come last.
+    the SI keys come last.  alg is cfg's algebra when already built
+    (and perhaps solved); otherwise it is built here.
     """
-    alg = build_algebra(cfg)
+    if alg is None:
+        alg = build_algebra(cfg)
     rec: dict = {"field_point": _vec(cfg.field_point)}
     plane = None
     if alg.is_trivial():
@@ -314,13 +319,19 @@ def _point_record(cfg: DipoleConfig, req: AnalysisRequest, candidates: bool) -> 
     return rec
 
 
-def analyze_point(cfg: DipoleConfig, req: AnalysisRequest) -> dict:
+def analyze_point(cfg: DipoleConfig, req: AnalysisRequest, alg=None) -> dict:
     """Full analysis of one field point as a JSON-ready record.
 
     Candidate search is not part of it: only `analyze` reports
-    candidates.
+    candidates.  alg is as in _point_record.
     """
-    return _point_record(cfg, req, candidates=False)
+    return _point_record(cfg, req, candidates=False, alg=alg)
+
+
+def _solve_block(algs):
+    """Solve the Z-eigenvectors of the nonzero operators of algs (None for a skipped point) in one stack."""
+    self_eigenvectors_batch([a for a in algs if a is not None and not a.is_trivial()])
+    return algs
 
 
 def _meta(req: AnalysisRequest) -> dict:
@@ -344,10 +355,12 @@ def cmd_analyze(args) -> int:
         raise ConfigError("analyze needs at least one field point in the config")
     positions = config_positions(data)
     si = data["si_prefactor"] or req.si
-    results = [
-        _point_record(DipoleConfig(positions, fp, si), req, candidates=True)
-        for fp in data["field_points"]
-    ]
+    cfgs = [DipoleConfig(positions, fp, si) for fp in data["field_points"]]
+    results = []
+    for start in range(0, len(cfgs), _SOLVE_BLOCK):
+        block = cfgs[start:start + _SOLVE_BLOCK]
+        algs = _solve_block([build_algebra(cfg) for cfg in block])
+        results += [_point_record(cfg, req, candidates=True, alg=alg) for cfg, alg in zip(block, algs)]
     report = {"tool": _meta(req), "config": data, "results": results}
     report.update(results[0])  # hoist the first record for convenience
     out = json.dumps(report)  # indent would bypass the C encoder
@@ -362,7 +375,27 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _sweep_algebras(cfgs):
+    """The algebra of each grid point, None at a singular one (with a warning), Z-eigenvectors solved in one stack."""
+    algs = []
+    for cfg in cfgs:
+        try:
+            algs.append(build_algebra(cfg))
+        except SingularFieldPointError as e:
+            print(f"warning: skipping grid point {cfg.field_point.tolist()}: {e}", file=sys.stderr)
+            algs.append(None)
+    return _solve_block(algs)
+
+
 def cmd_sweep(args) -> int:
+    """Write the CSV of SWEEP_COLUMNS, one row per grid point, x fastest.
+
+    The grid goes in blocks of at most _SOLVE_BLOCK points: every
+    algebra of a block is built first and the Z-eigenvectors of its
+    nonzero operators are solved as one stack; each row is then the
+    analyze record of its point, from that algebra.  A singular point
+    gives a row with branch "singular" and a warning on stderr.
+    """
     req = AnalysisRequest(
         config_path=args.config, tol=args.tol, si=False, out_path=args.out,
     )
@@ -370,32 +403,37 @@ def cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
     data = load_config(req.config_path)
     positions = config_positions(data)
+    cfgs = [DipoleConfig(positions, fp) for fp in grid.points()]
     rows = []
-    for fp in grid.points():
-        row = {"x": repr(float(fp[0])), "y": repr(float(fp[1])), "z": repr(float(fp[2]))}
-        try:
-            rec = analyze_point(DipoleConfig(positions, fp), req)
-        except SingularFieldPointError as e:
-            print(f"warning: skipping grid point {fp.tolist()}: {e}", file=sys.stderr)
-            row.update({c: "" for c in SWEEP_COLUMNS[3:-1]}, branch="singular")
-            rows.append(row)
-            continue
-        bounds = rec.get("bounds") or {}
-        row.update(
-            norm_P=_fmt(rec.get("norm_P")),
-            abs_lambda_MF=_fmt(rec.get("abs_lambda_MF")),
-            lambda_P=_fmt(rec.get("lambda_P")),
-            lambda_bar=_fmt(rec["lambda_bar"]["value"]),
-            ub_chain=_fmt(bounds.get("chain_upper")),
-            ub_refined=_fmt(bounds.get("refined_upper")),
-            branch=rec["branch"],
-        )
-        rows.append(row)
+    for start in range(0, len(cfgs), _SOLVE_BLOCK):
+        block = cfgs[start:start + _SOLVE_BLOCK]
+        rows += [_sweep_row(cfg, req, alg) for cfg, alg in zip(block, _sweep_algebras(block))]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
     return EXIT_OK
+
+
+def _sweep_row(cfg: DipoleConfig, req: AnalysisRequest, alg) -> dict:
+    """The CSV row of one grid point; alg is None at a singular point."""
+    fp = cfg.field_point
+    row = {"x": repr(float(fp[0])), "y": repr(float(fp[1])), "z": repr(float(fp[2]))}
+    if alg is None:
+        row.update({c: "" for c in SWEEP_COLUMNS[3:-1]}, branch="singular")
+        return row
+    rec = analyze_point(cfg, req, alg)
+    bounds = rec.get("bounds") or {}
+    row.update(
+        norm_P=_fmt(rec.get("norm_P")),
+        abs_lambda_MF=_fmt(rec.get("abs_lambda_MF")),
+        lambda_P=_fmt(rec.get("lambda_P")),
+        lambda_bar=_fmt(rec["lambda_bar"]["value"]),
+        ub_chain=_fmt(bounds.get("chain_upper")),
+        ub_refined=_fmt(bounds.get("refined_upper")),
+        branch=rec["branch"],
+    )
+    return row
 
 
 def _parse_vec(text: str) -> np.ndarray:
@@ -518,16 +556,12 @@ def _plane_checks(alg, plane, note, seed):
     dec = decompose(alg, plane, gamma=0.7)
     rng = np.random.default_rng(seed)
     ms = random_moments(rng, 8)
-    worst_plane = 0.0
+    worst_plane = float(np.abs(plane.n_hat @ dec.plane_part(ms)).max())
     worst_equi = 0.0
-    for m in ms:
-        worst_plane = max(worst_plane, float(np.abs(plane.n_hat @ dec.plane_part(m)).max()))
-        if plane.norm_P > 0:
-            c = rot_about(plane.P, rng.uniform(0.0, 2.0 * np.pi))
-            worst_equi = max(
-                worst_equi,
-                float(np.abs(dec.equivariant_part(c @ m) - c @ dec.equivariant_part(m) @ c.T).max()),
-            )
+    if plane.norm_P > 0:
+        c = rot_about(plane.P, rng.uniform(0.0, 2.0 * np.pi, size=len(ms)))  # one rotation per moment
+        rotated = dec.equivariant_part((c @ ms[:, :, None])[..., 0])
+        worst_equi = float(np.abs(rotated - c @ dec.equivariant_part(ms) @ c.transpose(0, 2, 1)).max())
     dec_scale = max(scale, abs(dec.gamma) * plane.norm_P ** 2, 1e-300)
     note("decomposition_into_plane", worst_plane, worst_plane <= 1e-10 * dec_scale)
     note("decomposition_equivariance", worst_equi, worst_equi <= 1e-10 * dec_scale)

@@ -71,13 +71,13 @@ def cross_matrices(ns) -> np.ndarray:
 
 
 def rot_about(axis, angle) -> Mat3:
-    """Proper rotation by `angle` radians fixing `axis` (Rodrigues form)."""
+    """Proper rotation by `angle` radians fixing `axis` (Rodrigues form); an array of angles gives one per angle."""
     axis = np.asarray(axis, dtype=float)
     na = float(np.linalg.norm(axis))
     if na == 0.0 or not np.isfinite(na):
         raise ValueError("degenerate axis")
     k = cross_matrix(axis / na)
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    return np.eye(3) + np.sin(angle)[..., None, None] * k + (1.0 - np.cos(angle))[..., None, None] * (k @ k)
 
 
 def det3(a) -> np.ndarray:

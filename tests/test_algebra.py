@@ -14,7 +14,6 @@ from magalg.algebra import (
     decompose,
     find_invariant_planes,
     gram_spectrum,
-    plane_residual,
     plane_residual_batch,
     planar_structure,
     self_eigenvectors,
@@ -240,6 +239,38 @@ def test_batched_circle_search_matches_one_circle_at_a_time(rng):
     assert low_degree >= 1
 
 
+def test_chart_polynomials_match_the_term_by_term_construction(rng):
+    """The gather tables give, bitwise and with the signs of zeros, the coefficients
+    of C1 = q_1 - y q_0 and C2 = q_2 - z q_0 and their derivatives built term by term."""
+    from magalg.algebra import _chart_polynomials
+
+    def term_by_term(t):
+        quad = np.zeros((3, 3, 3))  # coefficients of y^i z^j in q_a(1, y, z)
+        quad[:, 0, 0] = t[:, 0, 0]
+        quad[:, 1, 0] = 2.0 * t[:, 0, 1]
+        quad[:, 0, 1] = 2.0 * t[:, 0, 2]
+        quad[:, 2, 0] = t[:, 1, 1]
+        quad[:, 1, 1] = 2.0 * t[:, 1, 2]
+        quad[:, 0, 2] = t[:, 2, 2]
+        c = np.zeros((2, 4, 4))
+        c[:, :3, :3] = quad[1:]
+        c[0, 1:, :3] -= quad[0]
+        c[1, :3, 1:] -= quad[0]
+        powers = np.arange(1.0, 4.0)
+        d_y = np.zeros_like(c)
+        d_y[:, :3] = c[:, 1:] * powers[:, None]
+        d_z = np.zeros_like(c)
+        d_z[:, :, :3] = c[:, :, 1:] * powers
+        return np.stack([c[0], d_y[0], d_z[0], c[1], d_y[1], d_z[1]])
+
+    t = rng.standard_normal((50, 3, 3, 3))
+    t[rng.random(t.shape) < 0.1] = -0.0
+    got = _chart_polynomials(t)
+    for p, ti in zip(got, t):
+        want = term_by_term(ti)
+        assert np.array_equal(p, want) and np.array_equal(np.signbit(p), np.signbit(want))
+
+
 def test_distinct_keeps_the_rows_the_pairwise_loop_kept(rng):
     """_distinct's cosine matrix keeps the same rows, in the same order and
     bitwise, as comparing each row with every kept one in turn."""
@@ -314,7 +345,7 @@ def test_off_center_lattice_has_axial_plane_family():
     assert all(p.degenerate for p in planes)
     assert all(abs(p.n_hat[0]) <= 1e-12 for p in planes)  # normals orthogonal to the axis
     # the axis direction itself is not a plane normal
-    assert plane_residual(alg, [1.0, 0.0, 0.0]) > 1e-3 * alg.scale
+    assert plane_residual_batch(alg, [[1.0, 0.0, 0.0]])[0] > 1e-3 * alg.scale
 
 
 def test_planar_structure_pair(pair_config):
@@ -372,7 +403,7 @@ def test_mirror_symmetry_theorem(rng):
     for _ in range(200):
         cfg, n_hat = random_mirror_config(rng)
         alg = build_algebra(cfg)
-        worst = max(worst, plane_residual(alg, n_hat) / alg.scale)
+        worst = max(worst, plane_residual_batch(alg, [n_hat])[0] / alg.scale)
     assert worst <= 1e-10
 
 
@@ -434,6 +465,18 @@ def test_decompose_trace_identity(rng):
             assert np.trace(dec.equivariant_part(m)) == pytest.approx(
                 expected, abs=1e-13 * scale
             )
+
+
+def test_decompose_parts_of_moment_rows_match_single_moments(rng):
+    cfg, n_hat = random_coplanar_config(rng, n_min=2)
+    alg = build_algebra(cfg)
+    dec = decompose(alg, planar_structure(alg, n_hat), gamma=0.7)
+    ms = random_moments(rng, 8)
+    for part in (dec.equivariant_part, dec.plane_part):
+        rows = part(ms)
+        assert rows.shape == (8, 3, 3)
+        for row, m in zip(rows, ms):
+            assert np.array_equal(row, part(m))
 
 
 def test_decompose_equivariant_part_symmetric(rng):

@@ -543,6 +543,59 @@ def test_sweep_single_point_matches_analyze(tmp_path):
         assert row["branch"] == rep["branch"]
 
 
+def test_multi_point_sweep_matches_per_point_analyze(tmp_path, capsys, monkeypatch):
+    """A 3x3 grid of gen pair --sep 2 through both magnets and their midpoint: two
+    singular rows, the DEGENERATE midpoint and six planar points, solved as one
+    stack, each row byte-equal to analyze of its point alone."""
+    from magalg import algebra
+
+    assert main(["gen", "pair", "--sep", "2"]) == EXIT_OK
+    pair = json.loads(capsys.readouterr().out)
+    cfg = tmp_path / "pair.json"
+    cfg.write_text(json.dumps(pair))
+    solve = algebra._algebraic_eigenvectors
+    stacks = []
+    monkeypatch.setattr(algebra, "_algebraic_eigenvectors", lambda units: stacks.append(len(units)) or solve(units))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--grid", "-1:1:3,0:0.9:3,0:0:1", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err.count("warning: skipping grid point") == 2
+    assert stacks == [6]
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [row["branch"] for row in rows][:3] == ["singular", "DEGENERATE", "singular"]
+    for row in rows:
+        point = [float(row[c]) for c in "xyz"]
+        magnets = [m["position"] for m in pair["magnets"]]
+        code, rep = run_analyze(tmp_path, write_config(tmp_path / "point.json", magnets, [point]))
+        if row["branch"] == "singular":
+            assert code == EXIT_SINGULAR
+            assert all(row[c] == "" for c in SWEEP_COLUMNS[3:-1])
+            continue
+        assert code == EXIT_OK
+        bounds = rep["bounds"] or {}
+        want = [rep["norm_P"], rep["abs_lambda_MF"], rep["lambda_P"], rep["lambda_bar"]["value"],
+                bounds.get("chain_upper"), bounds.get("refined_upper")]
+        assert [row[c] for c in SWEEP_COLUMNS[3:-1]] == ["" if v is None else repr(float(v)) for v in want]
+        assert row["branch"] == rep["branch"]
+
+
+def test_analyze_of_several_points_matches_each_point_alone(tmp_path, monkeypatch):
+    """The field points of one config share one stacked solve, and each record is
+    byte-equal to that of analyzing its point alone."""
+    from magalg import algebra
+
+    magnets = [[1, 0, 0], [-1, 0, 0], [0.2, 0.9, -0.3]]
+    points = [[0.3, 0.2, 0.5], [0.0, 0.0, 0.0], [1.7, 0.4, -0.2]]  # at the origin the pair cancels: zonal
+    alone = [run_analyze(tmp_path, write_config(tmp_path / "one.json", magnets, [p]))[1]["results"][0]
+             for p in points]
+    solve = algebra._algebraic_eigenvectors
+    stacks = []
+    monkeypatch.setattr(algebra, "_algebraic_eigenvectors", lambda units: stacks.append(len(units)) or solve(units))
+    code, rep = run_analyze(tmp_path, write_config(tmp_path / "all.json", magnets, points))
+    assert code == EXIT_OK
+    assert stacks == [2]  # the zonal operator takes its closed form
+    assert [json.dumps(r) for r in rep["results"]] == [json.dumps(r) for r in alone]
+
+
 def test_sweep_header_exact(tmp_path, single_dipole_json):
     out = tmp_path / "sweep.csv"
     main([

@@ -5,7 +5,15 @@ from hypothesis import strategies as st
 
 from conftest import sampling_tolerance
 from magalg import algebra
-from magalg.algebra import _FAMILY_SIZE, _converge, _distinct, _self_eigen_system, planar_structure, self_eigenvectors
+from magalg.algebra import (
+    _FAMILY_SIZE,
+    _converge,
+    _distinct,
+    _self_eigen_system,
+    planar_structure,
+    self_eigenvectors,
+    self_eigenvectors_batch,
+)
 from magalg.corpus import (
     random_algebra,
     random_config,
@@ -404,7 +412,8 @@ def test_the_five_six_pair_configs_are_certified_with_seven():
     for i in (92, 107, 183, 200 + 16, 400 + 160):
         alg = build_algebra(corpus[i])
         unit_alg = alg * (1.0 / alg.scale)
-        multistart = _distinct(_converge(unit_alg, fibonacci_sphere(50) @ seeded_rotation(0).T))
+        x, converged = _converge(unit_alg, fibonacci_sphere(50) @ seeded_rotation(0).T)
+        multistart = _distinct(x[converged])
         assert len(multistart) == 6
         sol = self_eigenvectors(alg)
         assert sol.complete
@@ -494,6 +503,71 @@ def test_a_trigonal_cubic_passes_the_gram_test_and_fails_the_residual():
     w = np.linalg.eigvalsh(alg.gram)
     assert [len(g) for g in algebra._group_eigenvalues(w, 1e-7)] == [2, 1]
     assert algebra._zonal_axis(alg.basis_images / alg.scale) is None
+
+
+def _mixed_stack_configs():
+    """Two certified generic operators, a single dipole (zonal) and an equilateral
+    triangle's centre (a singular eigenpoint: uncertified, so the multistart runs)."""
+    rng = np.random.default_rng(17)
+    return [random_config(rng), DipoleConfig([[0.3, -0.2, 0.1]], [-0.4, 0.5, 0.9]),
+            DipoleConfig(_TRIANGLE, [0.0, 0.0, 0.0]), random_mirror_config(rng)[0]]
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 3, 0, 2, 0]])
+def test_stacked_solve_matches_one_operator_at_a_time(monkeypatch, order):
+    """self_eigenvectors_batch gives, bitwise, the moments, their order and complete
+    that solving each operator alone gives, whatever the order of the batch (an
+    object listed twice included); the resultant solve runs once for all of them
+    and each result lands in its algebra's memo, where self_eigenvectors reads it."""
+    configs = _mixed_stack_configs()
+    alone = [self_eigenvectors(build_algebra(cfg)) for cfg in configs]
+    assert [sol.complete for sol in alone] == [True, False, False, True]
+    assert len(alone[1].moments) == 1 + 2 * _FAMILY_SIZE
+
+    solve = algebra._algebraic_eigenvectors
+    stacks = []
+    monkeypatch.setattr(algebra, "_algebraic_eigenvectors", lambda units: stacks.append(len(units)) or solve(units))
+    built = [build_algebra(cfg) for cfg in configs]
+    algs = [built[i] for i in order]
+    got = self_eigenvectors_batch(algs)
+    assert stacks[0] == 3  # the generic operators and the triangle centre, each once; the dipole is zonal
+    for i, alg, sol in zip(order, algs, got):
+        assert sol.complete == alone[i].complete
+        assert np.array_equal(np.array(sol.moments), np.array(alone[i].moments))
+        assert self_eigenvectors(alg) is sol
+    assert len(stacks) == 1  # the reads above solved nothing again
+
+
+def test_verify_theorems_solves_its_three_operators_as_one_stack(monkeypatch):
+    """alg, the drawn other and the very alg + other whose worst case is checked for subadditivity."""
+    from magalg import extremal
+
+    batch, solve = extremal.self_eigenvectors_batch, algebra._algebraic_eigenvectors
+    stacks, solves = [], []
+    monkeypatch.setattr(extremal, "self_eigenvectors_batch", lambda algs: stacks.append(algs) or batch(algs))
+    monkeypatch.setattr(algebra, "_algebraic_eigenvectors", lambda units: solves.append(len(units)) or solve(units))
+    cfg, n_hat = random_mirror_config(np.random.default_rng(4))
+    alg = build_algebra(cfg)
+    verify_theorems(alg, planar_structure(alg, n_hat), trials=50, seed=3, n_samples=500)
+    [(first, other, both)] = stacks
+    assert first is alg
+    assert np.array_equal(both.basis_images, alg.basis_images + other.basis_images)
+    assert solves == [3]  # the three worst cases read that one solve
+
+
+def test_lambda_bar_exact_takes_the_first_best_moment_as_a_loop_does():
+    """One batch of x^T F_x x picks, bitwise, the moment that max over the moments picks
+    with x @ F_x @ x per moment, also among the tied symmetric ones of a tetrahedral centre."""
+    from test_algebra import tetrahedral_centre
+
+    rng = np.random.default_rng(23)
+    configs = [tetrahedral_centre(rng, shells)[0] for shells in (1, 2, 1)]
+    configs += [random_mirror_config(rng)[0] for _ in range(10)] + [random_config(rng) for _ in range(10)]
+    for cfg in configs:
+        alg = build_algebra(cfg)
+        moments = self_eigenvectors(alg).moments
+        best = max(moments, key=lambda v: abs(float(v @ alg.matrix(v) @ v)))
+        assert np.array_equal(lambda_bar_exact(alg).M_bar, best)
 
 
 @pytest.mark.parametrize("radii", [[1.0], [0.6, 1.3]])

@@ -110,6 +110,14 @@ def test_rot_zero_angle_identity():
     assert np.allclose(rot_about([1.0, 2.0, 3.0], 0.0), np.eye(3))
 
 
+def test_rot_about_an_array_of_angles_gives_each_rotation(rng):
+    axis, angles = rng.standard_normal(3), rng.uniform(0.0, 2.0 * np.pi, size=8)
+    rots = rot_about(axis, angles)
+    assert rots.shape == (8, 3, 3)
+    for r, angle in zip(rots, angles):
+        assert np.array_equal(r, rot_about(axis, angle))
+
+
 def test_rot_degenerate_axis():
     with pytest.raises(ValueError, match="degenerate axis"):
         rot_about([0.0, 0.0, 0.0], 1.0)
