@@ -19,7 +19,7 @@ import numpy as np
 from .dipoles import MagneticAlgebra
 from .linalg3 import canonical_sign, cross, cross_matrices, rot_about, unit
 # sphere_descent stays bound here for tracing; nothing in this module calls it
-from .sphere import fibonacci_sphere, seeded_rotation, sphere_descent, tangent_basis
+from .sphere import sphere_descent, tangent_basis
 
 PLANARITY_TOL = 1e-8  # relative to the largest basis-image Frobenius norm
 _FRAME_TOL = 1e-12  # below this (relative), the coupling vector is treated as zero
@@ -236,10 +236,12 @@ def _distinct(m, cos_tol=1e-8) -> list[np.ndarray]:
     return list(x)
 
 
-# A fixed proper rotation that moves the chart's special directions (the great
+# Fixed proper rotations that move the chart's special directions (the great
 # circles x0 = 0 and x2 = 0 of the rotated frame) off the axes and planes where
-# symmetric operators put their Z-eigenvectors.
-_CHART_ROTATION = rot_about([0.43, -0.71, 0.55], 0.97)
+# symmetric operators put their Z-eigenvectors; each re-solves what those before it leave uncertified.
+_CHART_ROTATIONS = tuple(rot_about(axis, angle) for axis, angle in [
+    ([0.43, -0.71, 0.55], 0.97), ([-0.62, 0.18, 0.77], 1.91), ([0.29, 0.88, -0.37], 2.53),
+    ([0.71, 0.05, 0.70], 0.61), ([-0.1, -0.6, 0.79], 2.2)])
 _EIGENPOINTS = 7  # Z-eigenvectors in P^2 of a ternary cubic with finitely many, counted over C
 _ROOT_RTOL = 1e-8  # chart roots closer than this (relative) count once; Jacobians this ill-conditioned are singular
 _STEP_RTOL = 1e-10  # a chart root is polished once its last Newton step is this small (relative)
@@ -333,8 +335,8 @@ def _chart_roots(t):
         return y, z, np.abs(dy) + np.abs(dz), np.abs(det) / fro2
 
 
-def _algebraic_eigenvectors(unit_algs):
-    """Z-eigenvectors of each operator from the chart resultant, and whether they are certified complete.
+def _chart_eigenvectors(r, images):
+    """Z-eigenvectors of each operator tensor of images from the chart rotated by r, and whether they are certified complete.
 
     A ternary cubic with finitely many eigenpoints has 7 in P^2, counted
     with multiplicity over C (Cartwright & Sturmfels, LAA 2013).  When
@@ -342,14 +344,13 @@ def _algebraic_eigenvectors(unit_algs):
     every real one converges on the sphere, the real ones are all the
     Z-eigenvectors.  The operators share one _chart_roots call and one
     _converge call; one whose S0 is singular finds no roots.  Returns
-    one (distinct converged moments, complete) per operator, in order.
+    one (distinct converged moments, complete, its chart roots' y, z and
+    size) per operator, in order.
     """
-    r = _CHART_ROTATION
-    images = np.array([u.basis_images for u in unit_algs])
     try:
         y, z, step, conditioning = _chart_roots(np.einsum("ai,bj,ck,nijk->nabc", r, r, r, images))
     except np.linalg.LinAlgError:  # solve one at a time to find the singular S0
-        return [([], False)] if len(unit_algs) == 1 else [_algebraic_eigenvectors([u])[0] for u in unit_algs]
+        return [([], False, np.empty((3, 0)))] if len(images) == 1 else [_chart_eigenvectors(r, t[None])[0] for t in images]
     size = 1.0 + np.abs(y) + np.abs(z)
     good = np.isfinite(size) & (step <= _STEP_RTOL * size) & (conditioning > _ROOT_RTOL)
     counts, starts, owner = [], [], []
@@ -368,7 +369,36 @@ def _algebraic_eigenvectors(unit_algs):
     out = []
     for i, (n_roots, n_real) in enumerate(counts):
         found = _distinct(x[converged & (owner == i)])
-        out.append((found, n_roots == _EIGENPOINTS and len(found) == n_real))
+        out.append((found, n_roots == _EIGENPOINTS and len(found) == n_real, (y[i], z[i], size[i])))
+    return out
+
+
+def _algebraic_eigenvectors(unit_algs):
+    """(moments, complete) of each operator from _chart_eigenvectors in each rotation in turn, till one certifies it.
+
+    Each rotation solves the operators still uncertified as one stack.
+    Those none certifies (a singular eigenpoint, or roots that do not
+    polish) take one _converge call from the real part of every finite
+    chart root of every rotation, and complete false.
+    """
+    images = np.array([u.basis_images for u in unit_algs])
+    out, todo, tried = [None] * len(images), list(range(len(images))), [[] for _ in images]
+    for r in _CHART_ROTATIONS:
+        for i, (found, complete, roots) in zip(todo, _chart_eigenvectors(r, images[todo])):
+            out[i] = found, complete
+            tried[i].append((r, *roots))
+        if not (todo := [i for i in todo if not out[i][1]]):
+            return out
+    starts, owner = [], []
+    for i in todo:
+        for r, y, z, size in tried[i]:
+            f = np.isfinite(size)  # over its size, a root far out gives its direction without overflow
+            starts.append(np.stack([np.ones(f.sum()), y[f].real, z[f].real], axis=1) / size[f, None] @ r)
+            owner += [i] * len(starts[-1])
+    x, owner = np.concatenate(starts), np.array(owner, dtype=int)
+    x, converged = _converge(images[owner], x / np.linalg.norm(x, axis=1, keepdims=True))
+    for i in todo:
+        out[i] = _distinct(x[converged & (owner == i)]), False
     return out
 
 
@@ -400,7 +430,7 @@ class ZEigenvectors(NamedTuple):
     complete: bool
 
 
-def self_eigenvectors(alg: MagneticAlgebra, n_starts=50, seed=0) -> ZEigenvectors:
+def self_eigenvectors(alg: MagneticAlgebra) -> ZEigenvectors:
     """Distinct unit moments x with F_x x parallel to x, and whether they are all of them.
 
     These are the Z-eigenvectors of the operator tensor, sign-canonical
@@ -411,37 +441,30 @@ def self_eigenvectors(alg: MagneticAlgebra, n_starts=50, seed=0) -> ZEigenvector
     come in closed form as a and 2 _FAMILY_SIZE cone points, one pair
     in each meridian plane that find_invariant_planes reports for the
     family, and complete is false since the cone is a continuum.  Any
-    other operator is solved algebraically: in a fixed rotated chart
-    v = (1, y, z) the eigen-equations are two cubics in (y, z), whose
-    Sylvester resultant in y is a cubic matrix polynomial in z, solved
-    as one 15x15 eigenproblem; every root is polished by Newton.
-    complete is true when the solve finds 7 distinct nonsingular roots
-    over C and every real one converges on the sphere.  Otherwise (S0
-    singular, a singular eigenpoint, or fewer than 7 roots survive
-    polishing) the real roots that did converge are joined by projected
-    Newton from n_starts seeded Fibonacci starts at once, and complete is
-    false.  A moment is accepted once its residual is at most _EIGEN_TOL
-    times the operator scale; two whose cosine is within 1e-8 of +-1
-    count once.  The solve runs on the operator over its scale, where
-    squared residuals cannot underflow.  Memoized on alg per
-    (n_starts, seed): this is self_eigenvectors_batch of [alg], so it
-    reads what a batch call already solved.
+    other operator is solved by _algebraic_eigenvectors, whose 7-root
+    certificate decides complete; a singular eigenpoint, such as the
+    in-plane centre of an equilateral triangle of magnets, is never
+    certified.  A moment is accepted once its residual is at most
+    _EIGEN_TOL times the operator scale; two whose cosine is within 1e-8
+    of +-1 count once.  The solve runs on the operator over its scale,
+    where squared residuals cannot underflow.  Memoized on alg: this is
+    self_eigenvectors_batch of [alg], so it reads what a batch call
+    already solved.
     """
-    key = ("self_eigenvectors", int(n_starts), int(seed))
-    return alg.memo[key] if key in alg.memo else self_eigenvectors_batch([alg], n_starts, seed)[0]
+    key = ("self_eigenvectors",)
+    return alg.memo[key] if key in alg.memo else self_eigenvectors_batch([alg])[0]
 
 
-def self_eigenvectors_batch(algs, n_starts=50, seed=0) -> list[ZEigenvectors]:
+def self_eigenvectors_batch(algs) -> list[ZEigenvectors]:
     """self_eigenvectors of each algebra of algs, with one stacked resultant solve for all of them.
 
     Each result is memoized on its algebra under the key self_eigenvectors
     reads, and is bitwise the one a solve of that algebra alone gives, in
     any order of algs.  Algebras already solved are not solved again;
-    axisymmetric operators take the closed form and uncertified ones the
-    multistart, one at a time.  Raises TrivialAlgebraError on a zero
-    operator.
+    axisymmetric operators take the closed form, one at a time.  Raises
+    TrivialAlgebraError on a zero operator.
     """
-    key = ("self_eigenvectors", int(n_starts), int(seed))
+    key = ("self_eigenvectors",)
     todo = list(dict.fromkeys(a for a in algs if key not in a.memo))  # each object once
     if any(a.is_trivial() for a in todo):
         raise TrivialAlgebraError("trivial algebra")
@@ -457,9 +480,6 @@ def self_eigenvectors_batch(algs, n_starts=50, seed=0) -> list[ZEigenvectors]:
             found, complete = _distinct(x[converged]), False
         else:
             found, complete = next(solved)
-            if not complete:
-                x, converged = _converge(unit_alg, fibonacci_sphere(n_starts) @ seeded_rotation(seed).T)
-                found = _distinct([*found, *x[converged]])
         alg.memo[key] = ZEigenvectors(tuple(found), complete)
     return [a.memo[key] for a in algs]
 

@@ -85,7 +85,6 @@ class ConfigError(ValueError):
 class AnalysisRequest:
     config_path: str
     tol: float = 1e-9
-    seed: int = 0
     si: bool = False
     out_path: str | None = None
 
@@ -308,7 +307,7 @@ def _point_record(cfg: DipoleConfig, req: AnalysisRequest, candidates: bool, alg
             chain_ok=rep.chain_ok,
         )
     if candidates:
-        found = [] if plane is None else locate_candidates(alg, plane, seed=req.seed)
+        found = [] if plane is None else locate_candidates(alg, plane)
         rec["candidates"] = [
             {"moment": _vec(c.moment), "kind": c.kind.value, "lambda_abs": c.lambda_abs}
             for c in found
@@ -338,7 +337,7 @@ def _meta(req: AnalysisRequest) -> dict:
     return {
         "name": "magalg",
         "version": __version__,
-        "seed": req.seed,
+        "seed": 0,  # kept in the schema; analyze takes no seed
         "tol": req.tol,
         "planarity_tol": PLANARITY_TOL,
         "si": req.si,
@@ -346,9 +345,7 @@ def _meta(req: AnalysisRequest) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    req = AnalysisRequest(
-        config_path=args.config, tol=args.tol, seed=args.seed, si=args.si, out_path=args.out,
-    )
+    req = AnalysisRequest(config_path=args.config, tol=args.tol, si=args.si, out_path=args.out)
     req.validate()
     data = load_config(req.config_path)
     if not data["field_points"]:
@@ -634,7 +631,6 @@ def _parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="full analysis of a configuration")
     pa.add_argument("--config", required=True)
     pa.add_argument("--tol", type=float, default=1e-9)
-    pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--si", action="store_true")
     pa.add_argument("--out", required=True)
     pa.set_defaults(func=cmd_analyze)

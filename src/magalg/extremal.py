@@ -6,8 +6,10 @@ It is attained at a Z-eigenvector of the symmetric operator tensor.  An
 algebraic solve (a resultant eigenproblem) finds them all and certifies
 the set complete by its root count, so lambda_bar is exact to rounding;
 axisymmetric operators, whose Z-eigenvectors are their axis and a cone
-about it, are solved in closed form, the axis giving lambda_bar.  The
-planar structure gives closed forms and a chain of bounds around it:
+about it, are solved in closed form, the axis giving lambda_bar.  A
+singular eigenpoint, which no chart certifies, takes the moments Newton
+reaches from its chart roots, reported as not complete.  The planar
+structure gives closed forms and a chain of bounds around it:
 
     ||P|| <= |lambda_MF| <= lambda_P <= lambda_bar <= |lambda_MF| + ||P||/2
 
@@ -115,9 +117,9 @@ def lambda_bar_exact(alg: MagneticAlgebra) -> WorstCase:
     is attained on the axis, which beats the cone of the other
     Z-eigenvectors by a factor sqrt(5): exact too, but complete is false,
     as the set is a continuum.  Otherwise (a singular eigenpoint, or the
-    rare operators whose roots do not all polish) it is the best the
-    multistart fallback finds, and complete is false.  The triple is
-    finished from the eigensolver, as in lambda_bar_bruteforce.
+    rare operators no chart rotation certifies) it is the best moment
+    Newton reaches from the chart roots, and complete is false.  The
+    triple is finished from the eigensolver, as in lambda_bar_bruteforce.
     """
     if alg.is_trivial():
         return WorstCase(0.0, _Z.copy(), _Z.copy())
@@ -404,18 +406,18 @@ def locate_candidates(
     alg: MagneticAlgebra,
     plane: PlanarStructure,
     n_starts=50,
-    seed=0,
     det_rtol=1e-9,
 ) -> list[Candidate]:
     """Candidate maximizer moments, by provenance.
 
     GRAM_TOP: top Gram eigenvector(s); IN_PLANE_MAX: the in-plane
     maximizer; EIGEN_SELF: moments that are eigenvectors of their own
-    matrix, from self_eigenvectors (n_starts and seed shape only its
-    multistart fallback); DETZERO duplicates any candidate whose matrix
-    is singular.  The Gram spectrum, the plane's Gram moment and in-plane
-    maximum and the Z-eigenvectors come from alg's memos, which analyze
-    fills first; magnitudes take one principal_split_batch, determinants one det3.
+    matrix, from self_eigenvectors; DETZERO duplicates any candidate
+    whose matrix is singular.  n_starts is unused, as the solve takes no
+    starts; bench/tracing.py still reads it.  The Gram spectrum, the
+    plane's Gram moment and in-plane maximum and the Z-eigenvectors come
+    from alg's memos, which analyze fills first; magnitudes take one
+    principal_split_batch, determinants one det3.
     """
     if alg.is_trivial():
         return []
@@ -424,7 +426,7 @@ def locate_candidates(
     m_f, _ = plane_gram_moment(alg, plane)
     seen = _distinct([unit(m) for m in ([m_f] if gs.multiplicity > 1 else [gs.eigenvectors[:, -1], m_f])], 1e-9)
     pm = lambda_plane(alg, plane)
-    eigen = self_eigenvectors(alg, n_starts, seed).moments
+    eigen = self_eigenvectors(alg).moments
     lam = np.abs(principal_split_batch(alg, [*seen, *eigen])[0]).tolist()
     out = [Candidate(m, CandidateKind.GRAM_TOP, v) for m, v in zip(seen, lam)]
     out.append(Candidate(pm.moment, CandidateKind.IN_PLANE_MAX, pm.value))

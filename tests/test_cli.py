@@ -52,9 +52,7 @@ def antipodal_json(tmp_path):
 def run_analyze(tmp_path, config, **overrides):
     out = tmp_path / "report.json"
     argv = ["analyze", "--config", str(config), "--out", str(out)]
-    defaults = {"seed": 0}
-    defaults.update(overrides)
-    for key, val in defaults.items():
+    for key, val in overrides.items():
         argv += [f"--{key}", str(val)]
     code = main(argv)
     return code, (json.loads(out.read_text()) if out.exists() else None)
@@ -71,6 +69,8 @@ def test_analyze_single_dipole(tmp_path, single_dipole_json):
     assert rep["tool"]["seed"] == 0
     assert all(flag for flag in rep["chain_ok"].values())
     assert rep["results"][0]["branch"] == rep["branch"]
+    # the Z-eigenvectors come in closed form: the axis and 2 _FAMILY_SIZE cone points
+    assert sum(c["kind"] == "EIGEN_SELF" for c in rep["candidates"]) == 1 + 2 * _FAMILY_SIZE
 
 
 def test_analyze_antipodal_degenerate(tmp_path, antipodal_json):
@@ -275,10 +275,10 @@ def test_analyze_rejects_bad_request(tmp_path, single_dipole_json, capsys):
             assert main(argv) == EXIT_INPUT
             assert "tol must be a number in (0, 1)" in capsys.readouterr().err
             assert not (tmp_path / "r.out").exists()
-    # the worst case is exact: the oracle's sample and refinement knobs are gone,
-    # and sweep, which runs no candidate search, has no seed to take
+    # the worst case is exact: the oracle's sample and refinement knobs are gone, and
+    # the Z-eigenvector solve takes no starts, so neither command has a seed to take
     sweep = ["sweep", "--grid", "0:0:1,0:0:1,1:1:1"]
-    removed = [(["analyze"], "--samples"), (["analyze"], "--refine"),
+    removed = [(["analyze"], "--samples"), (["analyze"], "--refine"), (["analyze"], "--seed"),
                (sweep, "--samples"), (sweep, "--refine"), (sweep, "--seed")]
     for command, flag in removed:
         argv = [*command, "--config", str(single_dipole_json),
@@ -440,39 +440,16 @@ def test_circle_axis_order_does_not_change_the_record(low_degree, monkeypatch):
 
 def test_report_roundtrip(tmp_path, single_dipole_json):
     """Re-running analyze on the embedded config reproduces all numbers."""
-    code, rep = run_analyze(tmp_path, single_dipole_json, seed=7)
+    code, rep = run_analyze(tmp_path, single_dipole_json)
     assert code == EXIT_OK
     echo = tmp_path / "echo.json"
     echo.write_text(json.dumps(rep["config"]), encoding="utf-8")
-    code2, rep2 = run_analyze(tmp_path, echo, seed=7)
+    code2, rep2 = run_analyze(tmp_path, echo)
     assert code2 == EXIT_OK
     assert rep2["lambda_bar"]["value"] == pytest.approx(rep["lambda_bar"]["value"], abs=1e-12)
     assert rep2["gram"] == rep["gram"]
     assert rep2["norm_P"] == pytest.approx(rep["norm_P"], abs=1e-12)
     assert rep2["bounds"] == rep["bounds"]
-
-
-def test_lambda_bar_is_independent_of_seed(tmp_path):
-    """--seed moves the candidate search's starts, not the reported worst case."""
-    cfg = write_config(
-        tmp_path / "c.json", COPLANAR_FIVE,
-        [[0.24, 1.2, 0.0], [0.3, 0.2, 0.5], [0.0, 0.0, 0.0], [1.7, -0.4, 0.2], [-0.2, 0.6, -1.1]],
-    )
-    values = []
-    for seed in range(5):
-        code, rep = run_analyze(tmp_path, cfg, seed=seed)
-        assert code == EXIT_OK
-        values.append([r["lambda_bar"]["value"] for r in rep["results"]])
-    for v in values[1:]:
-        assert v == values[0]
-
-
-def test_seed_does_not_move_the_candidates_of_a_single_dipole(tmp_path, single_dipole_json):
-    """Its Z-eigenvectors come in closed form, so the multistart's seed has nothing to rotate."""
-    _, rep0 = run_analyze(tmp_path, single_dipole_json, seed=0)
-    _, rep5 = run_analyze(tmp_path, single_dipole_json, seed=5)
-    assert rep0["candidates"] == rep5["candidates"]
-    assert sum(c["kind"] == "EIGEN_SELF" for c in rep0["candidates"]) == 1 + 2 * _FAMILY_SIZE
 
 
 def test_gen_pair_stdout(capsys):

@@ -25,6 +25,7 @@ from magalg.dipoles import DipoleConfig, build_algebra
 from magalg.extremal import (
     Branch,
     CandidateKind,
+    _worst_case,
     bounds_report,
     lambda_MF_closed_form,
     lambda_bar_bruteforce,
@@ -344,7 +345,7 @@ def test_plane_dominant_exactness(rng):
 
 
 def test_locate_candidates_single_dipole(single_dipole_algebra, dipole_plane):
-    cands = locate_candidates(single_dipole_algebra, dipole_plane, seed=0)
+    cands = locate_candidates(single_dipole_algebra, dipole_plane)
     kinds = {c.kind for c in cands}
     assert CandidateKind.GRAM_TOP in kinds
     assert CandidateKind.IN_PLANE_MAX in kinds
@@ -386,7 +387,7 @@ def test_self_eigen_jacobian_matches_central_differences(rng):
 def test_eigen_self_candidates_converged_and_distinct(rng):
     for cfg, n_hat in planar_corpus(rng, 40):
         alg = build_algebra(cfg)
-        cands = locate_candidates(alg, planar_structure(alg, n_hat), seed=0)
+        cands = locate_candidates(alg, planar_structure(alg, n_hat))
         ms = np.array([c.moment for c in cands if c.kind is CandidateKind.EIGEN_SELF])
         assert len(ms) > 0
         r, _ = _self_eigen_system(alg, ms)
@@ -430,7 +431,7 @@ def test_certified_real_counts_are_odd():
         if sol.complete:
             certified += 1
             assert len(sol.moments) % 2 == 1
-    assert certified >= 0.95 * 600  # none of these is axisymmetric
+    assert certified == 600  # none of these is axisymmetric, and every one is certified in some rotation
 
 
 @pytest.mark.parametrize("magnets, field_point", [
@@ -463,12 +464,11 @@ _SQUARE = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1
 def test_axisymmetric_operators_are_solved_in_closed_form(monkeypatch, magnets, field_point, axis):
     """A single dipole, an on-axis pair and a 4-fold axis give a zonal operator:
     the axis and 2 _FAMILY_SIZE cone points come back without the resultant
-    solve or the multistart."""
+    solve or its last resort."""
     def not_called(*args, **kwargs):
         raise AssertionError("the closed form should not need this")
 
     monkeypatch.setattr(algebra, "_algebraic_eigenvectors", not_called)
-    monkeypatch.setattr(algebra, "fibonacci_sphere", not_called)
     alg = build_algebra(DipoleConfig(magnets, field_point))
     sol = self_eigenvectors(alg)
     assert not sol.complete
@@ -505,9 +505,82 @@ def test_a_trigonal_cubic_passes_the_gram_test_and_fails_the_residual():
     assert algebra._zonal_axis(alg.basis_images / alg.scale) is None
 
 
+def _first_chart(unit_alg):
+    """(moments, complete) of the operator from the first chart rotation alone."""
+    [(found, complete, _)] = algebra._chart_eigenvectors(algebra._CHART_ROTATIONS[0], unit_alg.basis_images[None])
+    return found, complete
+
+
+def _multistart_reference(alg):
+    """The fallback the chart rotations replace: the first chart's converged real
+    roots joined by projected Newton from 50 seeded Fibonacci starts."""
+    unit_alg = alg * (1.0 / alg.scale)
+    found, _ = _first_chart(unit_alg)
+    x, converged = _converge(unit_alg, fibonacci_sphere(50) @ seeded_rotation(0).T)
+    return _distinct([*found, *x[converged]])
+
+
+def _assert_matches_the_multistart(alg):
+    sol = self_eigenvectors(alg)
+    reference = _multistart_reference(alg)
+    cosines = np.abs(np.array(reference) @ np.array(sol.moments).T)
+    assert cosines.shape[0] == cosines.shape[1]
+    assert cosines.max(axis=0).min() >= 1.0 - 1e-8 and cosines.max(axis=1).min() >= 1.0 - 1e-8
+    wc = lambda_bar_exact(alg)
+    tau = [abs(float(m @ alg.matrix(m) @ m)) for m in reference]
+    expected = _worst_case(alg, reference[int(np.argmax(tau))]).lambda_bar
+    assert wc.lambda_bar == pytest.approx(expected, rel=2e-15, abs=0.0)
+    bf = lambda_bar_bruteforce(alg, n_samples=4000, refine_steps=80, seed=0)
+    assert bf.lambda_bar <= wc.lambda_bar * (1.0 + 1e-12)
+    return sol
+
+
+@pytest.mark.parametrize("i", [7, 18, 61, 112, 127, 434, 448, 464, 523])
+def test_operators_the_first_chart_leaves_uncertified_are_certified_in_another_rotation(i):
+    """Draws of the six-pair corpus whose roots do not all polish in the first chart:
+    a later rotation certifies them, with the moments and lambda_bar that the first
+    chart's real roots and a 50-start multistart give."""
+    alg = build_algebra(six_pair_corpus()[i])
+    assert not _first_chart(alg * (1.0 / alg.scale))[1]
+    assert _assert_matches_the_multistart(alg).complete
+
+
+def _singular_eigenpoint_configs():
+    """An equilateral triangle's in-plane centre, five rotated, scaled and moved
+    copies of it, and the triangle with a concentric hexagon ring."""
+    out = [DipoleConfig(_TRIANGLE, [0.0, 0.0, 0.0])]
+    for axis, angle, scale, centre in [([1, 2, 3], 0.7, 1e-3, [0.5, -1, 2]), ([-2, 1, 0.5], 2.1, 0.3, [0, 0, 0]),
+                                       ([0, 1, -1], 1.3, 7.0, [3, 1, -2]), ([1, -1, 1], 2.9, 40.0, [-1, 0, 1]),
+                                       ([0.2, 0.9, 0.4], 0.4, 1e3, [10, -20, 5])]:
+        out.append(DipoleConfig(scale * _TRIANGLE @ rot_about(axis, angle).T + centre, centre))
+    hexagon = 2.3 * np.array([[np.cos(t), np.sin(t), 0.0] for t in np.pi * (np.arange(6) + 0.5) / 3.0])
+    return out + [DipoleConfig(np.vstack([_TRIANGLE, hexagon]), [0.0, 0.0, 0.0])]
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_singular_eigenpoints_take_the_last_resort_and_stay_uncertified(k):
+    """No rotation certifies a singular eigenpoint; Newton from the chart roots of every
+    rotation finds the moments and lambda_bar of the 50-start multistart."""
+    assert not _assert_matches_the_multistart(build_algebra(_singular_eigenpoint_configs()[k])).complete
+
+
+def test_rotations_and_the_last_resort_keep_a_stacked_result_bitwise_the_solo_one():
+    """Operators certified in different rotations and several that take the last resort,
+    shuffled into one stack: each gets, bitwise, the moments and complete of its solo solve."""
+    corpus = six_pair_corpus()
+    configs = [corpus[i] for i in (0, 7, 18, 523)] + _singular_eigenpoint_configs()
+    alone = [self_eigenvectors(build_algebra(cfg)) for cfg in configs]
+    order = np.random.default_rng(2).permutation(len(configs))
+    algs = [build_algebra(configs[i]) for i in order]
+    for i, sol in zip(order, self_eigenvectors_batch(algs)):
+        assert sol.complete == alone[i].complete
+        assert np.array_equal(np.array(sol.moments), np.array(alone[i].moments))
+
+
 def _mixed_stack_configs():
     """Two certified generic operators, a single dipole (zonal) and an equilateral
-    triangle's centre (a singular eigenpoint: uncertified, so the multistart runs)."""
+    triangle's centre (a singular eigenpoint: uncertified in every chart rotation,
+    so the last resort runs)."""
     rng = np.random.default_rng(17)
     return [random_config(rng), DipoleConfig([[0.3, -0.2, 0.1]], [-0.4, 0.5, 0.9]),
             DipoleConfig(_TRIANGLE, [0.0, 0.0, 0.0]), random_mirror_config(rng)[0]]
@@ -589,7 +662,7 @@ def test_locate_candidates_best_matches_oracle(rng):
     for cfg, n_hat in planar_corpus(rng, 60):
         alg = build_algebra(cfg)
         plane = planar_structure(alg, n_hat)
-        cands = locate_candidates(alg, plane, seed=0)
+        cands = locate_candidates(alg, plane)
         bf = lambda_bar_bruteforce(alg, n_samples=2000, refine_steps=60, seed=0)
         tol = sampling_tolerance(bf.lambda_bar, 2000)
         best = max(c.lambda_abs for c in cands)
@@ -603,7 +676,7 @@ def test_detzero_candidates_have_sqrt_half_energy(rng):
         cfg, n_hat = random_coplanar_config(rng, n_min=2)
         alg = build_algebra(cfg)
         plane = planar_structure(alg, n_hat)
-        for c in locate_candidates(alg, plane, seed=1):
+        for c in locate_candidates(alg, plane):
             if c.kind is CandidateKind.DETZERO:
                 f = alg.matrix(c.moment)
                 tr2 = float(np.einsum("ab,ab->", f, f))
@@ -668,7 +741,7 @@ def test_candidates_of_a_far_single_dipole_match_the_near_one():
     """Candidate search is scale-free: no cubic invariant underflows out to 1e38 m."""
     def candidates(d):
         alg = build_algebra(DipoleConfig([[0.0, 0.0, 0.0]], [0.0, 0.0, d]))
-        return locate_candidates(alg, planar_structure(alg, [0.0, 1.0, 0.0]), seed=0)
+        return locate_candidates(alg, planar_structure(alg, [0.0, 1.0, 0.0]))
 
     near = candidates(1.0)
     for d in (1e20, 1e30, 1e38):
