@@ -31,7 +31,7 @@ def main():
             continue
         plane = planar_structure(alg, n_hat)
         rep = bounds_report(alg, plane)
-        lam = rep.lambda_bar_bf
+        lam = rep.lambda_bar
         rows[rep.branch].append((
             (rep.bounds["chain_upper"] - lam) / lam,
             (rep.bounds["refined_upper"] - lam) / lam,

@@ -26,8 +26,8 @@ def main() -> int:
     for d in DISTANCES:
         alg = build_algebra(DipoleConfig([[0.0, 0.0, 0.0]], d * SOURCE))
         rep = bounds_report(alg, planar_structure(alg, [0.0, 1.0, 0.0]))
-        ratio = rep.lambda_bar_bf * d ** 4 / 2.0
-        print(f"{d:8.3g} {rep.lambda_bar_bf:14.6e} {ratio:18.15f} "
+        ratio = rep.lambda_bar * d ** 4 / 2.0
+        print(f"{d:8.3g} {rep.lambda_bar:14.6e} {ratio:18.15f} "
               f"{rep.norm_P:12.4e} {rep.abs_lambda_MF:12.4e} {rep.lambda_P:12.4e} "
               f"{rep.bounds['chain_upper']:12.4e} {rep.branch.value:>16}")
         if abs(ratio - 1.0) > TOL:

@@ -62,14 +62,14 @@ class GramSpectrum:
     multiplicity: int
 
 
-def gram_spectrum(alg: MagneticAlgebra, degeneracy_rtol=GRAM_DEGENERACY_RTOL) -> GramSpectrum:
-    """The Gram matrix with its eigh, memoized on alg per degeneracy_rtol: callers share it and must not modify it."""
-    key = ("gram_spectrum", degeneracy_rtol)
+def gram_spectrum(alg: MagneticAlgebra) -> GramSpectrum:
+    """The Gram matrix with its eigh, memoized on alg: callers share it and must not modify it."""
+    key = ("gram_spectrum",)
     if key not in alg.memo:
         g = alg.gram
         w, v = np.linalg.eigh(g)
         lam = float(max(w[-1], 0.0))
-        mult = int(np.sum(w >= lam - degeneracy_rtol * max(lam, 1e-300)))
+        mult = int(np.sum(w >= lam - GRAM_DEGENERACY_RTOL * max(lam, 1e-300)))
         alg.memo[key] = GramSpectrum(g, lam, canonical_sign(v[:, -1]), w, v, mult)
     return alg.memo[key]
 
@@ -377,9 +377,10 @@ def _algebraic_eigenvectors(unit_algs):
     """(moments, complete) of each operator from _chart_eigenvectors in each rotation in turn, till one certifies it.
 
     Each rotation solves the operators still uncertified as one stack.
-    Those none certifies (a singular eigenpoint, or roots that do not
-    polish) take one _converge call from the real part of every finite
-    chart root of every rotation, and complete false.
+    Those none certifies take one _converge call from the real part of
+    every finite chart root of every rotation, and complete false: 3 of
+    2700 random configs and 3 in verify --trials 400 --seed 123, all
+    nearly zonal (Gram eigenvalues in the ratios (1, 1, 3) to 2e-6).
     """
     images = np.array([u.basis_images for u in unit_algs])
     out, todo, tried = [None] * len(images), list(range(len(images))), [[] for _ in images]
@@ -402,25 +403,47 @@ def _algebraic_eigenvectors(unit_algs):
     return out
 
 
-def _zonal_axis(t):
-    """The axis a of a unit-scale operator tensor t = k Z_a, or None.
+def _axis_form(t):
+    """(moments, complete) of a unit-scale operator tensor t that is one harmonic about a Gram axis a, or None.
 
-    Z_a = (5 a⊗a⊗a - sym(a⊗I)) / 2, sym summing a⊗I over its 3 index
-    placements, is the degree-3 zonal harmonic about a, with Z_a(a,a,a)
-    = 1 and Gram eigenvalues (1, 1, 3) / 2: a is the top Gram eigenvector
-    over a 2-fold pair.  That split alone does not make t zonal (a
-    trigonal cubic can have it too), so t is accepted only when
-    ||t - k Z_a||_F <= _EIGEN_TOL for k = t(a,a,a).
+    Accepted only when the Gram eigenvalues group as [2, 1] or [1, 2] and
+    ||t - form||_F <= _EIGEN_TOL; a Gram split alone makes neither form
+    (a trigonal cubic can have it).  [2, 1]: form = t(a,a,a) Z_a about the
+    top eigenvector, Z_a = (5 a⊗a⊗a - sym(a⊗I)) / 2 the zonal cubic, sym
+    summing a⊗I over its 3 index placements.  The moments are a and 2
+    _FAMILY_SIZE points of the cone at cosine 1/sqrt(5) about a, a
+    continuum, so complete is false.  [1, 2]: form = Re(c e⊗e⊗e) about the
+    null eigenvector, e = u + i v, with c = A - iB from t(x,x,x) = A cos 3p
+    + B sin 3p on the circle orthogonal to a.  At x = a cos s + x' sin s,
+    F_x x = sin^2 s t(x',x',.) is parallel to x only at s = 0 or pi/2, as a
+    nonzero harmonic binary cubic has no double root.  So the moments, a
+    and the 3 lines at 3p = atan2(B, A) + k pi, are all of them: complete
+    is true.  At the acceptance tolerance the pair of eigenpoints that
+    splits off a lies within _distinct's 1e-8 merge cosine, with |tau| ~ 0.
     """
-    w, v = np.linalg.eigh(np.einsum("iab,jab->ij", t, t))
-    if [len(g) for g in _group_eigenvalues(w, 1e-7)] != [2, 1]:
+    w, axes = np.linalg.eigh(np.einsum("iab,jab->ij", t, t))
+    shape = [len(g) for g in _group_eigenvalues(w, 1e-7)]
+    if shape == [2, 1]:
+        a = axes[:, 2]
+        a_eye = np.einsum("i,jk->ijk", a, np.eye(3))
+        zonal = 0.5 * (5.0 * np.einsum("i,j,k->ijk", a, a, a)
+                       - a_eye - a_eye.transpose(1, 0, 2) - a_eye.transpose(1, 2, 0))
+        form = float(np.einsum("ijk,i,j,k->", t, a, a, a)) * zonal
+        # a x n_j = n_(j+4) up to sign, so the pair (a +- 2 n_j) / sqrt(5) lies in a family plane
+        u = (2.0 / np.sqrt(5.0)) * _great_circles(a[None])(_FAMILY_ANGLES, 0)
+        moments, complete = np.vstack([a, a / np.sqrt(5.0) + np.concatenate([u, -u])]), False
+    elif shape == [1, 2]:
+        a = axes[:, 0]
+        u, v = tangent_basis(a)
+        circle = lambda p: np.cos(p)[:, None] * u + np.sin(p)[:, None] * v
+        x = circle(np.arange(12) * (np.pi / 6))
+        c = np.fft.rfft(np.einsum("ijk,ni,nj,nk->n", t, x, x, x))[3] / 6.0  # A - iB
+        e = u + 1j * v
+        form = (c * np.einsum("i,j,k->ijk", e, e, e)).real
+        moments, complete = np.vstack([a, circle((np.arange(3) * np.pi - np.angle(c)) / 3.0)]), True
+    else:
         return None
-    a = v[:, 2]
-    a_eye = np.einsum("i,jk->ijk", a, np.eye(3))
-    zonal = 0.5 * (5.0 * np.einsum("i,j,k->ijk", a, a, a)
-                   - a_eye - a_eye.transpose(1, 0, 2) - a_eye.transpose(1, 2, 0))
-    k = float(np.einsum("ijk,i,j,k->", t, a, a, a))
-    return a if np.linalg.norm(t - k * zonal) <= _EIGEN_TOL else None
+    return (moments, complete) if np.linalg.norm(t - form) <= _EIGEN_TOL else None
 
 
 class ZEigenvectors(NamedTuple):
@@ -434,22 +457,21 @@ def self_eigenvectors(alg: MagneticAlgebra) -> ZEigenvectors:
     """Distinct unit moments x with F_x x parallel to x, and whether they are all of them.
 
     These are the Z-eigenvectors of the operator tensor, sign-canonical
-    and read-only.  An axisymmetric operator (a single dipole, a field
-    point on a magnet axis or on a 4-fold axis) is a multiple k of the
-    zonal cubic about its axis a.  Its Z-eigenvectors are a and the cone
-    at cosine +-1/sqrt(5) about a, where |T(x,x,x)| is |k|/sqrt(5); they
-    come in closed form as a and 2 _FAMILY_SIZE cone points, one pair
-    in each meridian plane that find_invariant_planes reports for the
-    family, and complete is false since the cone is a continuum.  Any
-    other operator is solved by _algebraic_eigenvectors, whose 7-root
-    certificate decides complete; a singular eigenpoint, such as the
-    in-plane centre of an equilateral triangle of magnets, is never
-    certified.  A moment is accepted once its residual is at most
-    _EIGEN_TOL times the operator scale; two whose cosine is within 1e-8
-    of +-1 count once.  The solve runs on the operator over its scale,
-    where squared residuals cannot underflow.  Memoized on alg: this is
-    self_eigenvectors_batch of [alg], so it reads what a batch call
-    already solved.
+    and read-only.  _axis_form gives two classes in closed form.  An
+    axisymmetric operator (a single dipole, a field point on a magnet
+    axis or on a 4-fold axis) is zonal: its axis and a cone, with one
+    pair of cone points in each meridian plane that find_invariant_planes
+    reports for the family, and complete false.  A Gram-null one (a
+    singular eigenpoint, such as the in-plane centre of an equilateral
+    triangle of magnets) is sectoral: its null axis and 3 lines, complete.
+    Any other operator is solved by _algebraic_eigenvectors, whose 7-root
+    certificate decides complete; only nearly zonal or nearly Gram-null
+    ones reach its last resort.  A moment is accepted once its residual
+    is at most _EIGEN_TOL times the operator scale; two whose cosine is
+    within 1e-8 of +-1 count once.  The solve runs on the operator over
+    its scale, where squared residuals cannot underflow.  Memoized on
+    alg: this is self_eigenvectors_batch of [alg], so it reads what a
+    batch call already solved.
     """
     key = ("self_eigenvectors",)
     return alg.memo[key] if key in alg.memo else self_eigenvectors_batch([alg])[0]
@@ -461,23 +483,21 @@ def self_eigenvectors_batch(algs) -> list[ZEigenvectors]:
     Each result is memoized on its algebra under the key self_eigenvectors
     reads, and is bitwise the one a solve of that algebra alone gives, in
     any order of algs.  Algebras already solved are not solved again;
-    axisymmetric operators take the closed form, one at a time.  Raises
-    TrivialAlgebraError on a zero operator.
+    closed forms run one at a time, complete only if all their moments
+    converge.  Raises TrivialAlgebraError on a zero operator.
     """
     key = ("self_eigenvectors",)
     todo = list(dict.fromkeys(a for a in algs if key not in a.memo))  # each object once
     if any(a.is_trivial() for a in todo):
         raise TrivialAlgebraError("trivial algebra")
     units = [a * (1.0 / a.scale) for a in todo]
-    axes = [_zonal_axis(u.basis_images) for u in units]
-    generic = [u for u, a in zip(units, axes) if a is None]
+    forms = [_axis_form(u.basis_images) for u in units]
+    generic = [u for u, f in zip(units, forms) if f is None]
     solved = iter(_algebraic_eigenvectors(generic) if generic else [])
-    for alg, unit_alg, a in zip(todo, units, axes):
-        if a is not None:
-            # a x n_j = n_(j+4) up to sign, so the pair (a +- 2 n_j) / sqrt(5) lies in a family plane
-            u = (2.0 / np.sqrt(5.0)) * _great_circles(a[None])(_FAMILY_ANGLES, 0)
-            x, converged = _converge(unit_alg, np.vstack([a, a / np.sqrt(5.0) + np.concatenate([u, -u])]))
-            found, complete = _distinct(x[converged]), False
+    for alg, unit_alg, form in zip(todo, units, forms):
+        if form is not None:
+            x, converged = _converge(unit_alg, form[0])
+            found, complete = _distinct(x[converged]), form[1] and bool(converged.all())
         else:
             found, complete = next(solved)
         alg.memo[key] = ZEigenvectors(tuple(found), complete)

@@ -264,7 +264,7 @@ def _point_record(cfg: DipoleConfig, req: AnalysisRequest, candidates: bool, alg
             ],
         )
         if planes:
-            reports = [bounds_report(alg, p, tol_rel=req.tol, precomputed=wc) for p in planes]
+            reports = [bounds_report(alg, p, tol_rel=req.tol) for p in planes]
             used = _primary_plane(reports, req.tol)
             rep, plane = reports[used], planes[used]
             rec.update(

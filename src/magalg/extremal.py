@@ -4,12 +4,13 @@ The quantity of interest is the largest principal-eigenvalue magnitude of
 the moment-dependent gradient matrix over all unit moments (lambda_bar).
 It is attained at a Z-eigenvector of the symmetric operator tensor.  An
 algebraic solve (a resultant eigenproblem) finds them all and certifies
-the set complete by its root count, so lambda_bar is exact to rounding;
-axisymmetric operators, whose Z-eigenvectors are their axis and a cone
-about it, are solved in closed form, the axis giving lambda_bar.  A
-singular eigenpoint, which no chart certifies, takes the moments Newton
-reaches from its chart roots, reported as not complete.  The planar
-structure gives closed forms and a chain of bounds around it:
+the set complete by its root count, so lambda_bar is exact to rounding.
+Closed forms give the axis and a cone of an axisymmetric operator, the
+axis giving lambda_bar, and the null axis and 3 lines, certified, of a
+Gram-null one (a singular eigenpoint).  The rare nearly zonal operators
+no chart certifies take the moments Newton reaches from their chart
+roots, not complete.  The planar structure gives closed forms and a
+chain of bounds around it:
 
     ||P|| <= |lambda_MF| <= lambda_P <= lambda_bar <= |lambda_MF| + ||P||/2
 
@@ -112,21 +113,26 @@ def lambda_bar_exact(alg: MagneticAlgebra) -> WorstCase:
     By Banach's theorem on the symmetric operator tensor, lambda_bar is
     the largest |x^T F_x x| over unit x, attained at a Z-eigenvector.
     When self_eigenvectors certifies its set complete (7 distinct
-    nonsingular eigenpoints over C), that maximum is exact to rounding by
-    construction and complete is true.  On an axisymmetric operator it
-    is attained on the axis, which beats the cone of the other
-    Z-eigenvectors by a factor sqrt(5): exact too, but complete is false,
-    as the set is a continuum.  Otherwise (a singular eigenpoint, or the
-    rare operators no chart rotation certifies) it is the best moment
-    Newton reaches from the chart roots, and complete is false.  The
-    triple is finished from the eigensolver, as in lambda_bar_bruteforce.
+    nonsingular eigenpoints over C, or the null axis and 3 lines of a
+    Gram-null operator), that maximum is exact to rounding and complete
+    is true.  On an axisymmetric operator it is attained on the axis,
+    which beats the cone of the other Z-eigenvectors by a factor
+    sqrt(5): exact too, but complete is false, as the set is a
+    continuum.  Otherwise (the rare nearly zonal operators no chart
+    rotation certifies) it is the best moment Newton reaches from the
+    chart roots, and complete is false.  The triple is finished from
+    the eigensolver, as in lambda_bar_bruteforce.  Memoized on alg:
+    callers share it and must not modify it.
     """
     if alg.is_trivial():
         return WorstCase(0.0, _Z.copy(), _Z.copy())
-    sol = self_eigenvectors(alg)
-    m = np.array(sol.moments)
-    tau = (m[:, None, :] @ alg.matrices(m) @ m[:, :, None])[:, 0, 0]  # x^T F_x x, as x @ F_x @ x rounds it
-    return _worst_case(alg, sol.moments[int(np.argmax(np.abs(tau)))], sol.complete)
+    key = ("lambda_bar_exact",)
+    if key not in alg.memo:
+        sol = self_eigenvectors(alg)
+        m = np.array(sol.moments)
+        tau = (m[:, None, :] @ alg.matrices(m) @ m[:, :, None])[:, 0, 0]  # x^T F_x x, as x @ F_x @ x rounds it
+        alg.memo[key] = _worst_case(alg, sol.moments[int(np.argmax(np.abs(tau)))], sol.complete)
+    return alg.memo[key]
 
 
 def lambda_bar_bruteforce(
@@ -261,7 +267,7 @@ def lambda_MF_closed_form(alg: MagneticAlgebra, plane: PlanarStructure) -> float
 @dataclass(frozen=True, eq=False)
 class ExtremalReport:
     branch: Branch
-    lambda_bar_bf: float
+    lambda_bar: float
     M_bar: np.ndarray
     m_bar: np.ndarray
     norm_P: float
@@ -273,7 +279,7 @@ class ExtremalReport:
     lambda_bar_certified: float | None  # exact value in the plane-dominant branch
     bounds: dict
     chain_ok: dict
-    lambda_bar_complete: bool = False  # lambda_bar_bf maximizes over a certified-complete Z-eigenvector set
+    lambda_bar_complete: bool = False  # lambda_bar maximizes over a certified-complete Z-eigenvector set
 
     @property
     def all_ok(self) -> bool:
@@ -291,7 +297,7 @@ def _degenerate_report() -> ExtremalReport:
     }
     return ExtremalReport(
         branch=Branch.DEGENERATE,
-        lambda_bar_bf=0.0,
+        lambda_bar=0.0,
         M_bar=_Z.copy(),
         m_bar=_Z.copy(),
         norm_P=0.0,
@@ -306,27 +312,20 @@ def _degenerate_report() -> ExtremalReport:
     )
 
 
-def bounds_report(
-    alg: MagneticAlgebra,
-    plane: PlanarStructure | None,
-    tol_rel=1e-9,
-    precomputed: WorstCase | None = None,
-) -> ExtremalReport:
+def bounds_report(alg: MagneticAlgebra, plane: PlanarStructure | None, tol_rel=1e-9) -> ExtremalReport:
     """Evaluate the whole bound chain for one invariant plane.
 
     The branch compares lambda_P against 2||P|| with a small dead band;
     every inequality is recorded as a non-strict flag at tolerance
-    tol_rel times the value scale.  Pass a precomputed worst case to
-    share one solve across several planes.
+    tol_rel times the value scale.  The planes of one algebra share its
+    memoized lambda_bar_exact.
     """
     if alg.is_trivial():
         return _degenerate_report()
     if plane is None:
         raise ValueError("invariant plane required for a bounds report")
 
-    wc = precomputed
-    if wc is None:
-        wc = lambda_bar_exact(alg)
+    wc = lambda_bar_exact(alg)
     pm = lambda_plane(alg, plane)
     m_f, lam_f = plane_gram_moment(alg, plane)
     abs_mf = float(in_plane_abs(lam_f, abs(float(plane.P @ m_f))))
@@ -372,7 +371,7 @@ def bounds_report(
 
     return ExtremalReport(
         branch=branch,
-        lambda_bar_bf=wc.lambda_bar,
+        lambda_bar=wc.lambda_bar,
         M_bar=wc.M_bar,
         m_bar=wc.m_bar,
         norm_P=pn,
@@ -402,19 +401,15 @@ class Candidate:
     lambda_abs: float
 
 
-def locate_candidates(
-    alg: MagneticAlgebra,
-    plane: PlanarStructure,
-    n_starts=50,
-    det_rtol=1e-9,
-) -> list[Candidate]:
+def locate_candidates(alg: MagneticAlgebra, plane: PlanarStructure, n_starts=50) -> list[Candidate]:
     """Candidate maximizer moments, by provenance.
 
     GRAM_TOP: top Gram eigenvector(s); IN_PLANE_MAX: the in-plane
     maximizer; EIGEN_SELF: moments that are eigenvectors of their own
     matrix, from self_eigenvectors; DETZERO duplicates any candidate
-    whose matrix is singular.  n_starts is unused, as the solve takes no
-    starts; bench/tracing.py still reads it.  The Gram spectrum, the
+    whose matrix is singular, |det F| <= 1e-9 over the scale.  n_starts
+    is unused, as the solve takes no starts; bench/tracing.py still
+    reads it.  The Gram spectrum, the
     plane's Gram moment and in-plane maximum and the Z-eigenvectors come
     from alg's memos, which analyze fills first; magnitudes take one
     principal_split_batch, determinants one det3.
@@ -432,7 +427,7 @@ def locate_candidates(
     out.append(Candidate(pm.moment, CandidateKind.IN_PLANE_MAX, pm.value))
     out += [Candidate(m, CandidateKind.EIGEN_SELF, v) for m, v in zip(eigen, lam[len(seen):])]
     det = det3(alg.matrices([c.moment for c in out]) / alg.scale)
-    out += [Candidate(c.moment, CandidateKind.DETZERO, c.lambda_abs) for c, d in zip(out, det) if abs(d) <= det_rtol]
+    out += [Candidate(c.moment, CandidateKind.DETZERO, c.lambda_abs) for c, d in zip(out, det) if abs(d) <= 1e-9]
 
     order = {k: i for i, k in enumerate(CandidateKind)}
     out.sort(key=lambda c: (-c.lambda_abs, order[c.kind], c.moment[0], c.moment[1], c.moment[2]))

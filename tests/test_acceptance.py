@@ -75,7 +75,7 @@ def test_criterion_1_single_dipole_closed_form():
     assert oracle == pytest.approx(2.0, abs=1e-9)
 
     ok = (
-        abs(rep.lambda_bar_bf * d ** 4 - 2.0) <= 2e-12
+        abs(rep.lambda_bar * d ** 4 - 2.0) <= 2e-12
         and rep.branch is Branch.PLANE_DOMINANT
         and rep.lambda_bar_certified == 2.0
         and abs(rep.M_bar[2]) >= 1.0 - 1e-6
@@ -84,7 +84,7 @@ def test_criterion_1_single_dipole_closed_form():
     report(
         1,
         ok,
-        f"lambda_bar*d^4={rep.lambda_bar_bf:.9f} (oracle 2), branch={rep.branch.value}, "
+        f"lambda_bar*d^4={rep.lambda_bar:.9f} (oracle 2), branch={rep.branch.value}, "
         f"certified={rep.lambda_bar_certified}, runtime={elapsed:.2f}s",
     )
 
@@ -93,13 +93,13 @@ def test_criterion_2_bound_chain(chain_corpus):
     corpus, build_time = chain_corpus
     violations = 0
     for alg, plane, rep in corpus:
-        scale = max(rep.lambda_bar_bf, rep.lambda_P, rep.abs_lambda_MF, rep.norm_P)
+        scale = max(rep.lambda_bar, rep.lambda_P, rep.abs_lambda_MF, rep.norm_P)
         tol = 1e-9 * scale
         chain = (
             rep.norm_P <= rep.abs_lambda_MF + tol
             and rep.abs_lambda_MF <= rep.lambda_P + tol
-            and rep.lambda_P <= rep.lambda_bar_bf + tol
-            and rep.lambda_bar_bf <= rep.abs_lambda_MF + 0.5 * rep.norm_P + tol
+            and rep.lambda_P <= rep.lambda_bar + tol
+            and rep.lambda_bar <= rep.abs_lambda_MF + 0.5 * rep.norm_P + tol
         )
         if not chain:
             violations += 1
@@ -117,7 +117,7 @@ def test_criterion_3_refined_bounds(chain_corpus):
     violations = 0
     n_plane = n_pvec = 0
     for alg, plane, rep in corpus:
-        scale = max(rep.lambda_bar_bf, rep.lambda_P, 2.0 * rep.norm_P)
+        scale = max(rep.lambda_bar, rep.lambda_P, 2.0 * rep.norm_P)
         dead = 1e-6 * scale
         tol = 1e-9 * scale
         if rep.lambda_P >= 2.0 * rep.norm_P - dead:
@@ -126,14 +126,14 @@ def test_criterion_3_refined_bounds(chain_corpus):
                 rep.norm_P + np.sqrt(max(2.0 * rep.lambda_F - 3.0 * rep.norm_P ** 2, 0.0))
             )
             good = (
-                abs(rep.lambda_bar_bf - rep.lambda_P) <= dead
+                abs(rep.lambda_bar - rep.lambda_P) <= dead
                 and rep.lambda_P <= plane_formula + tol
             )
         else:
             n_pvec += 1
             b1 = rep.abs_lambda_MF + rep.norm_P / 3.0
             b2 = 2.0 * rep.norm_P * np.sqrt(rep.norm_P / (3.0 * rep.norm_P - rep.lambda_P))
-            good = rep.lambda_bar_bf <= min(b1, b2) + tol
+            good = rep.lambda_bar <= min(b1, b2) + tol
         if not good:
             violations += 1
     ok = violations == 0 and n_plane > 0 and n_pvec > 0
@@ -306,7 +306,7 @@ def test_criterion_9_degenerate_and_scaling():
     alg0 = build_algebra(cfg0)
     rep0 = bounds_report(alg0, None)
     exact_zero = float(np.abs(alg0.basis_images).max()) == 0.0
-    degenerate = rep0.branch is Branch.DEGENERATE and rep0.lambda_bar_bf == 0.0
+    degenerate = rep0.branch is Branch.DEGENERATE and rep0.lambda_bar == 0.0
 
     rng = np.random.default_rng(23)
     scaling_ok = True

@@ -276,7 +276,7 @@ def test_bounds_report_single_dipole(single_dipole_algebra, dipole_plane):
     assert rep.abs_lambda_MF == pytest.approx(2.0, abs=1e-13)
     assert rep.lambda_P == 2.0
     assert rep.lambda_bar_certified == 2.0
-    assert rep.lambda_bar_bf == pytest.approx(2.0, rel=1e-12)
+    assert rep.lambda_bar == pytest.approx(2.0, rel=1e-12)
     assert rep.bounds["chain_upper"] == pytest.approx(2.5, abs=1e-13)
     assert rep.bounds["plane_formula_upper"] == pytest.approx(2.0, abs=1e-13)
     # squared chain attains its upper end: lambda_bar^2 == (2/3) lambda_F
@@ -287,7 +287,7 @@ def test_bounds_report_single_dipole(single_dipole_algebra, dipole_plane):
 def test_bounds_report_degenerate(antipodal_config):
     rep = bounds_report(build_algebra(antipodal_config), None)
     assert rep.branch is Branch.DEGENERATE
-    assert rep.lambda_bar_bf == 0.0
+    assert rep.lambda_bar == 0.0
     assert rep.norm_P == 0.0
     assert rep.all_ok
 
@@ -309,10 +309,10 @@ def test_bounds_report_pair_planes(pair_config):
         assert rep.all_ok, rep.chain_ok
         assert rep.norm_P <= rep.abs_lambda_MF + 1e-12
         assert rep.abs_lambda_MF <= rep.lambda_P + 1e-12
-        assert rep.lambda_P <= rep.lambda_bar_bf + 1e-12
-        assert bf.lambda_bar <= rep.lambda_bar_bf * (1.0 + 1e-12)  # the oracle never beats the exact value
-        assert rep.lambda_bar_bf <= rep.bounds["refined_upper"] + 1e-9
-        assert rep.lambda_bar_bf <= rep.bounds["chain_upper"] + 1e-9
+        assert rep.lambda_P <= rep.lambda_bar + 1e-12
+        assert bf.lambda_bar <= rep.lambda_bar * (1.0 + 1e-12)  # the oracle never beats the exact value
+        assert rep.lambda_bar <= rep.bounds["refined_upper"] + 1e-9
+        assert rep.lambda_bar <= rep.bounds["chain_upper"] + 1e-9
 
 
 def test_branch_agreement(rng):
@@ -322,10 +322,10 @@ def test_branch_agreement(rng):
         alg = build_algebra(cfg)
         plane = planar_structure(alg, n_hat)
         rep = bounds_report(alg, plane)
-        scale = max(rep.lambda_bar_bf, rep.lambda_P, 2.0 * rep.norm_P)
+        scale = max(rep.lambda_bar, rep.lambda_P, 2.0 * rep.norm_P)
         band = 1e-6 * scale
         s_plane = rep.lambda_P - 2.0 * rep.norm_P
-        s_global = rep.lambda_bar_bf - 2.0 * rep.norm_P
+        s_global = rep.lambda_bar - 2.0 * rep.norm_P
         if abs(s_plane) > band and abs(s_global) > band:
             assert np.sign(s_plane) == np.sign(s_global)
 
@@ -340,7 +340,7 @@ def test_plane_dominant_exactness(rng):
         rep = bounds_report(alg, plane)
         if rep.branch is Branch.PLANE_DOMINANT:
             seen += 1
-            assert abs(rep.lambda_bar_bf - rep.lambda_P) <= 1e-12 * rep.lambda_P
+            assert abs(rep.lambda_bar - rep.lambda_P) <= 1e-12 * rep.lambda_P
     assert seen > 0
 
 
@@ -502,7 +502,7 @@ def test_a_trigonal_cubic_passes_the_gram_test_and_fails_the_residual():
     alg = build_algebra(DipoleConfig(_TRIANGLE, [0.0, 0.0, 1.5]))
     w = np.linalg.eigvalsh(alg.gram)
     assert [len(g) for g in algebra._group_eigenvalues(w, 1e-7)] == [2, 1]
-    assert algebra._zonal_axis(alg.basis_images / alg.scale) is None
+    assert algebra._axis_form(alg.basis_images / alg.scale) is None
 
 
 def _first_chart(unit_alg):
@@ -558,17 +558,66 @@ def _singular_eigenpoint_configs():
 
 
 @pytest.mark.parametrize("k", range(7))
-def test_singular_eigenpoints_take_the_last_resort_and_stay_uncertified(k):
-    """No rotation certifies a singular eigenpoint; Newton from the chart roots of every
-    rotation finds the moments and lambda_bar of the 50-start multistart."""
-    assert not _assert_matches_the_multistart(build_algebra(_singular_eigenpoint_configs()[k])).complete
+def test_singular_eigenpoints_are_certified_in_closed_form(monkeypatch, k):
+    """A singular eigenpoint's operator is sectoral about its Gram null axis a: its
+    Z-eigenvectors are a and 3 in-plane lines, the moments and lambda_bar of the
+    50-start multistart, certified complete without the chart solve."""
+    def not_called(*args, **kwargs):
+        raise AssertionError("the closed form should not need this")
+
+    monkeypatch.setattr(algebra, "_algebraic_eigenvectors", not_called)
+    sol = _assert_matches_the_multistart(build_algebra(_singular_eigenpoint_configs()[k]))
+    assert sol.complete
+    assert len(sol.moments) == 4
+
+
+def test_a_nearly_singular_eigenpoint_fails_the_residual_and_takes_the_last_resort(monkeypatch):
+    """Moving one magnet of the triangle by 1e-9 keeps the Gram split [1, 2] but not the
+    sectoral form: the chart rotations and the last resort run, and complete is false."""
+    magnets = _TRIANGLE + [[1e-9, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    alg = build_algebra(DipoleConfig(magnets, [0.0, 0.0, 0.0]))
+    unit_alg = alg * (1.0 / alg.scale)
+    w = np.linalg.eigvalsh(unit_alg.gram)
+    assert [len(g) for g in algebra._group_eigenvalues(w, 1e-7)] == [1, 2]
+    assert algebra._axis_form(unit_alg.basis_images) is None
+    solve = algebra._algebraic_eigenvectors
+    calls = []
+    monkeypatch.setattr(algebra, "_algebraic_eigenvectors", lambda a: calls.append(a) or solve(a))
+    assert not _assert_matches_the_multistart(alg).complete
+    assert len(calls) == 1
+
+
+def _last_resort_configs():
+    """Draw 271 of random_mirror_config from default_rng(3) and draw 117 of
+    random_coplanar_config from default_rng(0): nearly zonal operators (Gram eigenvalues
+    in the ratios (1, 1, 3) to 2e-6) that no chart rotation certifies."""
+    rng = np.random.default_rng(3)
+    mirror = [random_mirror_config(rng)[0] for _ in range(272)][271]
+    rng = np.random.default_rng(0)
+    return [mirror, [random_coplanar_config(rng)[0] for _ in range(118)][117]]
+
+
+def test_the_last_resort_starts_from_the_roots_of_every_rotation():
+    """Mirror draw 271 reaches the last resort: Newton from the roots of all five
+    rotations finds the 5 moments of the multistart, those of the first rotation alone 4."""
+    alg = build_algebra(_last_resort_configs()[0])
+    sol = _assert_matches_the_multistart(alg)
+    assert not sol.complete
+    assert len(sol.moments) == 5
+    unit_alg = alg * (1.0 / alg.scale)
+    r = algebra._CHART_ROTATIONS[0]
+    [(_, _, (y, z, size))] = algebra._chart_eigenvectors(r, unit_alg.basis_images[None])
+    f = np.isfinite(size)
+    x = np.stack([np.ones(f.sum()), y[f].real, z[f].real], axis=1) / size[f, None] @ r
+    x, converged = _converge(unit_alg, x / np.linalg.norm(x, axis=1, keepdims=True))
+    assert len(_distinct(x[converged])) == 4
 
 
 def test_rotations_and_the_last_resort_keep_a_stacked_result_bitwise_the_solo_one():
-    """Operators certified in different rotations and several that take the last resort,
+    """Operators certified in different rotations and two that take the last resort,
     shuffled into one stack: each gets, bitwise, the moments and complete of its solo solve."""
     corpus = six_pair_corpus()
-    configs = [corpus[i] for i in (0, 7, 18, 523)] + _singular_eigenpoint_configs()
+    configs = [corpus[i] for i in (0, 7, 18, 523)] + _last_resort_configs()
     alone = [self_eigenvectors(build_algebra(cfg)) for cfg in configs]
     order = np.random.default_rng(2).permutation(len(configs))
     algs = [build_algebra(configs[i]) for i in order]
@@ -578,15 +627,16 @@ def test_rotations_and_the_last_resort_keep_a_stacked_result_bitwise_the_solo_on
 
 
 def _mixed_stack_configs():
-    """Two certified generic operators, a single dipole (zonal) and an equilateral
-    triangle's centre (a singular eigenpoint: uncertified in every chart rotation,
-    so the last resort runs)."""
+    """Two certified generic operators, a single dipole and an equilateral triangle's
+    centre (the zonal and the sectoral closed form), and the two nearly zonal
+    operators of _last_resort_configs (the last resort runs)."""
     rng = np.random.default_rng(17)
     return [random_config(rng), DipoleConfig([[0.3, -0.2, 0.1]], [-0.4, 0.5, 0.9]),
-            DipoleConfig(_TRIANGLE, [0.0, 0.0, 0.0]), random_mirror_config(rng)[0]]
+            DipoleConfig(_TRIANGLE, [0.0, 0.0, 0.0]), random_mirror_config(rng)[0], *_last_resort_configs()]
 
 
-@pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 3, 0, 2, 0]])
+@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [2, 4, 0, 3, 5, 1],
+                                   [1, 3, 5, 3, 0, 2, 4, 0]])
 def test_stacked_solve_matches_one_operator_at_a_time(monkeypatch, order):
     """self_eigenvectors_batch gives, bitwise, the moments, their order and complete
     that solving each operator alone gives, whatever the order of the batch (an
@@ -594,7 +644,7 @@ def test_stacked_solve_matches_one_operator_at_a_time(monkeypatch, order):
     and each result lands in its algebra's memo, where self_eigenvectors reads it."""
     configs = _mixed_stack_configs()
     alone = [self_eigenvectors(build_algebra(cfg)) for cfg in configs]
-    assert [sol.complete for sol in alone] == [True, False, False, True]
+    assert [sol.complete for sol in alone] == [True, False, True, True, False, False]
     assert len(alone[1].moments) == 1 + 2 * _FAMILY_SIZE
 
     solve = algebra._algebraic_eigenvectors
@@ -603,7 +653,7 @@ def test_stacked_solve_matches_one_operator_at_a_time(monkeypatch, order):
     built = [build_algebra(cfg) for cfg in configs]
     algs = [built[i] for i in order]
     got = self_eigenvectors_batch(algs)
-    assert stacks[0] == 3  # the generic operators and the triangle centre, each once; the dipole is zonal
+    assert stacks[0] == 4  # the generic and nearly zonal operators, each once; the dipole and triangle are closed forms
     for i, alg, sol in zip(order, algs, got):
         assert sol.complete == alone[i].complete
         assert np.array_equal(np.array(sol.moments), np.array(alone[i].moments))
