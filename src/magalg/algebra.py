@@ -247,47 +247,26 @@ _ROOT_RTOL = 1e-8  # chart roots closer than this (relative) count once; Jacobia
 _STEP_RTOL = 1e-10  # a chart root is polished once its last Newton step is this small (relative)
 
 
-# q_a(1, y, z) = T(a, v, v) has the terms y^i z^j below, with coefficient t[a, b, c] (flat b c) times 1 or 2
-_QUAD_TERMS = {(0, 0): (0, 1.0), (1, 0): (1, 2.0), (0, 1): (2, 2.0), (2, 0): (4, 1.0), (1, 1): (5, 2.0), (0, 2): (8, 1.0)}
-
-
-def _chart_tables():
-    """Gather tables of _chart_polynomials: p[k, i, j] = (q[plus] - q[minus]) * factor.
-
-    q holds the 6 coefficients of each q_a and then a zero, so a term
-    that does not exist reads 0.  C1 = q_1 - y q_0 at y^i z^j is
-    q_1[i, j] - q_0[i - 1, j], C2 = q_2 - z q_0 is q_2[i, j] - q_0[i, j - 1],
-    and d/dy at y^i z^j is (i + 1) times the coefficient at y^(i+1) z^j.
-    """
-    slots = {term: s for s, term in enumerate(_QUAD_TERMS)}
-
-    def q(a, i, j):  # the slot of q_a's coefficient at y^i z^j
-        return 7 * a + slots.get((i, j), 6)
-
-    plus, minus = np.zeros((2, 6, 4, 4), dtype=int)
-    factor = np.ones((6, 4, 4))
-    for e, i, j in np.ndindex(2, 4, 4):
-        for k, (ci, cj, f) in enumerate([(i, j, 1), (i + 1, j, i + 1), (i, j + 1, j + 1)]):
-            plus[3 * e + k, i, j] = q(e + 1, ci, cj)
-            minus[3 * e + k, i, j] = q(0, ci - 1, cj) if e == 0 else q(0, ci, cj - 1)
-            factor[3 * e + k, i, j] = f
-    return plus, minus, factor
-
-
-_CHART_PLUS, _CHART_MINUS, _CHART_FACTOR = _chart_tables()
-_QUAD_SLOTS, _QUAD_SCALES = (np.array(v) for v in zip(*_QUAD_TERMS.values()))
-
-
 def _chart_polynomials(t):
     """Coefficients p[n, k, i, j] of y^i z^j in C1, dC1/dy, dC1/dz, C2, dC2/dy, dC2/dz of each tensor t[n].
 
     In the chart v = (1, y, z), with q(v) = T(., v, v), C1 = q_1 - y q_0
     and C2 = q_2 - z q_0 vanish exactly where q(v) is parallel to v.
     """
-    q = np.zeros((len(t), 3, 7))
-    q[..., :6] = t.reshape(-1, 3, 9)[..., _QUAD_SLOTS] * _QUAD_SCALES
-    q = q.reshape(-1, 21)
-    return (q[:, _CHART_PLUS] - q[:, _CHART_MINUS]) * _CHART_FACTOR
+    # q[n, a, 1 + i, 1 + j] is the coefficient of y^i z^j in q_a(1, y, z) = T(a, v, v); for the terms
+    # 1, y, z, y^2, y z, z^2 it is t[a, b, c] at flat b c = 0, 1, 2, 4, 5, 8, times 1, 2, 2, 1, 2, 1.
+    # Row and column 0 read 0, so C1 and C2 at y^i z^j, i, j <= 4, are q_1 and q_2 less q_0 shifted by one
+    q = np.zeros((len(t), 3, 6, 6))
+    q[:, :, [1, 2, 1, 3, 2, 1], [1, 1, 2, 1, 2, 3]] = t.reshape(-1, 3, 9).take([0, 1, 2, 4, 5, 8], axis=-1) * [1.0, 2.0, 2.0, 1.0, 2.0, 1.0]
+    c = q[:, 1:, 1:, 1:]
+    c[:, 0] -= q[:, 0, :-1, 1:]
+    c[:, 1] -= q[:, 0, 1:, :-1]
+    k = np.arange(1.0, 5.0)
+    p = np.empty((len(t), 2, 3, 4, 4))
+    p[:, :, 0] = c[..., :4, :4]
+    np.multiply(c[..., 1:, :4], k[:, None], out=p[:, :, 1])  # d/dy at y^i z^j is (i + 1) times the coefficient at y^(i+1) z^j
+    np.multiply(c[..., :4, 1:], k, out=p[:, :, 2])
+    return p.reshape(-1, 6, 4, 4)
 
 
 def _powers(x):

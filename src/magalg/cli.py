@@ -148,7 +148,10 @@ def _coords(value, where) -> list:
     for v in value:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{where} must hold numbers, got {json.dumps(v)}")
-    return [float(v) for v in value]
+    try:
+        return [float(v) for v in value]
+    except OverflowError:  # a JSON integer beyond float range
+        raise ConfigError(f"{where} holds a number beyond float range") from None
 
 
 def validate_config(data) -> dict:
@@ -327,10 +330,18 @@ def analyze_point(cfg: DipoleConfig, req: AnalysisRequest, alg=None) -> dict:
     return _point_record(cfg, req, candidates=False, alg=alg)
 
 
-def _solve_block(algs):
-    """Solve the Z-eigenvectors of the nonzero operators of algs (None for a skipped point) in one stack."""
-    self_eigenvectors_batch([a for a in algs if a is not None and not a.is_trivial()])
-    return algs
+def _solved(cfgs, build):
+    """(cfg, algebra) of each of cfgs in order; build gives the algebra of a cfg, or None for a skipped point.
+
+    cfgs go in blocks of at most _SOLVE_BLOCK: every algebra of a block
+    is built first and the Z-eigenvectors of its nonzero operators are
+    solved as one stack.
+    """
+    for start in range(0, len(cfgs), _SOLVE_BLOCK):
+        block = cfgs[start:start + _SOLVE_BLOCK]
+        algs = [build(cfg) for cfg in block]
+        self_eigenvectors_batch([a for a in algs if a is not None and not a.is_trivial()])
+        yield from zip(block, algs)
 
 
 def _meta(req: AnalysisRequest) -> dict:
@@ -353,11 +364,7 @@ def cmd_analyze(args) -> int:
     positions = config_positions(data)
     si = data["si_prefactor"] or req.si
     cfgs = [DipoleConfig(positions, fp, si) for fp in data["field_points"]]
-    results = []
-    for start in range(0, len(cfgs), _SOLVE_BLOCK):
-        block = cfgs[start:start + _SOLVE_BLOCK]
-        algs = _solve_block([build_algebra(cfg) for cfg in block])
-        results += [_point_record(cfg, req, candidates=True, alg=alg) for cfg, alg in zip(block, algs)]
+    results = [_point_record(cfg, req, candidates=True, alg=alg) for cfg, alg in _solved(cfgs, build_algebra)]
     report = {"tool": _meta(req), "config": data, "results": results}
     report.update(results[0])  # hoist the first record for convenience
     out = json.dumps(report)  # indent would bypass the C encoder
@@ -372,26 +379,21 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _sweep_algebras(cfgs):
-    """The algebra of each grid point, None at a singular one (with a warning), Z-eigenvectors solved in one stack."""
-    algs = []
-    for cfg in cfgs:
-        try:
-            algs.append(build_algebra(cfg))
-        except SingularFieldPointError as e:
-            print(f"warning: skipping grid point {cfg.field_point.tolist()}: {e}", file=sys.stderr)
-            algs.append(None)
-    return _solve_block(algs)
+def _grid_algebra(cfg):
+    """The algebra of a grid point, or None with a warning at a singular one."""
+    try:
+        return build_algebra(cfg)
+    except SingularFieldPointError as e:
+        print(f"warning: skipping grid point {cfg.field_point.tolist()}: {e}", file=sys.stderr)
+        return None
 
 
 def cmd_sweep(args) -> int:
     """Write the CSV of SWEEP_COLUMNS, one row per grid point, x fastest.
 
-    The grid goes in blocks of at most _SOLVE_BLOCK points: every
-    algebra of a block is built first and the Z-eigenvectors of its
-    nonzero operators are solved as one stack; each row is then the
-    analyze record of its point, from that algebra.  A singular point
-    gives a row with branch "singular" and a warning on stderr.
+    The grid points are solved in blocks, as _solved does; each row is
+    then the analyze record of its point, from its algebra.  A singular
+    point gives a row with branch "singular" and a warning on stderr.
     """
     req = AnalysisRequest(
         config_path=args.config, tol=args.tol, si=False, out_path=args.out,
@@ -401,10 +403,7 @@ def cmd_sweep(args) -> int:
     data = load_config(req.config_path)
     positions = config_positions(data)
     cfgs = [DipoleConfig(positions, fp) for fp in grid.points()]
-    rows = []
-    for start in range(0, len(cfgs), _SOLVE_BLOCK):
-        block = cfgs[start:start + _SOLVE_BLOCK]
-        rows += [_sweep_row(cfg, req, alg) for cfg, alg in zip(block, _sweep_algebras(block))]
+    rows = [_sweep_row(cfg, req, alg) for cfg, alg in _solved(cfgs, _grid_algebra)]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()

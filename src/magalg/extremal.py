@@ -41,10 +41,10 @@ from .algebra import (
     self_eigenvectors,
     self_eigenvectors_batch,
 )
-from .corpus import random_algebra, random_moments
+from .corpus import random_algebra, random_frame, random_moments
 from .dipoles import MagneticAlgebra
 from .linalg3 import canonical_sign, det3, principal_axis, principal_split, spread_ratio, unit
-from .sphere import fibonacci_sphere, seeded_rotation, sphere_ascent
+from .sphere import fibonacci_sphere, sphere_ascent
 
 _Z = np.array([0.0, 0.0, 1.0])
 
@@ -151,7 +151,7 @@ def lambda_bar_bruteforce(
         raise ValueError("need at least 100 samples")
     if alg.is_trivial():
         return WorstCase(0.0, _Z.copy(), _Z.copy())
-    pts = fibonacci_sphere(n_samples) @ seeded_rotation(seed).T
+    pts = fibonacci_sphere(n_samples) @ random_frame(np.random.default_rng(seed)).T
     vals = principal_abs_batch(alg, pts)
     best = int(np.argmax(vals))
     m0, v0 = pts[best], float(vals[best])
@@ -249,19 +249,6 @@ def plane_gram_moment(alg: MagneticAlgebra, plane: PlanarStructure):
         coeff = c1 / n1 if n1 >= n2 else c2 / n2
         alg.memo[key] = canonical_sign(coeff[0] * e1 + coeff[1] * e2), mu
     return alg.memo[key]
-
-
-def lambda_MF_closed_form(alg: MagneticAlgebra, plane: PlanarStructure) -> float:
-    """|principal eigenvalue| at the top Gram moment, via the planar closed form.
-
-    Valid both for an in-plane top moment and for the plane normal, where
-    it collapses to ||P||.
-    """
-    if alg.is_trivial():
-        return 0.0
-    m_f, lam_f = plane_gram_moment(alg, plane)
-    pm = abs(float(plane.P @ m_f))
-    return float(in_plane_abs(lam_f, pm))
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,7 +499,7 @@ def verify_theorems(
         res_d <= 1e-12 * (lam_bar + lam_1), float(res_d), "lambda_bar(F0+F1) <= lambda_bar(F0) + lambda_bar(F1)"
     )
 
-    lattice = fibonacci_sphere(n_samples) @ seeded_rotation(seed).T
+    lattice = fibonacci_sphere(n_samples) @ random_frame(np.random.default_rng(seed)).T
     res_e = float(principal_abs_batch(alg, lattice).max()) / lam_bar - 1.0
     checks["exact_above_lattice"] = TheoremCheck(res_e <= 1e-12, res_e, "max over the lattice <= lambda_bar")
     return checks

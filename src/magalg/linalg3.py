@@ -2,17 +2,18 @@
 
 Vectors are plain numpy arrays of shape (3,), matrices of shape (3, 3);
 no wrapper classes.  The one nontrivial routine is the closed-form
-spectrum of a traceless symmetric matrix, obtained from the trigonometric
+spectrum of a traceless symmetric matrix: principal_split takes the
+principal eigenvalue and the pair half-spread from the trigonometric
 solution of its depressed characteristic cubic
 
     t^3 - (tr A^2 / 2) t - (tr A^3 / 3) = 0,
 
-which is exact up to rounding even at degenerate spectra.
+exact up to rounding even at degenerate spectra; spread_ratio gives
+r = 2 delta / |lam|.  Both work elementwise on arrays.  A seeded rotation
+is corpus.random_frame(np.random.default_rng(seed)).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,18 +47,8 @@ def cross(a, b) -> np.ndarray:
     return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
 
 
-def cross_matrix(n) -> Mat3:
-    """Antisymmetric matrix [n] with [n] @ v == np.cross(n, v)."""
-    n1, n2, n3 = np.asarray(n, dtype=float)
-    return np.array([
-        [0.0, -n3, n2],
-        [n3, 0.0, -n1],
-        [-n2, n1, 0.0],
-    ])
-
-
 def cross_matrices(ns) -> np.ndarray:
-    """Batched cross_matrix: (..., 3) -> (..., 3, 3)."""
+    """Antisymmetric matrices [n] with [n] @ v == np.cross(n, v), one per row: (..., 3) -> (..., 3, 3)."""
     ns = np.asarray(ns, dtype=float)
     out = np.zeros(ns.shape[:-1] + (3, 3))
     n1, n2, n3 = ns[..., 0], ns[..., 1], ns[..., 2]
@@ -76,7 +67,7 @@ def rot_about(axis, angle) -> Mat3:
     na = float(np.linalg.norm(axis))
     if na == 0.0 or not np.isfinite(na):
         raise ValueError("degenerate axis")
-    k = cross_matrix(axis / na)
+    k = cross_matrices(axis / na)
     return np.eye(3) + np.sin(angle)[..., None, None] * k + (1.0 - np.cos(angle))[..., None, None] * (k @ k)
 
 
@@ -88,25 +79,6 @@ def det3(a) -> np.ndarray:
         - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
         + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0])
     )
-
-
-@dataclass(frozen=True)
-class EigenTriple:
-    """Spectrum summary of a traceless symmetric matrix.
-
-    lam is the principal eigenvalue (largest magnitude; a magnitude tie
-    between a positive and a negative eigenvalue resolves to the positive
-    one).  The remaining pair is -lam/2 +- delta with delta >= 0, and
-    r = 2*delta/|lam| in [0, 1], with r = 0 at lam = 0 by convention.
-    """
-
-    lam: float
-    delta: float
-    r: float
-
-    @property
-    def eigenvalues(self):
-        return (self.lam, -0.5 * self.lam + self.delta, -0.5 * self.lam - self.delta)
 
 
 def principal_split(j2, j3):
@@ -145,17 +117,6 @@ def spread_ratio(lam, delta):
     delta = np.asarray(delta, dtype=float)
     safe = np.where(lam == 0.0, 1.0, np.abs(lam))
     return np.where(lam == 0.0, 0.0, np.clip(2.0 * delta / safe, 0.0, 1.0))
-
-
-def eig_traceless(A) -> EigenTriple:
-    """Closed-form spectrum of a traceless symmetric 3x3 matrix."""
-    A = np.asarray(A, dtype=float)
-    j2 = 0.5 * float(np.trace(A @ A))
-    j3 = float(det3(A))
-    lam, delta = principal_split(j2, j3)
-    lam = float(lam)
-    delta = float(delta)
-    return EigenTriple(lam, delta, float(spread_ratio(lam, delta)))
 
 
 def principal_axis(A):

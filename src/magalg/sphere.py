@@ -1,7 +1,8 @@
 """Deterministic unit-sphere sampling and derivative-free local search.
 
-The Fibonacci lattice gives near-uniform deterministic coverage; a seeded
-rotation decorrelates it from the coordinate axes while keeping runs
+The Fibonacci lattice gives near-uniform deterministic coverage; its
+callers rotate it by corpus.random_frame(np.random.default_rng(seed)),
+which decorrelates it from the coordinate axes while keeping runs
 reproducible.  Local refinement is projected gradient ascent with central
 finite differences and a step-halving line search, which tolerates the
 kinks of piecewise-smooth objectives like eigenvalue magnitudes.
@@ -26,16 +27,6 @@ def fibonacci_sphere(n) -> np.ndarray:
     r = np.sqrt(np.maximum(1.0 - y * y, 0.0))
     phi = i * _GOLDEN
     return np.stack([np.cos(phi) * r, y, np.sin(phi) * r], axis=1)
-
-
-def seeded_rotation(seed) -> np.ndarray:
-    """Reproducible proper rotation matrix from a seed."""
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, 0] = -q[:, 0]
-    return q
 
 
 def tangent_basis(n):

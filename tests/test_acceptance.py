@@ -25,7 +25,6 @@ from magalg.dipoles import DipoleConfig, build_algebra, gen_pair
 from magalg.extremal import (
     Branch,
     bounds_report,
-    lambda_MF_closed_form,
     lambda_bar_bruteforce,
     lambda_bar_exact,
     plane_gram_moment,
@@ -256,7 +255,7 @@ def test_criterion_7_gram_moment_closed_form():
         alg = build_algebra(cfg)
         plane = planar_structure(alg, n_hat)
         m_f, _ = plane_gram_moment(alg, plane)
-        closed = lambda_MF_closed_form(alg, plane)
+        closed = bounds_report(alg, plane).abs_lambda_MF
         direct = principal_abs(alg, m_f)
         worst = max(worst, abs(closed - direct) / alg.scale)
     ok = worst <= 1e-9

@@ -209,6 +209,27 @@ def test_analyze_rejects_non_numeric_coordinate(tmp_path, capsys, where, value):
     assert where in err and json.dumps(value) in err
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["sweep", "--grid=0:0:1,0:0:1,1:1:1"], ["verify"]],
+                         ids=["analyze", "sweep", "verify"])
+@pytest.mark.parametrize("where", ["magnet 1 position", "field point 0"])
+def test_a_coordinate_beyond_float_range_is_an_input_error(tmp_path, capsys, command, where):
+    """A JSON integer too large for a float names its magnet or field point and exits 2, not 1."""
+    data = {"magnets": [{"position": [1, 0, 0]}, {"position": [-1, 0, 0]}], "field_points": [[0, 0, 1]]}
+    if where.startswith("magnet"):
+        data["magnets"][1]["position"][2] = 10 ** 400
+    else:
+        data["field_points"][0][0] = 10 ** 400
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    argv = [*command, "--config", str(cfg)]
+    if command[0] != "verify":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err and "beyond float range" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_missing_config(tmp_path, capsys):
     code = main(["analyze", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r.json")])
     assert code == EXIT_INPUT

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from magalg.corpus import (
     random_algebra,
     random_config,
     random_coplanar_config,
+    random_frame,
     random_mirror_config,
     random_moments,
 )
@@ -27,7 +30,6 @@ from magalg.extremal import (
     CandidateKind,
     _worst_case,
     bounds_report,
-    lambda_MF_closed_form,
     lambda_bar_bruteforce,
     lambda_bar_exact,
     lambda_plane,
@@ -37,8 +39,8 @@ from magalg.extremal import (
     principal_split_batch,
     verify_theorems,
 )
-from magalg.linalg3 import eig_traceless, rot_about
-from magalg.sphere import fibonacci_sphere, seeded_rotation
+from magalg.linalg3 import det3, principal_split, rot_about
+from magalg.sphere import fibonacci_sphere
 
 SQRT2 = np.sqrt(2.0)
 
@@ -162,7 +164,8 @@ def test_lambda_plane_closed_form_matches_eig(rng):
         tr2 = float(m @ g @ m)
         pm = abs(float(plane.P @ m))
         closed = max((pm + np.sqrt(max(2.0 * tr2 - 3.0 * pm * pm, 0.0))) / 2.0, pm)
-        direct = abs(eig_traceless(alg.matrix(m)).lam)
+        f = alg.matrix(m)
+        direct = abs(float(principal_split(0.5 * float(np.trace(f @ f)), float(det3(f)))[0]))
         assert closed == pytest.approx(direct, abs=1e-10 * max(direct, 1.0))
 
 
@@ -239,7 +242,7 @@ def test_lambda_plane_degenerate_frame(rng):
 
 def test_closed_form_lambda_mf_single_dipole(single_dipole_algebra, dipole_plane):
     # (|P.M_F| + sqrt(2 tr F^2 - 3 |P.M_F|^2)) / 2 = (1 + 3) / 2
-    assert lambda_MF_closed_form(single_dipole_algebra, dipole_plane) == pytest.approx(2.0, abs=1e-13)
+    assert bounds_report(single_dipole_algebra, dipole_plane).abs_lambda_MF == pytest.approx(2.0, abs=1e-13)
     m_f, lam_f = plane_gram_moment(single_dipole_algebra, dipole_plane)
     assert lam_f == pytest.approx(6.0, abs=1e-13)
     assert np.allclose(np.abs(m_f), [0, 0, 1.0], atol=1e-12)
@@ -255,7 +258,7 @@ def test_closed_form_normal_case_returns_norm_p():
     plane = planar_structure(alg, [0, 0, 1.0])
     m_f, lam_f = plane_gram_moment(alg, plane)
     if abs(float(m_f @ plane.n_hat)) > 0.99:  # normal-dominant geometry
-        assert lambda_MF_closed_form(alg, plane) == pytest.approx(plane.norm_P, rel=1e-12)
+        assert bounds_report(alg, plane).abs_lambda_MF == pytest.approx(plane.norm_P, rel=1e-12)
 
 
 def test_closed_form_matches_direct_on_random_planar(rng):
@@ -264,7 +267,7 @@ def test_closed_form_matches_direct_on_random_planar(rng):
         alg = build_algebra(cfg)
         plane = planar_structure(alg, n_hat)
         m_f, _ = plane_gram_moment(alg, plane)
-        closed = lambda_MF_closed_form(alg, plane)
+        closed = bounds_report(alg, plane).abs_lambda_MF
         direct = principal_abs(alg, m_f)
         assert abs(closed - direct) <= 1e-9 * alg.scale
 
@@ -413,7 +416,7 @@ def test_the_five_six_pair_configs_are_certified_with_seven():
     for i in (92, 107, 183, 200 + 16, 400 + 160):
         alg = build_algebra(corpus[i])
         unit_alg = alg * (1.0 / alg.scale)
-        x, converged = _converge(unit_alg, fibonacci_sphere(50) @ seeded_rotation(0).T)
+        x, converged = _converge(unit_alg, fibonacci_sphere(50) @ random_frame(np.random.default_rng(0)).T)
         multistart = _distinct(x[converged])
         assert len(multistart) == 6
         sol = self_eigenvectors(alg)
@@ -505,6 +508,27 @@ def test_a_trigonal_cubic_passes_the_gram_test_and_fails_the_residual():
     assert algebra._axis_form(alg.basis_images / alg.scale) is None
 
 
+def test_the_chart_polynomials_are_the_chart_system(rng):
+    """The six rows of _chart_polynomials(t) at complex (y, z) are C1 = q_1 - y q_0 and
+    C2 = q_2 - z q_0 of q = T(., v, v), v = (1, y, z), and their partials, with
+    dq_a/dy = 2 T(a, e_1, v) and dq_a/dz = 2 T(a, e_2, v)."""
+    a = rng.standard_normal((20, 3, 3, 3)) * 10.0 ** rng.uniform(-3, 3, size=(20, 1, 1, 1))
+    t = sum(a.transpose(0, *p) for p in itertools.permutations((1, 2, 3))) / 6.0
+    polys = algebra._chart_polynomials(t)
+    assert polys.shape == (20, 6, 4, 4)
+    e1, e2 = np.eye(3)[1], np.eye(3)[2]
+    for tn, p in zip(t, polys):
+        for y, z in rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2)):
+            rows = np.einsum("i,kij,j->k", algebra._powers(np.array(y)), p, algebra._powers(np.array(z)))
+            v = np.array([1.0, y, z])
+            q = np.einsum("abc,b,c->a", tn, v, v)
+            q_y, q_z = 2.0 * np.einsum("abc,b,c->a", tn, e1, v), 2.0 * np.einsum("abc,b,c->a", tn, e2, v)
+            expected = [q[1] - y * q[0], q_y[1] - q[0] - y * q_y[0], q_z[1] - y * q_z[0],
+                        q[2] - z * q[0], q_y[2] - z * q_y[0], q_z[2] - q[0] - z * q_z[0]]
+            scale = np.abs(tn).max() * (1.0 + abs(y) + abs(z)) ** 3
+            assert np.abs(rows - expected).max() <= 1e-14 * scale
+
+
 def _first_chart(unit_alg):
     """(moments, complete) of the operator from the first chart rotation alone."""
     [(found, complete, _)] = algebra._chart_eigenvectors(algebra._CHART_ROTATIONS[0], unit_alg.basis_images[None])
@@ -516,7 +540,7 @@ def _multistart_reference(alg):
     roots joined by projected Newton from 50 seeded Fibonacci starts."""
     unit_alg = alg * (1.0 / alg.scale)
     found, _ = _first_chart(unit_alg)
-    x, converged = _converge(unit_alg, fibonacci_sphere(50) @ seeded_rotation(0).T)
+    x, converged = _converge(unit_alg, fibonacci_sphere(50) @ random_frame(np.random.default_rng(0)).T)
     return _distinct([*found, *x[converged]])
 
 

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from magalg.linalg3 import (
     canonical_sign,
     cross,
-    cross_matrix,
+    cross_matrices,
     det3,
-    eig_traceless,
     principal_axis,
     principal_split,
     rot_about,
+    spread_ratio,
     unit,
 )
 
@@ -31,39 +31,49 @@ def random_traceless(rng, n):
     return np.array([traceless_sym(*row) for row in p])
 
 
+def split(a):
+    """(lam, delta, r) of a traceless symmetric matrix, from principal_split and spread_ratio."""
+    lam, delta = principal_split(0.5 * float(np.trace(a @ a)), float(det3(a)))
+    return float(lam), float(delta), float(spread_ratio(lam, delta))
+
+
+def eigenvalues(lam, delta):
+    """The spectrum lam, -lam/2 + delta, -lam/2 - delta that principal_split describes."""
+    return (lam, -0.5 * lam + delta, -0.5 * lam - delta)
+
+
 def test_eig_diagonal():
-    t = eig_traceless(np.diag([1.0, 1.0, -2.0]))
-    assert t.lam == -2.0
-    assert t.delta == 0.0
-    assert t.r == 0.0
+    lam, delta, r = split(np.diag([1.0, 1.0, -2.0]))
+    assert lam == -2.0
+    assert delta == 0.0
+    assert r == 0.0
 
 
 def test_eig_zero_matrix():
-    t = eig_traceless(np.zeros((3, 3)))
-    assert (t.lam, t.delta, t.r) == (0.0, 0.0, 0.0)
+    assert split(np.zeros((3, 3))) == (0.0, 0.0, 0.0)
 
 
 def test_eig_rank2_swap_tie_breaks_positive():
     a = np.zeros((3, 3))
     a[0, 2] = a[2, 0] = 1.0
-    t = eig_traceless(a)
-    assert t.lam == pytest.approx(1.0, abs=1e-14)
-    assert t.lam > 0.0
-    assert t.delta == pytest.approx(0.5, abs=1e-14)
-    assert t.r == pytest.approx(1.0, abs=1e-12)
+    lam, delta, r = split(a)
+    assert lam == pytest.approx(1.0, abs=1e-14)
+    assert lam > 0.0
+    assert delta == pytest.approx(0.5, abs=1e-14)
+    assert r == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cross_matrix_z():
-    k = cross_matrix([0.0, 0.0, 1.0])
+    k = cross_matrices([0.0, 0.0, 1.0])
     assert np.array_equal(k, np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=float))
 
 
 def test_cross_matrix_zero():
-    assert np.array_equal(cross_matrix([0.0, 0.0, 0.0]), np.zeros((3, 3)))
+    assert np.array_equal(cross_matrices([0.0, 0.0, 0.0]), np.zeros((3, 3)))
 
 
 def test_cross_matrix_action():
-    k = cross_matrix([0.0, 0.0, 1.0])
+    k = cross_matrices([0.0, 0.0, 1.0])
     assert np.allclose(k @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 
 
@@ -71,7 +81,7 @@ def test_cross_matrix_action():
 def test_cross_matrix_matches_np_cross(n):
     n = np.array(n)
     v = np.array([0.3, -1.2, 2.5])
-    assert np.allclose(cross_matrix(n) @ v, np.cross(n, v), atol=1e-9)
+    assert np.allclose(cross_matrices(n) @ v, np.cross(n, v), atol=1e-9)
 
 
 def test_cross_is_np_cross_bitwise(rng):
@@ -137,15 +147,15 @@ def test_rot_fixes_axis(rng):
 def test_eig_solves_characteristic_cubic(a11, a22, a12, a13, a23):
     a = traceless_sym(a11, a22, a12, a13, a23)
     scale = max(np.abs(a).max(), 1e-30)
-    t = eig_traceless(a)
+    lam, delta, r = split(a)
     j2 = 0.5 * np.trace(a @ a)
     j3 = det3(a)
-    for ev in t.eigenvalues:
+    for ev in eigenvalues(lam, delta):
         assert abs(ev ** 3 - j2 * ev - j3) <= 1e-9 * scale ** 3
-    assert abs(sum(t.eigenvalues)) <= 1e-10 * scale
-    assert abs(t.lam) >= abs(-0.5 * t.lam + t.delta) - 1e-12 * scale
-    assert abs(t.lam) >= abs(-0.5 * t.lam - t.delta) - 1e-12 * scale
-    assert 0.0 <= t.r <= 1.0
+    assert abs(sum(eigenvalues(lam, delta))) <= 1e-10 * scale
+    assert abs(lam) >= abs(-0.5 * lam + delta) - 1e-12 * scale
+    assert abs(lam) >= abs(-0.5 * lam - delta) - 1e-12 * scale
+    assert 0.0 <= r <= 1.0
 
 
 def test_bulk_invariants(rng):
@@ -172,20 +182,20 @@ def test_bulk_invariants(rng):
 def test_agrees_with_iterative_eigensolver(rng):
     mats = random_traceless(rng, 1000)
     for a in mats:
-        t = eig_traceless(a)
+        lam, delta, _ = split(a)
         w = np.linalg.eigvalsh(a)
         scale = max(np.abs(w).max(), 1e-30)
-        assert np.allclose(sorted(t.eigenvalues), w, atol=1e-10 * scale)
-        assert abs(t.lam) == pytest.approx(np.abs(w).max(), abs=1e-10 * scale)
+        assert np.allclose(sorted(eigenvalues(lam, delta)), w, atol=1e-10 * scale)
+        assert abs(lam) == pytest.approx(np.abs(w).max(), abs=1e-10 * scale)
 
 
 def test_principal_axis_matches_eig(rng):
     for _ in range(100):
         a = traceless_sym(*rng.uniform(-2, 2, size=5))
         lam, v = principal_axis(a)
-        t = eig_traceless(a)
-        scale = max(abs(t.lam), 1e-30)
-        assert lam == pytest.approx(t.lam, abs=1e-10 * scale)
+        lam_split, _, _ = split(a)
+        scale = max(abs(lam_split), 1e-30)
+        assert lam == pytest.approx(lam_split, abs=1e-10 * scale)
         assert np.linalg.norm(a @ v - lam * v) <= 1e-9 * scale
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
