@@ -22,6 +22,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -52,6 +53,7 @@ from .dipoles import (
     p_vector,
 )
 from .extremal import (  # lambda_bar_bruteforce and lambda_plane stay bound here for tracing
+    CHAIN_RTOL,
     WorstCase,
     _degenerate_report,
     bounds_report,
@@ -82,19 +84,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class AnalysisRequest:
-    config_path: str
-    tol: float = 1e-9
-    si: bool = False
-    out_path: str | None = None
-
-    def validate(self):
-        # nan fails both comparisons; a relative tolerance of 1 or more accepts any chain
-        if not 0.0 < self.tol < 1.0:
-            raise ConfigError(f"tol must be a number in (0, 1), got {self.tol!r}")
-
-
-@dataclass(frozen=True)
 class SweepGrid:
     x: tuple  # (start, stop, count)
     y: tuple
@@ -122,6 +111,8 @@ def parse_grid(spec: str) -> SweepGrid:
             a, b, n = float(fields[0]), float(fields[1]), int(fields[2])
         except ValueError as e:
             raise ConfigError(f"bad grid axis '{part}': {e}") from None
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ConfigError(f"bad grid axis '{part}': bounds must be finite")
         if n < 1:
             raise ConfigError("grid counts must be at least 1")
         axes.append((a, b, n))
@@ -142,16 +133,18 @@ def load_config(path) -> dict:
 
 
 def _coords(value, where) -> list:
-    """[x, y, z] as floats; JSON true, strings and null are not numbers."""
+    """[x, y, z] as finite floats; JSON true, strings and null are not numbers."""
     if not (isinstance(value, list) and len(value) == 3):
         raise ConfigError(f"{where} must be [x, y, z]")
     for v in value:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{where} must hold numbers, got {json.dumps(v)}")
     try:
-        return [float(v) for v in value]
+        if all(map(math.isfinite, value)):  # json reads NaN, Infinity and 1e400 (as inf) as floats
+            return [float(v) for v in value]
     except OverflowError:  # a JSON integer beyond float range
-        raise ConfigError(f"{where} holds a number beyond float range") from None
+        pass
+    raise ConfigError(f"{where} holds NaN, an infinity or a number beyond float range")
 
 
 def validate_config(data) -> dict:
@@ -203,21 +196,21 @@ def _lambda_bar(wc: WorstCase | None, certified) -> dict:
     }
 
 
-def _primary_plane(reports, tol) -> int:
+def _primary_plane(reports) -> int:
     """Index of the plane with the tightest refined upper bound.
 
-    Bounds within tol (relative) of the tightest tie.  Among tied planes
+    Bounds within CHAIN_RTOL (relative) of the tightest tie.  Among tied planes
     one whose report certifies lambda_bar (PLANE_DOMINANT) goes first,
     then the first in find_invariant_planes' order, which does not
     follow rounding: symmetric planes whose values differ only by
     rounding then give one answer.
     """
     upper = [r.bounds["refined_upper"] for r in reports]
-    tied = [i for i, u in enumerate(upper) if u <= min(upper) * (1.0 + tol)]
+    tied = [i for i, u in enumerate(upper) if u <= min(upper) * (1.0 + CHAIN_RTOL)]
     return ([i for i in tied if reports[i].lambda_bar_certified is not None] or tied)[0]
 
 
-def _point_record(cfg: DipoleConfig, req: AnalysisRequest, candidates: bool, alg=None) -> dict:
+def _point_record(cfg: DipoleConfig, candidates: bool, alg=None) -> dict:
     """The record of one field point, for every branch.
 
     A DEGENERATE point (the zero operator) has no Gram spectrum, plane
@@ -245,7 +238,7 @@ def _point_record(cfg: DipoleConfig, req: AnalysisRequest, candidates: bool, alg
         )
     else:
         gs = gram_spectrum(alg)
-        planes = find_invariant_planes(alg, tol=PLANARITY_TOL)
+        planes = find_invariant_planes(alg)
         wc = lambda_bar_exact(alg)
         rec.update(
             p_vector=_vec(p_vector(cfg)),
@@ -267,8 +260,8 @@ def _point_record(cfg: DipoleConfig, req: AnalysisRequest, candidates: bool, alg
             ],
         )
         if planes:
-            reports = [bounds_report(alg, p, tol_rel=req.tol) for p in planes]
-            used = _primary_plane(reports, req.tol)
+            reports = [bounds_report(alg, p) for p in planes]
+            used = _primary_plane(reports)
             rep, plane = reports[used], planes[used]
             rec.update(
                 branch=rep.branch.value,
@@ -315,19 +308,19 @@ def _point_record(cfg: DipoleConfig, req: AnalysisRequest, candidates: bool, alg
             {"moment": _vec(c.moment), "kind": c.kind.value, "lambda_abs": c.lambda_abs}
             for c in found
         ]
-    if cfg.si_prefactor or req.si:
+    if cfg.si_prefactor:
         rec["force_scale_si"] = FORCE_PREFACTOR
         rec["max_force_si_per_unit_moments"] = FORCE_PREFACTOR * rec["lambda_bar"]["value"]
     return rec
 
 
-def analyze_point(cfg: DipoleConfig, req: AnalysisRequest, alg=None) -> dict:
+def analyze_point(cfg: DipoleConfig, alg=None) -> dict:
     """Full analysis of one field point as a JSON-ready record.
 
     Candidate search is not part of it: only `analyze` reports
     candidates.  alg is as in _point_record.
     """
-    return _point_record(cfg, req, candidates=False, alg=alg)
+    return _point_record(cfg, candidates=False, alg=alg)
 
 
 def _solved(cfgs, build):
@@ -344,34 +337,32 @@ def _solved(cfgs, build):
         yield from zip(block, algs)
 
 
-def _meta(req: AnalysisRequest) -> dict:
+def _meta(si: bool) -> dict:
     return {
         "name": "magalg",
         "version": __version__,
         "seed": 0,  # kept in the schema; analyze takes no seed
-        "tol": req.tol,
+        "tol": CHAIN_RTOL,  # kept in the schema; the chain tolerance is fixed
         "planarity_tol": PLANARITY_TOL,
-        "si": req.si,
+        "si": si,
     }
 
 
 def cmd_analyze(args) -> int:
-    req = AnalysisRequest(config_path=args.config, tol=args.tol, si=args.si, out_path=args.out)
-    req.validate()
-    data = load_config(req.config_path)
+    data = load_config(args.config)
     if not data["field_points"]:
         raise ConfigError("analyze needs at least one field point in the config")
     positions = config_positions(data)
-    si = data["si_prefactor"] or req.si
+    si = data["si_prefactor"] or args.si
     cfgs = [DipoleConfig(positions, fp, si) for fp in data["field_points"]]
-    results = [_point_record(cfg, req, candidates=True, alg=alg) for cfg, alg in _solved(cfgs, build_algebra)]
-    report = {"tool": _meta(req), "config": data, "results": results}
+    results = [_point_record(cfg, candidates=True, alg=alg) for cfg, alg in _solved(cfgs, build_algebra)]
+    report = {"tool": _meta(args.si), "config": data, "results": results}
     report.update(results[0])  # hoist the first record for convenience
     out = json.dumps(report)  # indent would bypass the C encoder
-    if req.out_path in (None, "-"):
+    if args.out == "-":
         print(out)
     else:
-        Path(req.out_path).write_text(out + "\n", encoding="utf-8")
+        Path(args.out).write_text(out + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -395,15 +386,11 @@ def cmd_sweep(args) -> int:
     then the analyze record of its point, from its algebra.  A singular
     point gives a row with branch "singular" and a warning on stderr.
     """
-    req = AnalysisRequest(
-        config_path=args.config, tol=args.tol, si=False, out_path=args.out,
-    )
-    req.validate()
     grid = parse_grid(args.grid)
-    data = load_config(req.config_path)
+    data = load_config(args.config)
     positions = config_positions(data)
     cfgs = [DipoleConfig(positions, fp) for fp in grid.points()]
-    rows = [_sweep_row(cfg, req, alg) for cfg, alg in _solved(cfgs, _grid_algebra)]
+    rows = [_sweep_row(cfg, alg) for cfg, alg in _solved(cfgs, _grid_algebra)]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
@@ -411,14 +398,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _sweep_row(cfg: DipoleConfig, req: AnalysisRequest, alg) -> dict:
+def _sweep_row(cfg: DipoleConfig, alg) -> dict:
     """The CSV row of one grid point; alg is None at a singular point."""
     fp = cfg.field_point
     row = {"x": repr(float(fp[0])), "y": repr(float(fp[1])), "z": repr(float(fp[2]))}
     if alg is None:
         row.update({c: "" for c in SWEEP_COLUMNS[3:-1]}, branch="singular")
         return row
-    rec = analyze_point(cfg, req, alg)
+    rec = analyze_point(cfg, alg)
     bounds = rec.get("bounds") or {}
     row.update(
         norm_P=_fmt(rec.get("norm_P")),
@@ -575,6 +562,8 @@ def cmd_verify(args) -> int:
         raise ConfigError("trials must be at least 1")
     if args.samples < 1:
         raise ConfigError("samples must be at least 1")
+    if args.seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
     accum: dict = {}
     offending = None
     if args.config:
@@ -629,7 +618,6 @@ def _parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="full analysis of a configuration")
     pa.add_argument("--config", required=True)
-    pa.add_argument("--tol", type=float, default=1e-9)
     pa.add_argument("--si", action="store_true")
     pa.add_argument("--out", required=True)
     pa.set_defaults(func=cmd_analyze)
@@ -638,7 +626,6 @@ def _parser() -> argparse.ArgumentParser:
     ps.add_argument("--config", required=True)
     ps.add_argument("--grid", required=True, help="x0:x1:nx,y0:y1:ny,z0:z1:nz")
     ps.add_argument("--out", required=True)
-    ps.add_argument("--tol", type=float, default=1e-9)
     ps.set_defaults(func=cmd_sweep)
 
     pg = sub.add_parser("gen", help="emit a canonical configuration as JSON")

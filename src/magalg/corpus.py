@@ -52,14 +52,14 @@ def random_coplanar_config(rng, n_min=1, n_max=8):
     return cfg, n_hat
 
 
-def random_mirror_config(rng, max_pairs=3, max_in_plane=2):
+def random_mirror_config(rng):
     """Magnet set mirror-symmetric about a random affine plane through the
     field point; returns (cfg, normal)."""
     frame = random_frame(rng)
     e1, e2, n_hat = frame[:, 0], frame[:, 1], frame[:, 2]
     fp = rng.uniform(-1.0, 1.0, size=3)
-    n_pairs = int(rng.integers(1, max_pairs + 1))
-    n_in = int(rng.integers(0, max_in_plane + 1))
+    n_pairs = int(rng.integers(1, 4))  # 1 to 3 mirror pairs
+    n_in = int(rng.integers(0, 3))  # 0 to 2 magnets in the plane
     magnets = []
     for _ in range(n_pairs):
         rho = float(_radii(rng, 1)[0])
@@ -85,8 +85,8 @@ def random_config(rng, n_min=2, n_max=6) -> DipoleConfig:
     return DipoleConfig(fp - radii[:, None] * dirs, fp)
 
 
-def random_algebra(rng, n_min=2, n_max=6):
-    return build_algebra(random_config(rng, n_min, n_max))
+def random_algebra(rng):
+    return build_algebra(random_config(rng))
 
 
 def random_moments(rng, n) -> np.ndarray:

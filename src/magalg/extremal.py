@@ -47,6 +47,7 @@ from .linalg3 import canonical_sign, det3, principal_axis, principal_split, spre
 from .sphere import fibonacci_sphere, sphere_ascent
 
 _Z = np.array([0.0, 0.0, 1.0])
+CHAIN_RTOL = 1e-9  # the chain holds exactly: its flags, branch dead band and plane tie allow rounding only
 
 
 class Branch(enum.Enum):
@@ -299,12 +300,12 @@ def _degenerate_report() -> ExtremalReport:
     )
 
 
-def bounds_report(alg: MagneticAlgebra, plane: PlanarStructure | None, tol_rel=1e-9) -> ExtremalReport:
+def bounds_report(alg: MagneticAlgebra, plane: PlanarStructure | None) -> ExtremalReport:
     """Evaluate the whole bound chain for one invariant plane.
 
     The branch compares lambda_P against 2||P|| with a small dead band;
     every inequality is recorded as a non-strict flag at tolerance
-    tol_rel times the value scale.  The planes of one algebra share its
+    CHAIN_RTOL times the value scale.  The planes of one algebra share its
     memoized lambda_bar_exact.
     """
     if alg.is_trivial():
@@ -319,7 +320,7 @@ def bounds_report(alg: MagneticAlgebra, plane: PlanarStructure | None, tol_rel=1
     pn = plane.norm_P
 
     scale = max(wc.lambda_bar, pm.value, abs_mf, pn, 1e-300)
-    tol = tol_rel * scale
+    tol = CHAIN_RTOL * scale
 
     chain_upper = abs_mf + 0.5 * pn
     sqrt_23 = float(np.sqrt(2.0 * lam_f / 3.0))
@@ -475,7 +476,7 @@ def verify_theorems(
     lam_mf, delta_mf, r_mf = (float(x[0]) for x in principal_split_batch(alg, m_f[None, :]))
     abs_mf = abs(lam_mf)
 
-    tol_sq = 1e-9 * max(lam_f, 1e-300)
+    tol_sq = CHAIN_RTOL * max(lam_f, 1e-300)
     res_a = max(abs_mf ** 2 - lam_bar ** 2, lam_bar ** 2 - (2.0 / 3.0) * lam_f)
     checks["squares_bracket"] = TheoremCheck(res_a <= tol_sq, float(res_a), "lambda_MF^2 <= lambda_bar^2 <= (2/3) lambda_F")
 
@@ -486,7 +487,7 @@ def verify_theorems(
 
     if plane is not None:
         pm = lambda_plane(alg, plane)
-        tol_c = 1e-9 * max(pm.value, 1e-300)
+        tol_c = CHAIN_RTOL * max(pm.value, 1e-300)
         res_c = max(plane.norm_P - abs_mf, abs_mf - pm.value)
         checks["plane_chain"] = TheoremCheck(res_c <= tol_c, float(res_c), "||P|| <= |lambda_MF| <= lambda_P")
     else:

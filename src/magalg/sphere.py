@@ -37,22 +37,22 @@ def tangent_basis(n):
     return t1, cross(n, t1)
 
 
-def sphere_ascent(f, x0, steps=100, fd_step=1e-6, step0=0.1):
+def sphere_ascent(f, x0, steps=100):
     """Maximize f over the unit sphere starting from x0.
 
-    Projected gradient ascent: central finite differences, gradient
-    projected to the tangent plane, step-halving line search.  Monotone,
-    deterministic, and never returns a worse point than x0.
+    Projected gradient ascent: central differences of step 1e-6, gradient
+    projected to the tangent plane, step-halving line search from 0.1.
+    Monotone, deterministic, and never returns a worse point than x0.
     """
     x = unit(np.asarray(x0, dtype=float))
     fx = f(x)
-    step = float(step0)
+    step = 0.1
     for _ in range(int(steps)):
         g = np.empty(3)
         for k in range(3):
             e = np.zeros(3)
-            e[k] = fd_step
-            g[k] = (f(unit(x + e)) - f(unit(x - e))) / (2.0 * fd_step)
+            e[k] = 1e-6
+            g[k] = (f(unit(x + e)) - f(unit(x - e))) / 2e-6
         g -= (g @ x) * x
         gn = float(np.linalg.norm(g))
         if gn == 0.0:
@@ -65,7 +65,7 @@ def sphere_ascent(f, x0, steps=100, fd_step=1e-6, step0=0.1):
             fn = f(xn)
             if fn > fx:
                 x, fx = xn, fn
-                step = min(2.0 * s, step0)
+                step = min(2.0 * s, 0.1)
                 improved = True
                 break
             s *= 0.5
@@ -76,6 +76,6 @@ def sphere_ascent(f, x0, steps=100, fd_step=1e-6, step0=0.1):
     return x, fx
 
 
-def sphere_descent(f, x0, steps=100, fd_step=1e-6, step0=0.1):
-    x, fx = sphere_ascent(lambda v: -f(v), x0, steps=steps, fd_step=fd_step, step0=step0)
+def sphere_descent(f, x0):
+    x, fx = sphere_ascent(lambda v: -f(v), x0)
     return x, -fx

@@ -1,8 +1,10 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +69,7 @@ def test_analyze_single_dipole(tmp_path, single_dipole_json):
     assert rep["lambda_bar"]["certified"] == 2.0
     assert rep["tool"]["name"] == "magalg"
     assert rep["tool"]["seed"] == 0
+    assert rep["tool"]["tol"] == 1e-9
     assert all(flag for flag in rep["chain_ok"].values())
     assert rep["results"][0]["branch"] == rep["branch"]
     # the Z-eigenvectors come in closed form: the axis and 2 _FAMILY_SIZE cone points
@@ -230,6 +233,27 @@ def test_a_coordinate_beyond_float_range_is_an_input_error(tmp_path, capsys, com
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["sweep", "--grid=0:0:1,0:0:1,1:1:1"], ["verify"]],
+                         ids=["analyze", "sweep", "verify"])
+@pytest.mark.parametrize("where", ["magnet 1 position", "field point 0"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+def test_a_non_finite_coordinate_is_an_input_error(tmp_path, capsys, command, where, literal):
+    """Python's json reads NaN, Infinity and 1e400 (as inf): each names its magnet or field point and exits 2."""
+    magnet, point = ("1e400", "1") if where.startswith("magnet") else ("1", "1e400")
+    text = f'{{"magnets": [{{"position": [1, 0, 0]}}, {{"position": [-1, 0, {magnet}]}}], "field_points": [[{point}, 0, 1]]}}'
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text.replace("1e400", literal), encoding="utf-8")
+    argv = [*command, "--config", str(cfg)]
+    if command[0] != "verify":
+        argv += ["--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err and "NaN, an infinity" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_missing_config(tmp_path, capsys):
     code = main(["analyze", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r.json")])
     assert code == EXIT_INPUT
@@ -289,12 +313,12 @@ def test_analyze_ignores_an_underflowing_far_magnet(tmp_path):
 
 
 def test_analyze_rejects_bad_request(tmp_path, single_dipole_json, capsys):
-    # a relative tolerance must be a number in (0, 1): at 1 or above, or inf, every chain flag holds
-    for tol in ("0", "nan", "inf", "1", "-1"):
+    # the chain tolerance is fixed at CHAIN_RTOL: --tol is no option, whatever its value
+    for tol in ("1e-9", "0", "nan", "inf", "1", "-1"):
         for command in (["analyze"], ["sweep", "--grid", "0:0:1,0:0:1,1:1:1"]):
             argv = [*command, "--config", str(single_dipole_json), "--out", str(tmp_path / "r.out"), "--tol", tol]
             assert main(argv) == EXIT_INPUT
-            assert "tol must be a number in (0, 1)" in capsys.readouterr().err
+            assert "--tol" in capsys.readouterr().err
             assert not (tmp_path / "r.out").exists()
     # the worst case is exact: the oracle's sample and refinement knobs are gone, and
     # the Z-eigenvector solve takes no starts, so neither command has a seed to take
@@ -336,7 +360,7 @@ def test_primary_plane_of_symmetric_planes_does_not_follow_rounding():
     """Two concentric axis-aligned tetrahedra: the six mirror planes tie, and
     a 1e-12 shift of the field point must not change the order of the
     planes, which normal (up to sign) is primary, nor its bounds."""
-    from magalg.cli import AnalysisRequest, analyze_point
+    from magalg.cli import analyze_point
     from magalg.dipoles import DipoleConfig
     from test_algebra import TETRA
 
@@ -345,7 +369,7 @@ def test_primary_plane_of_symmetric_planes_does_not_follow_rounding():
     picked = []
     for shift in (0.0, 1e-12, -1e-12):
         for direction in np.eye(3):
-            rec = analyze_point(DipoleConfig(magnets, fp + shift * direction), AnalysisRequest(config_path=""))
+            rec = analyze_point(DipoleConfig(magnets, fp + shift * direction))
             assert len(rec["planes"]) == 6
             normals = np.array([p["n_hat"] for p in rec["planes"]])
             picked.append((normals, rec["plane_used"], rec["bounds"]))
@@ -418,25 +442,24 @@ def test_records_are_invariant_under_rotation_and_permutation_and_scale_as_d_min
     every length by s, with the nearest magnet from 2e-9 m to 1e30 m, keeps
     the planes and scales every bound by s^-4.  Plane order may change, as
     ties between symmetric planes are broken by the normal's coordinates."""
-    from magalg.cli import AnalysisRequest, analyze_point
+    from magalg.cli import analyze_point
     from magalg.corpus import random_frame
     from magalg.dipoles import DipoleConfig
 
     cfg = _metamorphic_case(name)
-    req = AnalysisRequest(config_path="")
-    base = analyze_point(cfg, req)
+    base = analyze_point(cfg)
     assert base["planes"] and base["branch"] not in ("NONPLANAR", "DEGENERATE")
     fp, magnets = cfg.field_point, cfg.magnet_positions
     rng = np.random.default_rng(7)
     rot = random_frame(rng)
-    rec = analyze_point(DipoleConfig(fp + (magnets - fp) @ rot.T, fp), req)
+    rec = analyze_point(DipoleConfig(fp + (magnets - fp) @ rot.T, fp))
     _assert_same_planes(rec, base, rot)
     _assert_same_bounds(rec, base, 1.0)
-    rec = analyze_point(DipoleConfig(magnets[rng.permutation(len(magnets))[::-1]], fp), req)
+    rec = analyze_point(DipoleConfig(magnets[rng.permutation(len(magnets))[::-1]], fp))
     _assert_same_planes(rec, base)
     _assert_same_bounds(rec, base, 1.0)
     for s in (2e-9, 1e-3, 1e7, 1e30):
-        rec = analyze_point(cfg.scaled(s), req)
+        rec = analyze_point(cfg.scaled(s))
         _assert_same_planes(rec, base)
         _assert_same_bounds(rec, base, s)
 
@@ -447,16 +470,15 @@ def test_circle_axis_order_does_not_change_the_record(low_degree, monkeypatch):
     solving them in reverse order gives the same analyze record, candidates
     included, also when one circle's polynomial takes np.roots."""
     from magalg import algebra
-    from magalg.cli import AnalysisRequest, _point_record
+    from magalg.cli import _point_record
     from magalg.dipoles import DipoleConfig
     from test_algebra import TETRA_LOW_DEGREE
 
     cfg = DipoleConfig(*TETRA_LOW_DEGREE) if low_degree else _metamorphic_case("tetra")
-    req = AnalysisRequest(config_path="")
-    base = json.dumps(_point_record(cfg, req, candidates=True))
+    base = json.dumps(_point_record(cfg, candidates=True))
     circle_normals = algebra._circle_normals
     monkeypatch.setattr(algebra, "_circle_normals", lambda alg, axes, threshold: circle_normals(alg, axes[::-1], threshold))
-    assert json.dumps(_point_record(cfg, req, candidates=True)) == base
+    assert json.dumps(_point_record(cfg, candidates=True)) == base
 
 
 def test_report_roundtrip(tmp_path, single_dipole_json):
@@ -675,6 +697,18 @@ def test_sweep_bad_grid(tmp_path, single_dipole_json, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("grid, axis", [("0:inf:2,0:0:1,1:1:1", "0:inf:2"), ("0:0:1,nan:1:2,1:1:1", "nan:1:2"),
+                                        ("0:0:1,0:0:1,-inf:1:2", "-inf:1:2")])
+def test_sweep_non_finite_grid_bound(tmp_path, single_dipole_json, capsys, grid, axis):
+    """A non-finite grid bound names its axis and exits 2 before linspace could warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sweep", "--config", str(single_dipole_json), f"--grid={grid}", "--out", str(tmp_path / "s.csv")])
+    assert code == EXIT_INPUT
+    assert f"bad grid axis '{axis}': bounds must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_verify_passes_and_is_deterministic(capsys):
     code = main(["verify", "--trials", "6", "--seed", "12", "--samples", "800"])
     out1 = capsys.readouterr().out
@@ -690,6 +724,15 @@ def test_verify_passes_and_is_deterministic(capsys):
 def test_verify_zero_trials(capsys):
     assert main(["verify", "--trials", "0"]) == EXIT_INPUT
     assert main(["verify", "--samples", "0"]) == EXIT_INPUT
+
+
+def test_verify_negative_seed(single_dipole_json, capsys):
+    """A negative seed is an input error naming the seed, with and without --config."""
+    for extra in ([], ["--config", str(single_dipole_json)]):
+        assert main(["verify", "--seed", "-1", *extra]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a non-negative integer\n"
+        assert captured.out == ""
 
 
 def test_lattice_cross_check_catches_a_missed_maximizer(tmp_path, monkeypatch, capsys):
@@ -751,10 +794,13 @@ def test_verify_with_nothing_to_check_is_an_input_error(antipodal_json, capsys):
 def test_module_entry_point_smoke(tmp_path):
     cfg = write_config(tmp_path / "c.json", [[0, 0, 0]], [[0, 0, 1]])
     out = tmp_path / "r.json"
+    # the subprocess imports the package from this source tree, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "magalg", "analyze", "--config", str(cfg),
          "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["branch"] == "PLANE_DOMINANT"

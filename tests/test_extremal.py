@@ -116,10 +116,10 @@ _FAMILIES = {
 def test_lambda_bar_is_invariant_under_rotation_and_permutation(family, seed, axis, angle, data):
     """lambda_bar, the plane count and the branch of an analyze record do not
     change under rotations, mirror images (improper rotations) or magnet order."""
-    from magalg.cli import AnalysisRequest, analyze_point
+    from magalg.cli import analyze_point
 
     def summary(c):
-        rec = analyze_point(c, AnalysisRequest(config_path=""))
+        rec = analyze_point(c)
         return rec["lambda_bar"]["value"], len(rec["planes"]), rec["branch"]
 
     cfg = _FAMILIES[family](np.random.default_rng(seed))
@@ -635,6 +635,41 @@ def test_the_last_resort_starts_from_the_roots_of_every_rotation():
     x = np.stack([np.ones(f.sum()), y[f].real, z[f].real], axis=1) / size[f, None] @ r
     x, converged = _converge(unit_alg, x / np.linalg.norm(x, axis=1, keepdims=True))
     assert len(_distinct(x[converged])) == 4
+
+
+@pytest.mark.parametrize("marked", [1, 2])
+def test_a_singular_s0_finds_no_roots_and_leaves_the_rest_of_its_stack_alone(monkeypatch, marked):
+    """When S0 of one operator of a stack is singular, _chart_eigenvectors solves the
+    operators one at a time: the others get, bitwise, their solo results; the marked one
+    gets no moments, complete false and no roots, and a later rotation certifies it."""
+    rng = np.random.default_rng(0)
+    units = [a * (1.0 / a.scale) for a in (build_algebra(random_config(rng)) for _ in range(3))]
+    images = np.array([u.basis_images for u in units])
+    r = algebra._CHART_ROTATIONS[0]
+    singular = np.einsum("ai,bj,ck,nijk->nabc", r, r, r, images[marked][None])[0]
+    chart_roots = algebra._chart_roots
+
+    def roots(t):
+        if any(np.array_equal(x, singular) for x in t):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return chart_roots(t)
+
+    monkeypatch.setattr(algebra, "_chart_roots", roots)
+    stacked = algebra._chart_eigenvectors(r, images)
+    for i, (found, complete, chart) in enumerate(stacked):
+        if i == marked:
+            assert found == [] and complete is False
+            assert all(a.size == 0 for a in chart)
+            continue
+        [(solo_found, solo_complete, solo_chart)] = algebra._chart_eigenvectors(r, images[i][None])
+        assert complete == solo_complete
+        assert np.array_equal(np.array(found), np.array(solo_found))
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(chart, solo_chart))
+    moments, complete = algebra._algebraic_eigenvectors(units)[marked]
+    assert complete and len(moments) == 5
+    monkeypatch.undo()
+    expected, _ = algebra._algebraic_eigenvectors(units)[marked]
+    assert np.abs(np.array(moments) @ np.array(expected).T).max(axis=1) == pytest.approx(np.ones(5), abs=1e-12)
 
 
 def test_rotations_and_the_last_resort_keep_a_stacked_result_bitwise_the_solo_one():
