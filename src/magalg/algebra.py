@@ -11,19 +11,24 @@ everything into the plane.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .dipoles import MagneticAlgebra
-from .linalg3 import canonical_sign, cross, cross_matrices, rot_about, unit
+from .linalg3 import canonical_sign, cross, cross_matrices, unit
 # sphere_descent stays bound here for tracing; nothing in this module calls it
 from .sphere import sphere_descent, tangent_basis
 
 PLANARITY_TOL = 1e-8  # relative to the largest basis-image Frobenius norm
 _FRAME_TOL = 1e-12  # below this (relative), the coupling vector is treated as zero
 GRAM_DEGENERACY_RTOL = 1e-9  # Gram eigenvalues this close (relative to the top one) count as equal
+# Gram eigenvalues this close (relative to the top one) share one great circle of candidate plane
+# normals in find_invariant_planes.  Kept apart from GRAM_DEGENERACY_RTOL: grouping at 1e-9 changes
+# the planes a report lists (a split of 2.3e-8 gives 2 isolated planes in place of a family of 8)
+_PLANE_GROUP_RTOL = 1e-7
 _FAMILY_SIZE = 8  # representatives returned for a continuous family of planes
 _FAMILY_ANGLES = np.arange(_FAMILY_SIZE) * (np.pi / _FAMILY_SIZE)  # their angles on the circle of normals
 _EIGEN_TOL = 1e-11  # on the operator over its scale, a moment whose residual is at most this is a Z-eigenvector
@@ -228,149 +233,90 @@ def _distinct(m, cos_tol=1e-8) -> list[np.ndarray]:
     return list(x)
 
 
-# Fixed proper rotations that move the chart's special directions (the great
-# circles x0 = 0 and x2 = 0 of the rotated frame) off the axes and planes where
-# symmetric operators put their Z-eigenvectors; each re-solves what those before it leave uncertified.
-_CHART_ROTATIONS = tuple(rot_about(axis, angle) for axis, angle in [
-    ([0.43, -0.71, 0.55], 0.97), ([-0.62, 0.18, 0.77], 1.91), ([0.29, 0.88, -0.37], 2.53),
-    ([0.71, 0.05, 0.70], 0.61), ([-0.1, -0.6, 0.79], 2.2)])
 _EIGENPOINTS = 7  # Z-eigenvectors in P^2 of a ternary cubic with finitely many, counted over C
-_ROOT_RTOL = 1e-8  # chart roots closer than this (relative) count once; Jacobians this ill-conditioned are singular
-_STEP_RTOL = 1e-10  # a chart root is polished once its last Newton step is this small (relative)
+_RANK_GAP = 1e-9  # s[7] / s[0] of the Macaulay matrix below this: its null space may not be 7-dimensional
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+# g and h of the eigenvalues h / g, fixed.  At the axes and face and body diagonals, where symmetric
+# operators put eigenpoints, g and h are at least 0.1 from 0 (as cosines), and g x h is as far from
+# every plane two of them span, so no two of those eigenpoints share one h / g
+_FORMS = ((0.34, -0.84, -0.2), (-0.94, -0.46, 0.24))
 
 
-def _chart_polynomials(t):
-    """Coefficients p[n, k, i, j] of y^i z^j in C1, dC1/dy, dC1/dz, C2, dC2/dy, dC2/dz of each tensor t[n].
+def _tables():
+    """The Macaulay gather table, the quartic x_k times each cubic monomial, and the cubic x_a^2 x_k."""
+    quartics = {m: i for i, m in enumerate(itertools.combinations_with_replacement(range(3), 4))}
+    cubics = list(itertools.combinations_with_replacement(range(3), 3))
+    terms = [[[] for _ in quartics] for _ in range(9)]
+    for row, (k, (a, b)) in enumerate(itertools.product(range(3), _PAIRS)):
+        for offset, u, v in ((0, a, b), (27, b, a)):  # x_k x_a q_b, then minus x_k x_b q_a
+            for c, d in itertools.product(range(3), repeat=2):
+                terms[row][quartics[tuple(sorted((k, u, c, d)))]].append(offset + 9 * v + 3 * c + d)
+    gather = np.array([[entry + [54] * (4 - len(entry)) for entry in row] for row in terms])  # 54: the -0.0 pad
+    times = np.array([[quartics[tuple(sorted(m + (k,)))] for m in cubics] for k in range(3)])
+    return gather, times, np.array([[cubics.index(tuple(sorted((a, a, k)))) for k in range(3)] for a in range(3)])
 
-    In the chart v = (1, y, z), with q(v) = T(., v, v), C1 = q_1 - y q_0
-    and C2 = q_2 - z q_0 vanish exactly where q(v) is parallel to v.
+
+_GATHER, _TIMES, _READ = _tables()
+
+
+def _macaulay(t):
+    """The 9x15 Macaulay matrix of each tensor t[n]: row 3 k + p is x_k (x_a q_b - x_b q_a) over the quartic monomials.
+
+    (a, b) = _PAIRS[p] and q_b = T(b, x, x).  Each entry sums at most 4
+    entries of [t.ravel(), -t.ravel()]; -0.0, the additive identity, pads it.
     """
-    # q[n, a, 1 + i, 1 + j] is the coefficient of y^i z^j in q_a(1, y, z) = T(a, v, v); for the terms
-    # 1, y, z, y^2, y z, z^2 it is t[a, b, c] at flat b c = 0, 1, 2, 4, 5, 8, times 1, 2, 2, 1, 2, 1.
-    # Row and column 0 read 0, so C1 and C2 at y^i z^j, i, j <= 4, are q_1 and q_2 less q_0 shifted by one
-    q = np.zeros((len(t), 3, 6, 6))
-    q[:, :, [1, 2, 1, 3, 2, 1], [1, 1, 2, 1, 2, 3]] = t.reshape(-1, 3, 9).take([0, 1, 2, 4, 5, 8], axis=-1) * [1.0, 2.0, 2.0, 1.0, 2.0, 1.0]
-    c = q[:, 1:, 1:, 1:]
-    c[:, 0] -= q[:, 0, :-1, 1:]
-    c[:, 1] -= q[:, 0, 1:, :-1]
-    k = np.arange(1.0, 5.0)
-    p = np.empty((len(t), 2, 3, 4, 4))
-    p[:, :, 0] = c[..., :4, :4]
-    np.multiply(c[..., 1:, :4], k[:, None], out=p[:, :, 1])  # d/dy at y^i z^j is (i + 1) times the coefficient at y^(i+1) z^j
-    np.multiply(c[..., :4, 1:], k, out=p[:, :, 2])
-    return p.reshape(-1, 6, 4, 4)
+    flat = t.reshape(-1, 27)
+    g = np.concatenate([flat, -flat, np.full((len(t), 1), -0.0)], axis=1)[:, _GATHER]
+    return g[..., 0] + g[..., 1] + g[..., 2] + g[..., 3]
 
 
-def _powers(x):
-    """1, x, x^2, x^3 along a new last axis, multiplied out as np.vander does."""
-    v = np.empty(x.shape + (4,), x.dtype)
-    v[..., 0] = 1.0
-    v[..., 1:] = x[..., None]
-    np.multiply.accumulate(v[..., 1:], axis=-1, out=v[..., 1:])
-    return v
+def _eigenpoints(t):
+    """Unit real parts (n, 7, 3) of the 7 eigenpoints of each tensor t[n], real masks (n, 7) and rank gaps s[7] / s[0].
 
-
-def _chart_roots(t):
-    """All chart solutions (y, z) of C1 = C2 = 0 over C of each tensor t[n], polished by Newton.
-
-    C1 has degree 3 and C2 degree 2 in y; their 5x5 Sylvester matrix in
-    y is a cubic S(z) = S0 + z S1 + z^2 S2 + z^3 S3, and the roots z are
-    its eigenvalues.  In w = 1/z they are those of a 15x15 companion
-    matrix; the Sylvester kernel at a root is (1, y, ..., y^4), so y is
-    read from the last block of the eigenvector.  The tensors share one
-    stacked solve, eig and Newton pass; each operator's arithmetic is the
-    same as alone.  Returns (n, 15) arrays of y, z, the last Newton step
-    length and |det J| / ||J||_F^2 of the chart Jacobian J, about its
-    singular-value ratio when small.  Raises LinAlgError when an S0 is
-    singular.
+    The eigenpoints are the zeros of the 2x2 minors of [x | T(., x, x)]
+    (Abo, Seigal & Sturmfels, 2017).  The Macaulay matrix has rank 8, and
+    its null space N holds the quartic monomials at the 7 points.  g N and
+    h N, the cubic monomials times g and h there, reduce by the QR of g N
+    to one 7x7 eigenproblem with eigenvalues h / g at the points (Telen,
+    Mourrain & Van Barel, SIAM J. Matrix Anal. Appl. 39(3), 2018).  A
+    point is real when its eigenvalue is, to the bit, and is read off g N
+    times its eigenvector as x_a^2 x_k over x_a^3, at the largest |x_a^3|.
     """
-    polys = _chart_polynomials(t)
-    s = np.zeros((len(t), 4, 5, 5))  # s[:, j] multiplies z^j; columns are y^0..y^4
-    for k in range(2):
-        s[:, :, k, k:k + 4] = polys[:, 0].transpose(0, 2, 1)
-    for k in range(3):
-        s[:, :, 2 + k, k:k + 3] = polys[:, 3, :3].transpose(0, 2, 1)
-    companion = np.zeros((len(t), 15, 15))
-    companion[:, :5] = -np.linalg.solve(s[:, 0], np.concatenate([s[:, 1], s[:, 2], s[:, 3]], axis=2))
-    companion[:, 5:, :10] = np.eye(10)
-    w, vecs = np.linalg.eig(companion)
-    with np.errstate(all="ignore"):  # roots of w near 0 lie at infinity; Newton may overflow on them
-        y, z = vecs[:, 11] / vecs[:, 10], 1.0 / w
-        for _ in range(8):
-            c1, c1_y, c1_z, c2, c2_y, c2_z = np.einsum("nri,nkij,nrj->knr", _powers(y), polys, _powers(z))
-            det = c1_y * c2_z - c1_z * c2_y
-            dy = (c2_z * c1 - c1_z * c2) / det
-            dz = (c1_y * c2 - c2_y * c1) / det
-            y, z = y - dy, z - dz
-        fro2 = np.abs(c1_y) ** 2 + np.abs(c1_z) ** 2 + np.abs(c2_y) ** 2 + np.abs(c2_z) ** 2
-        return y, z, np.abs(dy) + np.abs(dz), np.abs(det) / fro2
-
-
-def _chart_eigenvectors(r, images):
-    """Z-eigenvectors of each operator tensor of images from the chart rotated by r, and whether they are certified complete.
-
-    A ternary cubic with finitely many eigenpoints has 7 in P^2, counted
-    with multiplicity over C (Cartwright & Sturmfels, LAA 2013).  When
-    the chart yields 7 distinct roots with nonsingular Jacobians and
-    every real one converges on the sphere, the real ones are all the
-    Z-eigenvectors.  The operators share one _chart_roots call and one
-    _converge call; one whose S0 is singular finds no roots.  Returns
-    one (distinct converged moments, complete, its chart roots' y, z and
-    size) per operator, in order.
-    """
-    try:
-        y, z, step, conditioning = _chart_roots(np.einsum("ai,bj,ck,nijk->nabc", r, r, r, images))
-    except np.linalg.LinAlgError:  # solve one at a time to find the singular S0
-        return [([], False, np.empty((3, 0)))] if len(images) == 1 else [_chart_eigenvectors(r, t[None])[0] for t in images]
-    size = 1.0 + np.abs(y) + np.abs(z)
-    good = np.isfinite(size) & (step <= _STEP_RTOL * size) & (conditioning > _ROOT_RTOL)
-    counts, starts, owner = [], [], []
-    for i, keep in enumerate(good):
-        roots: list[tuple[complex, complex, float]] = []
-        for yi, zi, si in zip(y[i, keep], z[i, keep], size[i, keep]):
-            if all(abs(yi - yj) + abs(zi - zj) > _ROOT_RTOL * si for yj, zj, _ in roots):
-                roots.append((yi, zi, si))
-        real = [(1.0, yi.real, zi.real) for yi, zi, si in roots if abs(yi.imag) + abs(zi.imag) <= _ROOT_RTOL * si]
-        counts.append((len(roots), len(real)))
-        starts += real
-        owner += [i] * len(real)
-    x = np.array(starts).reshape(-1, 3) @ r
-    owner = np.array(owner, dtype=int)
-    x, converged = _converge(images[owner], x / np.linalg.norm(x, axis=1, keepdims=True))
-    out = []
-    for i, (n_roots, n_real) in enumerate(counts):
-        found = _distinct(x[converged & (owner == i)])
-        out.append((found, n_roots == _EIGENPOINTS and len(found) == n_real, (y[i], z[i], size[i])))
-    return out
+    _, s, vh = np.linalg.svd(_macaulay(t))
+    shifted = vh[:, 15 - _EIGENPOINTS:, _TIMES].transpose(2, 0, 3, 1)  # x_k times the cubic monomials, (3, n, 10, 7)
+    gn, hn = (c[0] * shifted[0] + c[1] * shifted[1] + c[2] * shifted[2] for c in _FORMS)
+    q, r = np.linalg.qr(gn)
+    w, v = np.linalg.eig(np.linalg.solve(r, q.transpose(0, 2, 1) @ hn))
+    p = gn @ v.astype(complex)  # complex always, so one operator's arithmetic does not follow its stack's
+    pivot = np.abs(p[:, _READ.diagonal()]).argmax(axis=1)
+    x = np.take_along_axis(p, _READ[pivot].transpose(0, 2, 1), axis=1)
+    x = (x / np.take_along_axis(x, pivot[:, None], axis=1)).real.transpose(0, 2, 1)
+    return x / np.linalg.norm(x, axis=2, keepdims=True), w.imag == 0.0, s[:, 7] / s[:, 0]
 
 
 def _algebraic_eigenvectors(unit_algs):
-    """(moments, complete) of each operator from _chart_eigenvectors in each rotation in turn, till one certifies it.
+    """(moments, complete) of each unit-scale operator: Newton from its real eigenpoints, all operators in one call.
 
-    Each rotation solves the operators still uncertified as one stack.
-    Those none certifies take one _converge call from the real part of
-    every finite chart root of every rotation, and complete false: 3 of
-    2700 random configs and 3 in verify --trials 400 --seed 123, all
-    nearly zonal (Gram eigenvalues in the ratios (1, 1, 3) to 2e-6).
+    complete holds when the rank gap is at least _RANK_GAP and the real
+    points converge to as many distinct moments, all 7 eigenpoints over C
+    being accounted for (Cartwright & Sturmfels, LAA 2013).  Any other
+    operator takes one more Newton call from the real parts of its 7
+    points and its 3 Gram eigenvectors, the axis of a nearly zonal one.
     """
     images = np.array([u.basis_images for u in unit_algs])
-    out, todo, tried = [None] * len(images), list(range(len(images))), [[] for _ in images]
-    for r in _CHART_ROTATIONS:
-        for i, (found, complete, roots) in zip(todo, _chart_eigenvectors(r, images[todo])):
-            out[i] = found, complete
-            tried[i].append((r, *roots))
-        if not (todo := [i for i in todo if not out[i][1]]):
-            return out
-    starts, owner = [], []
-    for i in todo:
-        for r, y, z, size in tried[i]:
-            f = np.isfinite(size)  # over its size, a root far out gives its direction without overflow
-            starts.append(np.stack([np.ones(f.sum()), y[f].real, z[f].real], axis=1) / size[f, None] @ r)
-            owner += [i] * len(starts[-1])
-    x, owner = np.concatenate(starts), np.array(owner, dtype=int)
-    x, converged = _converge(images[owner], x / np.linalg.norm(x, axis=1, keepdims=True))
-    for i in todo:
-        out[i] = _distinct(x[converged & (owner == i)]), False
+    x, real, gap = _eigenpoints(images)
+    owner = np.nonzero(real)[0]
+    moments, converged = _converge(images[owner], x[real])
+    out = []
+    for i, n_real in enumerate(real.sum(axis=1)):
+        found = _distinct(moments[converged & (owner == i)])
+        out.append((found, bool(gap[i] >= _RANK_GAP and len(found) == n_real)))
+    if fail := [i for i, (_, complete) in enumerate(out) if not complete]:
+        axes = np.linalg.eigh(np.array([unit_algs[i].gram for i in fail]))[1].transpose(0, 2, 1)
+        starts = np.concatenate([x[fail], axes], axis=1)
+        moments, converged = _converge(np.repeat(images[fail], starts.shape[1], axis=0), starts)
+        for i, m, c in zip(fail, moments.reshape(starts.shape), converged.reshape(starts.shape[:2])):
+            out[i] = _distinct(m[c]), False
     return out
 
 
@@ -391,6 +337,8 @@ def _axis_form(t):
     and the 3 lines at 3p = atan2(B, A) + k pi, are all of them: complete
     is true.  At the acceptance tolerance the pair of eigenpoints that
     splits off a lies within _distinct's 1e-8 merge cosine, with |tau| ~ 0.
+    The null-space solve cannot certify either form; one near a form but
+    beyond _EIGEN_TOL falls back to Newton from the Gram axes there.
     """
     w, axes = np.linalg.eigh(np.einsum("iab,jab->ij", t, t))
     shape = [len(g) for g in _group_eigenvalues(w, GRAM_DEGENERACY_RTOL)]
@@ -418,7 +366,7 @@ def _axis_form(t):
 
 
 class ZEigenvectors(NamedTuple):
-    """The Z-eigenvectors found, and whether the 7-root certificate holds."""
+    """The Z-eigenvectors found, and whether they are certified to be all of them."""
 
     moments: tuple  # read-only unit moments, sign-canonical
     complete: bool
@@ -435,27 +383,29 @@ def self_eigenvectors(alg: MagneticAlgebra) -> ZEigenvectors:
     reports for the family, and complete false.  A Gram-null one (a
     singular eigenpoint, such as the in-plane centre of an equilateral
     triangle of magnets) is sectoral: its null axis and 3 lines, complete.
-    Any other operator is solved by _algebraic_eigenvectors, whose 7-root
-    certificate decides complete; only nearly zonal or nearly Gram-null
-    ones reach its last resort.  A moment is accepted once its residual
-    is at most _EIGEN_TOL times the operator scale; two whose cosine is
-    within 1e-8 of +-1 count once.  The solve runs on the operator over
-    its scale, where squared residuals cannot underflow.  Memoized on
-    alg: this is self_eigenvectors_batch of [alg], so it reads what a
-    batch call already solved.
+    Any other operator is solved by _algebraic_eigenvectors: complete
+    certifies a 7-dimensional Macaulay null space whose real points
+    converge to distinct moments; a nearly zonal or nearly Gram-null one
+    that fails it also starts Newton from its Gram axes.  A moment is
+    accepted once its residual is at most _EIGEN_TOL times the operator
+    scale; two whose cosine is within 1e-8 of +-1 count once.  The solve
+    runs on the operator over its scale, where squared residuals cannot
+    underflow.  Memoized on alg: this is self_eigenvectors_batch of
+    [alg], so it reads what a batch call already solved.
     """
     key = ("self_eigenvectors",)
     return alg.memo[key] if key in alg.memo else self_eigenvectors_batch([alg])[0]
 
 
 def self_eigenvectors_batch(algs) -> list[ZEigenvectors]:
-    """self_eigenvectors of each algebra of algs, with one stacked resultant solve for all of them.
+    """self_eigenvectors of each algebra of algs, with one stacked null-space solve for all of them.
 
     Each result is memoized on its algebra under the key self_eigenvectors
     reads, and is bitwise the one a solve of that algebra alone gives, in
     any order of algs.  Algebras already solved are not solved again;
     closed forms run one at a time, complete only if all their moments
-    converge.  Raises TrivialAlgebraError on a zero operator.
+    converge, and the others share one _algebraic_eigenvectors call.
+    Raises TrivialAlgebraError on a zero operator.
     """
     key = ("self_eigenvectors",)
     todo = list(dict.fromkeys(a for a in algs if key not in a.memo))  # each object once
@@ -550,7 +500,7 @@ def find_invariant_planes(alg: MagneticAlgebra) -> list[PlanarStructure]:
         raise TrivialAlgebraError("trivial algebra")
     threshold = PLANARITY_TOL * alg.scale
     gs = gram_spectrum(alg)
-    v, groups = gs.eigenvectors, _group_eigenvalues(gs.eigenvalues, 1e-7)
+    v, groups = gs.eigenvectors, _group_eigenvalues(gs.eigenvalues, _PLANE_GROUP_RTOL)
     found, family = [v[:, [g[0] for g in groups if len(g) == 1]].T], []
     for group in [g for g in groups if len(g) > 1]:
         if len(group) == 3:

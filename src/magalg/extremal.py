@@ -3,13 +3,14 @@
 The quantity of interest is the largest principal-eigenvalue magnitude of
 the moment-dependent gradient matrix over all unit moments (lambda_bar).
 It is attained at a Z-eigenvector of the symmetric operator tensor.  An
-algebraic solve (a resultant eigenproblem) finds them all and certifies
-the set complete by its root count, so lambda_bar is exact to rounding.
-Closed forms give the axis and a cone of an axisymmetric operator, the
-axis giving lambda_bar, and the null axis and 3 lines, certified, of a
-Gram-null one (a singular eigenpoint).  The rare nearly zonal operators
-no chart certifies take the moments Newton reaches from their chart
-roots, not complete.  The planar structure gives closed forms and a
+algebraic solve (the null space of a Macaulay matrix) finds them all and
+certifies the set complete by its rank and real-point count, so
+lambda_bar is exact to rounding.  Closed forms give the axis and a cone
+of an axisymmetric operator, the axis giving lambda_bar, and the null
+axis and 3 lines, certified, of a Gram-null one (a singular eigenpoint).
+The rare operators near those forms that the solve cannot certify take
+the moments Newton reaches from its points and their Gram axes, not
+complete.  The planar structure gives closed forms and a
 chain of bounds around it:
 
     ||P|| <= |lambda_MF| <= lambda_P <= lambda_bar <= |lambda_MF| + ||P||/2
@@ -113,17 +114,17 @@ def lambda_bar_exact(alg: MagneticAlgebra) -> WorstCase:
 
     By Banach's theorem on the symmetric operator tensor, lambda_bar is
     the largest |x^T F_x x| over unit x, attained at a Z-eigenvector.
-    When self_eigenvectors certifies its set complete (7 distinct
-    nonsingular eigenpoints over C, or the null axis and 3 lines of a
-    Gram-null operator), that maximum is exact to rounding and complete
-    is true.  On an axisymmetric operator it is attained on the axis,
-    which beats the cone of the other Z-eigenvectors by a factor
-    sqrt(5): exact too, but complete is false, as the set is a
-    continuum.  Otherwise (the rare nearly zonal operators no chart
-    rotation certifies) it is the best moment Newton reaches from the
-    chart roots, and complete is false.  The triple is finished from
-    the eigensolver, as in lambda_bar_bruteforce.  Memoized on alg:
-    callers share it and must not modify it.
+    When self_eigenvectors certifies its set complete (a 7-dimensional
+    Macaulay null space whose real points converge to distinct moments,
+    or the null axis and 3 lines of a Gram-null operator), that maximum
+    is exact to rounding and complete is true.  On an axisymmetric
+    operator it is attained on the axis, which beats the cone of the
+    other Z-eigenvectors by a factor sqrt(5): exact too, but complete is
+    false, as the set is a continuum.  Otherwise (the rare operators near
+    those forms) it is the best moment Newton reaches from the points of
+    the solve and the Gram axes, and complete is false.  The triple is
+    finished from the eigensolver, as in lambda_bar_bruteforce.  Memoized
+    on alg: callers share it and must not modify it.
     """
     if alg.is_trivial():
         return WorstCase(0.0, _Z.copy(), _Z.copy())

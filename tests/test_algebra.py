@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,13 @@ from hypothesis import strategies as st
 
 from magalg.algebra import (
     _FAMILY_ANGLES,
+    _PLANE_GROUP_RTOL,
+    _RANK_GAP,
     NotInvariantPlaneError,
     TrivialAlgebraError,
     _circle_normals,
     _distinct,
+    _macaulay,
     _newton_step,
     _self_eigen_system,
     decompose,
@@ -222,8 +227,8 @@ def test_batched_circle_search_matches_one_circle_at_a_time(rng):
         if gs.multiplicity == 3:
             x = np.reshape(self_eigenvectors(alg).moments, (-1, 3))
             axes = _newton_step(x, *_self_eigen_system(alg, x))
-        elif w[1] - w[0] <= 1e-7 * w[2] or w[2] - w[1] <= 1e-7 * w[2]:
-            axes = v[:, [2 if w[1] - w[0] <= 1e-7 * w[2] else 0]].T
+        elif w[1] - w[0] <= _PLANE_GROUP_RTOL * w[2] or w[2] - w[1] <= _PLANE_GROUP_RTOL * w[2]:
+            axes = v[:, [2 if w[1] - w[0] <= _PLANE_GROUP_RTOL * w[2] else 0]].T
         else:
             continue
         threshold = 1e-8 * alg.scale
@@ -239,36 +244,52 @@ def test_batched_circle_search_matches_one_circle_at_a_time(rng):
     assert low_degree >= 1
 
 
-def test_chart_polynomials_match_the_term_by_term_construction(rng):
-    """The gather tables give, bitwise and with the signs of zeros, the coefficients
-    of C1 = q_1 - y q_0 and C2 = q_2 - z q_0 and their derivatives built term by term."""
-    from magalg.algebra import _chart_polynomials
+def test_the_macaulay_matrix_matches_the_term_by_term_construction(rng):
+    """The gather table gives, bitwise and with the signs of zeros, the 9x15 matrix built
+    term by term, and its rows evaluated at x are x_k (x_a q_b - x_b q_a), q = T(., x, x)."""
+    quartics = list(itertools.combinations_with_replacement(range(3), 4))
+    pairs = [(0, 1), (0, 2), (1, 2)]
 
     def term_by_term(t):
-        quad = np.zeros((3, 3, 3))  # coefficients of y^i z^j in q_a(1, y, z)
-        quad[:, 0, 0] = t[:, 0, 0]
-        quad[:, 1, 0] = 2.0 * t[:, 0, 1]
-        quad[:, 0, 1] = 2.0 * t[:, 0, 2]
-        quad[:, 2, 0] = t[:, 1, 1]
-        quad[:, 1, 1] = 2.0 * t[:, 1, 2]
-        quad[:, 0, 2] = t[:, 2, 2]
-        c = np.zeros((2, 4, 4))
-        c[:, :3, :3] = quad[1:]
-        c[0, 1:, :3] -= quad[0]
-        c[1, :3, 1:] -= quad[0]
-        powers = np.arange(1.0, 4.0)
-        d_y = np.zeros_like(c)
-        d_y[:, :3] = c[:, 1:] * powers[:, None]
-        d_z = np.zeros_like(c)
-        d_z[:, :, :3] = c[:, :, 1:] * powers
-        return np.stack([c[0], d_y[0], d_z[0], c[1], d_y[1], d_z[1]])
+        m = np.full((9, 15), -0.0)  # -0.0 + y is y, whatever the sign of a zero y
+        for row, (k, (a, b)) in enumerate(itertools.product(range(3), pairs)):
+            for c, d in itertools.product(range(3), repeat=2):
+                m[row, quartics.index(tuple(sorted((k, a, c, d))))] += t[b, c, d]
+            for c, d in itertools.product(range(3), repeat=2):
+                m[row, quartics.index(tuple(sorted((k, b, c, d))))] -= t[a, c, d]
+        return m
 
     t = rng.standard_normal((50, 3, 3, 3))
     t[rng.random(t.shape) < 0.1] = -0.0
-    got = _chart_polynomials(t)
-    for p, ti in zip(got, t):
+    t[rng.random(t.shape) < 0.1] = 0.0
+    got = _macaulay(t)
+    for m, ti in zip(got, t):
         want = term_by_term(ti)
-        assert np.array_equal(p, want) and np.array_equal(np.signbit(p), np.signbit(want))
+        assert np.array_equal(m, want) and np.array_equal(np.signbit(m), np.signbit(want))
+    for m, ti in zip(got, t):
+        for x in rng.standard_normal((5, 3)):
+            q = np.einsum("abc,b,c->a", ti, x, x)
+            minors = [x[a] * q[b] - x[b] * q[a] for a, b in pairs]
+            expected = [x[k] * minor for k in range(3) for minor in minors]
+            quartic = np.array([np.prod(x[list(mono)]) for mono in quartics])
+            assert np.abs(m @ quartic - expected).max() <= 1e-13 * np.abs(ti).max() * (x @ x) ** 2
+
+
+def test_a_generic_null_space_is_seven_dimensional_and_holds_the_eigenpoints(rng):
+    """A generic operator's Macaulay matrix has rank 8, with s[7] / s[0] at least _RANK_GAP:
+    its null space is 7-dimensional and holds the quartic monomials evaluated at each
+    Z-eigenvector."""
+    quartics = list(itertools.combinations_with_replacement(range(3), 4))
+    for _ in range(20):
+        alg = build_algebra(random_config(rng))
+        sol = self_eigenvectors(alg)
+        assert sol.complete
+        _, s, vh = np.linalg.svd(_macaulay(alg.basis_images[None] / alg.scale)[0])
+        assert s[7] >= _RANK_GAP * s[0] and s[8] <= 1e-14 * s[0]
+        null = vh[8:]
+        for x in sol.moments:
+            v = np.array([np.prod(x[list(mono)]) for mono in quartics])
+            assert np.linalg.norm(v - null.T @ (null @ v)) <= 1e-10 * np.linalg.norm(v)
 
 
 def test_distinct_keeps_the_rows_the_pairwise_loop_kept(rng):

@@ -312,6 +312,29 @@ def test_analyze_ignores_an_underflowing_far_magnet(tmp_path):
     assert rep["lambda_bar"]["certified"] == 2.0
 
 
+# the second magnet weighs (1 / 500)^4 = 1.6e-11 of the first: an operator within 1e-10 of zonal
+FAR_MAGNET = ([[1, 0, 0], [300, 320, 240]], [[0, 0, 0]])
+
+
+def test_analyze_far_magnet_reports_lambda_bar_in_the_weight_bracket(tmp_path):
+    """The operator is -2 sum_i w_i Z_i, with w = d^-4 and Z_i the zonal cubic about
+    magnet i, of spectral norm 1, so 2 (2 w_max - sum w) <= lambda_bar <= 2 sum w;
+    every chain flag, at the top level and per plane, holds."""
+    code, rep = run_analyze(tmp_path, write_config(tmp_path / "far.json", *FAR_MAGNET))
+    assert code == EXIT_OK
+    w = np.array([1.0, 500.0 ** -4])
+    assert 2.0 * (2.0 * w.max() - w.sum()) <= rep["lambda_bar"]["value"] <= 2.0 * w.sum()
+    assert 1.99999999997 <= rep["lambda_bar"]["value"] <= 2.00000000003
+    assert rep["plane_reports"]
+    assert all(rep["chain_ok"].values())
+    assert all(all(plane["chain_ok"].values()) for plane in rep["plane_reports"])
+
+
+def test_verify_far_magnet_passes(tmp_path, capsys):
+    assert main(["verify", "--config", str(write_config(tmp_path / "far.json", *FAR_MAGNET))]) == EXIT_OK
+    assert "verify: PASS" in capsys.readouterr().out
+
+
 def test_analyze_rejects_bad_request(tmp_path, single_dipole_json, capsys):
     # the chain tolerance is fixed at CHAIN_RTOL: --tol is no option, whatever its value
     for tol in ("1e-9", "0", "nan", "inf", "1", "-1"):

@@ -24,7 +24,7 @@ from magalg.corpus import (
     random_mirror_config,
     random_moments,
 )
-from magalg.dipoles import DipoleConfig, build_algebra
+from magalg.dipoles import DipoleConfig, MagneticAlgebra, build_algebra
 from magalg.extremal import (
     Branch,
     CandidateKind,
@@ -434,7 +434,7 @@ def test_certified_real_counts_are_odd():
         if sol.complete:
             certified += 1
             assert len(sol.moments) % 2 == 1
-    assert certified == 600  # none of these is axisymmetric, and every one is certified in some rotation
+    assert certified == 600  # none of these is axisymmetric, and the null-space solve certifies every one
 
 
 @pytest.mark.parametrize("magnets, field_point", [
@@ -466,8 +466,8 @@ _SQUARE = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1
 ])
 def test_axisymmetric_operators_are_solved_in_closed_form(monkeypatch, magnets, field_point, axis):
     """A single dipole, an on-axis pair and a 4-fold axis give a zonal operator:
-    the axis and 2 _FAMILY_SIZE cone points come back without the resultant
-    solve or its last resort."""
+    the axis and 2 _FAMILY_SIZE cone points come back without the null-space
+    solve."""
     def not_called(*args, **kwargs):
         raise AssertionError("the closed form should not need this")
 
@@ -504,44 +504,15 @@ def test_nearly_axisymmetric_operators_take_the_algebraic_solve(monkeypatch, mag
 def test_a_trigonal_cubic_passes_the_gram_test_and_fails_the_residual():
     alg = build_algebra(DipoleConfig(_TRIANGLE, [0.0, 0.0, 1.5]))
     w = np.linalg.eigvalsh(alg.gram)
-    assert [len(g) for g in algebra._group_eigenvalues(w, 1e-7)] == [2, 1]
+    assert [len(g) for g in algebra._group_eigenvalues(w, algebra._PLANE_GROUP_RTOL)] == [2, 1]
     assert algebra._axis_form(alg.basis_images / alg.scale) is None
 
 
-def test_the_chart_polynomials_are_the_chart_system(rng):
-    """The six rows of _chart_polynomials(t) at complex (y, z) are C1 = q_1 - y q_0 and
-    C2 = q_2 - z q_0 of q = T(., v, v), v = (1, y, z), and their partials, with
-    dq_a/dy = 2 T(a, e_1, v) and dq_a/dz = 2 T(a, e_2, v)."""
-    a = rng.standard_normal((20, 3, 3, 3)) * 10.0 ** rng.uniform(-3, 3, size=(20, 1, 1, 1))
-    t = sum(a.transpose(0, *p) for p in itertools.permutations((1, 2, 3))) / 6.0
-    polys = algebra._chart_polynomials(t)
-    assert polys.shape == (20, 6, 4, 4)
-    e1, e2 = np.eye(3)[1], np.eye(3)[2]
-    for tn, p in zip(t, polys):
-        for y, z in rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2)):
-            rows = np.einsum("i,kij,j->k", algebra._powers(np.array(y)), p, algebra._powers(np.array(z)))
-            v = np.array([1.0, y, z])
-            q = np.einsum("abc,b,c->a", tn, v, v)
-            q_y, q_z = 2.0 * np.einsum("abc,b,c->a", tn, e1, v), 2.0 * np.einsum("abc,b,c->a", tn, e2, v)
-            expected = [q[1] - y * q[0], q_y[1] - q[0] - y * q_y[0], q_z[1] - y * q_z[0],
-                        q[2] - z * q[0], q_y[2] - z * q_y[0], q_z[2] - q[0] - z * q_z[0]]
-            scale = np.abs(tn).max() * (1.0 + abs(y) + abs(z)) ** 3
-            assert np.abs(rows - expected).max() <= 1e-14 * scale
-
-
-def _first_chart(unit_alg):
-    """(moments, complete) of the operator from the first chart rotation alone."""
-    [(found, complete, _)] = algebra._chart_eigenvectors(algebra._CHART_ROTATIONS[0], unit_alg.basis_images[None])
-    return found, complete
-
-
 def _multistart_reference(alg):
-    """The fallback the chart rotations replace: the first chart's converged real
-    roots joined by projected Newton from 50 seeded Fibonacci starts."""
+    """Distinct moments projected Newton reaches from 200 Fibonacci starts in a seeded frame."""
     unit_alg = alg * (1.0 / alg.scale)
-    found, _ = _first_chart(unit_alg)
-    x, converged = _converge(unit_alg, fibonacci_sphere(50) @ random_frame(np.random.default_rng(0)).T)
-    return _distinct([*found, *x[converged]])
+    x, converged = _converge(unit_alg, fibonacci_sphere(200) @ random_frame(np.random.default_rng(0)).T)
+    return _distinct(x[converged])
 
 
 def _assert_matches_the_multistart(alg):
@@ -560,13 +531,11 @@ def _assert_matches_the_multistart(alg):
 
 
 @pytest.mark.parametrize("i", [7, 18, 61, 112, 127, 434, 448, 464, 523])
-def test_operators_the_first_chart_leaves_uncertified_are_certified_in_another_rotation(i):
-    """Draws of the six-pair corpus whose roots do not all polish in the first chart:
-    a later rotation certifies them, with the moments and lambda_bar that the first
-    chart's real roots and a 50-start multistart give."""
-    alg = build_algebra(six_pair_corpus()[i])
-    assert not _first_chart(alg * (1.0 / alg.scale))[1]
-    assert _assert_matches_the_multistart(alg).complete
+def test_six_pair_draws_with_eigenpoints_far_out_in_a_chart_are_certified(i):
+    """Draws of the six-pair corpus with eigenpoints far out toward the line at infinity of
+    the chart (1, y, z), or in near-double real pairs: the null-space solve certifies them,
+    with the moments and lambda_bar of a dense multistart."""
+    assert _assert_matches_the_multistart(build_algebra(six_pair_corpus()[i])).complete
 
 
 def _singular_eigenpoint_configs():
@@ -584,8 +553,8 @@ def _singular_eigenpoint_configs():
 @pytest.mark.parametrize("k", range(7))
 def test_singular_eigenpoints_are_certified_in_closed_form(monkeypatch, k):
     """A singular eigenpoint's operator is sectoral about its Gram null axis a: its
-    Z-eigenvectors are a and 3 in-plane lines, the moments and lambda_bar of the
-    50-start multistart, certified complete without the chart solve."""
+    Z-eigenvectors are a and 3 in-plane lines, the moments and lambda_bar of a dense
+    multistart, certified complete without the null-space solve."""
     def not_called(*args, **kwargs):
         raise AssertionError("the closed form should not need this")
 
@@ -595,103 +564,140 @@ def test_singular_eigenpoints_are_certified_in_closed_form(monkeypatch, k):
     assert len(sol.moments) == 4
 
 
-def test_a_nearly_singular_eigenpoint_fails_the_residual_and_takes_the_last_resort(monkeypatch):
+def test_a_nearly_singular_eigenpoint_fails_the_residual_and_the_certificate(monkeypatch):
     """Moving one magnet of the triangle by 1e-9 keeps the Gram split [1, 2] but not the
-    sectoral form: the chart rotations and the last resort run, and complete is false."""
+    sectoral form.  The null space is 7-dimensional, but two of the 5 real eigenpoints
+    near the null axis merge, so complete is false."""
     magnets = _TRIANGLE + [[1e-9, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
     alg = build_algebra(DipoleConfig(magnets, [0.0, 0.0, 0.0]))
     unit_alg = alg * (1.0 / alg.scale)
     w = np.linalg.eigvalsh(unit_alg.gram)
-    assert [len(g) for g in algebra._group_eigenvalues(w, 1e-7)] == [1, 2]
+    assert [len(g) for g in algebra._group_eigenvalues(w, algebra._PLANE_GROUP_RTOL)] == [1, 2]
     assert algebra._axis_form(unit_alg.basis_images) is None
+    _, real, gap = algebra._eigenpoints(unit_alg.basis_images[None])
+    assert gap[0] >= algebra._RANK_GAP and real.sum() == 5
     solve = algebra._algebraic_eigenvectors
     calls = []
     monkeypatch.setattr(algebra, "_algebraic_eigenvectors", lambda a: calls.append(a) or solve(a))
-    assert not _assert_matches_the_multistart(alg).complete
+    sol = _assert_matches_the_multistart(alg)
+    assert not sol.complete
+    assert len(sol.moments) == 4
     assert len(calls) == 1
 
 
-def _last_resort_configs():
+def _nearly_zonal_configs():
     """Draw 271 of random_mirror_config from default_rng(3) and draw 117 of
-    random_coplanar_config from default_rng(0): nearly zonal operators (Gram eigenvalues
-    in the ratios (1, 1, 3) to 2e-6) that no chart rotation certifies."""
+    random_coplanar_config from default_rng(0): nearly zonal operators, Gram
+    eigenvalues in the ratios (1, 1, 3) to 2e-6."""
     rng = np.random.default_rng(3)
     mirror = [random_mirror_config(rng)[0] for _ in range(272)][271]
     rng = np.random.default_rng(0)
     return [mirror, [random_coplanar_config(rng)[0] for _ in range(118)][117]]
 
 
-def test_the_last_resort_starts_from_the_roots_of_every_rotation():
-    """Mirror draw 271 reaches the last resort: Newton from the roots of all five
-    rotations finds the 5 moments of the multistart, those of the first rotation alone 4."""
-    alg = build_algebra(_last_resort_configs()[0])
-    sol = _assert_matches_the_multistart(alg)
-    assert not sol.complete
+@pytest.mark.parametrize("k", range(2))
+def test_nearly_zonal_draws_are_certified_with_five_moments(k):
+    """The null-space solve certifies both, with the 5 moments of a dense multistart."""
+    sol = _assert_matches_the_multistart(build_algebra(_nearly_zonal_configs()[k]))
+    assert sol.complete
     assert len(sol.moments) == 5
-    unit_alg = alg * (1.0 / alg.scale)
-    r = algebra._CHART_ROTATIONS[0]
-    [(_, _, (y, z, size))] = algebra._chart_eigenvectors(r, unit_alg.basis_images[None])
-    f = np.isfinite(size)
-    x = np.stack([np.ones(f.sum()), y[f].real, z[f].real], axis=1) / size[f, None] @ r
-    x, converged = _converge(unit_alg, x / np.linalg.norm(x, axis=1, keepdims=True))
-    assert len(_distinct(x[converged])) == 4
 
 
-@pytest.mark.parametrize("marked", [1, 2])
-def test_a_singular_s0_finds_no_roots_and_leaves_the_rest_of_its_stack_alone(monkeypatch, marked):
-    """When S0 of one operator of a stack is singular, _chart_eigenvectors solves the
-    operators one at a time: the others get, bitwise, their solo results; the marked one
-    gets no moments, complete false and no roots, and a later rotation certifies it."""
+_FAR_MAGNET = DipoleConfig([[1.0, 0.0, 0.0], [300.0, 320.0, 240.0]], [0.0, 0.0, 0.0])
+
+
+def test_a_far_magnet_fails_the_rank_gap_and_keeps_lambda_bar_in_the_weight_bracket():
+    """The second magnet weighs 1.6e-11 of the first: the operator is within 1e-10 of
+    zonal and the rank gap fails, yet the fallback reaches the axis, so lambda_bar lies
+    in the bracket 2 (2 w_max - sum w) <= lambda_bar <= 2 sum w of the weights w = d^-4
+    (the zonal cubic about each magnet has spectral norm 1)."""
+    alg = build_algebra(_FAR_MAGNET)
+    _, gap = algebra._eigenpoints(alg.basis_images[None] / alg.scale)[1:]
+    assert gap[0] < algebra._RANK_GAP
+    wc = lambda_bar_exact(alg)
+    assert not wc.complete
+    w = _FAR_MAGNET.separations()[1] ** -4.0
+    assert 2.0 * (2.0 * w.max() - w.sum()) <= wc.lambda_bar <= 2.0 * w.sum()
+
+
+def test_a_failed_certificate_starts_newton_from_the_gram_axes(monkeypatch):
+    """Whatever points the null space gives the far-magnet operator (here all 7 on the cone
+    about its axis e_x), the fallback also starts Newton from its Gram eigenvectors, one of
+    them next to the axis, where lambda_bar is attained."""
+    eigenpoints = algebra._eigenpoints
+
+    def on_the_cone(t):
+        x, real, gap = eigenpoints(t)
+        return np.broadcast_to([1.0, 2.0, 0.0] / np.sqrt(5.0), x.shape).copy(), real, gap
+
+    monkeypatch.setattr(algebra, "_eigenpoints", on_the_cone)
+    wc = lambda_bar_exact(build_algebra(_FAR_MAGNET))
+    assert not wc.complete
+    assert 1.99999999997 <= wc.lambda_bar <= 2.00000000003
+
+
+def _harmonic(a):
+    """The symmetric traceless part of a 3x3x3 array."""
+    def sym(b):
+        return sum(b.transpose(p) for p in itertools.permutations(range(3))) / 6.0
+
+    s = sym(a)
+    return s - 0.6 * sym(np.einsum("i,jk->ijk", np.einsum("ijj->i", s), np.eye(3)))
+
+
+def test_lambda_bar_moves_at_most_eps_under_a_perturbation_of_norm_eps():
+    """lambda_bar is the spectral norm of the operator, so it moves by at most ||E||_F = 1
+    times eps.  Around zonal, sectoral and xyz forms T0, whose lambda_bar is 1 at unit
+    scale, 1 and 1 / sqrt(27), every draw of eps E with eps from 1e-14 to 1e-2 keeps
+    |lambda_bar(T0 + eps E) - lambda_bar(T0)| <= eps, with no sampling slack."""
+    e = np.eye(3)
+    z, c = e[2], e[0] + 1j * e[1]
+    forms = [(2.5 * _harmonic(np.einsum("i,j,k->ijk", z, z, z)), 1.0),  # (5 z^3 - 3 z) / 2 at z = x . e_z
+             (np.einsum("i,j,k->ijk", c, c, c).real, 1.0),  # Re (x . c)^3
+             (_harmonic(np.einsum("i,j,k->ijk", *e)), 1.0 / np.sqrt(27.0))]  # x_0 x_1 x_2
     rng = np.random.default_rng(0)
-    units = [a * (1.0 / a.scale) for a in (build_algebra(random_config(rng)) for _ in range(3))]
-    images = np.array([u.basis_images for u in units])
-    r = algebra._CHART_ROTATIONS[0]
-    singular = np.einsum("ai,bj,ck,nijk->nabc", r, r, r, images[marked][None])[0]
-    chart_roots = algebra._chart_roots
-
-    def roots(t):
-        if any(np.array_equal(x, singular) for x in t):
-            raise np.linalg.LinAlgError("Singular matrix")
-        return chart_roots(t)
-
-    monkeypatch.setattr(algebra, "_chart_roots", roots)
-    stacked = algebra._chart_eigenvectors(r, images)
-    for i, (found, complete, chart) in enumerate(stacked):
-        if i == marked:
-            assert found == [] and complete is False
-            assert all(a.size == 0 for a in chart)
-            continue
-        [(solo_found, solo_complete, solo_chart)] = algebra._chart_eigenvectors(r, images[i][None])
-        assert complete == solo_complete
-        assert np.array_equal(np.array(found), np.array(solo_found))
-        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(chart, solo_chart))
-    moments, complete = algebra._algebraic_eigenvectors(units)[marked]
-    assert complete and len(moments) == 5
-    monkeypatch.undo()
-    expected, _ = algebra._algebraic_eigenvectors(units)[marked]
-    assert np.abs(np.array(moments) @ np.array(expected).T).max(axis=1) == pytest.approx(np.ones(5), abs=1e-12)
+    algs, expected, eps = [], [], 10.0 ** np.arange(-14, -1)
+    for t0, lam in forms:
+        assert np.abs(_harmonic(t0) - t0).max() <= 1e-15
+        norm = np.linalg.norm(t0)
+        for _ in range(40):
+            r = random_frame(rng)
+            t = np.einsum("ai,bj,ck,ijk->abc", r, r, r, t0 / norm)
+            pert = _harmonic(rng.standard_normal((3, 3, 3)))
+            algs += [MagneticAlgebra(t + x * pert / np.linalg.norm(pert)) for x in eps]
+            expected.append(np.full(len(eps), lam / norm))
+    self_eigenvectors_batch(algs)
+    got = np.array([lambda_bar_exact(a).lambda_bar for a in algs])
+    assert np.all(np.abs(got - np.concatenate(expected)) <= np.tile(eps, 3 * 40))
 
 
-def test_rotations_and_the_last_resort_keep_a_stacked_result_bitwise_the_solo_one():
-    """Operators certified in different rotations and two that take the last resort,
-    shuffled into one stack: each gets, bitwise, the moments and complete of its solo solve."""
+def test_certified_and_fallback_operators_keep_a_stacked_result_bitwise_the_solo_one():
+    """Certified operators and three that fall back (the far magnet, the nearly singular
+    triangle and a zonal form off by 1e-9), shuffled into one stack: each gets, bitwise,
+    the moments and complete of its solo solve."""
     corpus = six_pair_corpus()
-    configs = [corpus[i] for i in (0, 7, 18, 523)] + _last_resort_configs()
-    alone = [self_eigenvectors(build_algebra(cfg)) for cfg in configs]
-    order = np.random.default_rng(2).permutation(len(configs))
-    algs = [build_algebra(configs[i]) for i in order]
-    for i, sol in zip(order, self_eigenvectors_batch(algs)):
+    triangle = DipoleConfig(_TRIANGLE + [[1e-9, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [0.0, 0.0, 0.0])
+    algs = [build_algebra(cfg) for cfg in [corpus[i] for i in (0, 7, 18, 523)] + _nearly_zonal_configs()]
+    algs += [build_algebra(_FAR_MAGNET), build_algebra(triangle)]
+    zonal = build_algebra(DipoleConfig([[0.0, 0.0, 0.0]], [0.3, -1.2, 2.0]))
+    pert = random_algebra(np.random.default_rng(1)).basis_images
+    algs.append(MagneticAlgebra(zonal.basis_images + 1e-9 * zonal.scale * pert / np.linalg.norm(pert)))
+    alone = [self_eigenvectors(MagneticAlgebra(a.basis_images)) for a in algs]
+    assert sum(not sol.complete for sol in alone) == 3
+    order = np.random.default_rng(2).permutation(len(algs))
+    for i, sol in zip(order, self_eigenvectors_batch([algs[i] for i in order])):
         assert sol.complete == alone[i].complete
         assert np.array_equal(np.array(sol.moments), np.array(alone[i].moments))
 
 
 def _mixed_stack_configs():
     """Two certified generic operators, a single dipole and an equilateral triangle's
-    centre (the zonal and the sectoral closed form), and the two nearly zonal
-    operators of _last_resort_configs (the last resort runs)."""
+    centre (the zonal and the sectoral closed form), a nearly zonal operator the
+    null-space solve certifies and the far magnet, which falls back."""
     rng = np.random.default_rng(17)
     return [random_config(rng), DipoleConfig([[0.3, -0.2, 0.1]], [-0.4, 0.5, 0.9]),
-            DipoleConfig(_TRIANGLE, [0.0, 0.0, 0.0]), random_mirror_config(rng)[0], *_last_resort_configs()]
+            DipoleConfig(_TRIANGLE, [0.0, 0.0, 0.0]), random_mirror_config(rng)[0], _nearly_zonal_configs()[0],
+            _FAR_MAGNET]
 
 
 @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [2, 4, 0, 3, 5, 1],
@@ -699,11 +705,11 @@ def _mixed_stack_configs():
 def test_stacked_solve_matches_one_operator_at_a_time(monkeypatch, order):
     """self_eigenvectors_batch gives, bitwise, the moments, their order and complete
     that solving each operator alone gives, whatever the order of the batch (an
-    object listed twice included); the resultant solve runs once for all of them
+    object listed twice included); the null-space solve runs once for all of them
     and each result lands in its algebra's memo, where self_eigenvectors reads it."""
     configs = _mixed_stack_configs()
     alone = [self_eigenvectors(build_algebra(cfg)) for cfg in configs]
-    assert [sol.complete for sol in alone] == [True, False, True, True, False, False]
+    assert [sol.complete for sol in alone] == [True, False, True, True, True, False]
     assert len(alone[1].moments) == 1 + 2 * _FAMILY_SIZE
 
     solve = algebra._algebraic_eigenvectors
@@ -712,7 +718,7 @@ def test_stacked_solve_matches_one_operator_at_a_time(monkeypatch, order):
     built = [build_algebra(cfg) for cfg in configs]
     algs = [built[i] for i in order]
     got = self_eigenvectors_batch(algs)
-    assert stacks[0] == 4  # the generic and nearly zonal operators, each once; the dipole and triangle are closed forms
+    assert stacks[0] == 4  # the generic, nearly zonal and far-magnet operators, each once; the dipole and triangle are closed forms
     for i, alg, sol in zip(order, algs, got):
         assert sol.complete == alone[i].complete
         assert np.array_equal(np.array(sol.moments), np.array(alone[i].moments))
@@ -755,7 +761,7 @@ def test_lambda_bar_exact_takes_the_first_best_moment_as_a_loop_does():
 @pytest.mark.parametrize("radii", [[1.0], [0.6, 1.3]])
 def test_axis_aligned_tetrahedral_centre_is_certified(radii):
     """Its 7 Z-eigenvector pairs are the 3 coordinate axes and the 4 vertex
-    directions; the rotated chart keeps the axes off its special circles."""
+    directions; h / g takes 7 distinct values at them, so the null-space solve separates them."""
     from test_algebra import TETRA
 
     fp = np.array([0.2, -0.1, 0.3])
