@@ -27,7 +27,7 @@ def main():
     while made < args.configs:
         cfg, n_hat = random_coplanar_config(rng)
         alg = build_algebra(cfg)
-        if alg.is_trivial(1e-300):
+        if alg.is_trivial():
             continue
         plane = planar_structure(alg, n_hat)
         rep = bounds_report(alg, plane)

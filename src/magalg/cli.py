@@ -4,8 +4,9 @@ Subcommands: analyze (full single-point report as JSON), sweep (CSV over
 a grid of field points), gen (emit canonical configuration JSON), verify
 (randomized theorem and identity suites).
 
-Exit codes: 0 success, 1 verification violation, 2 input error,
-3 singular field point.
+Exit codes: 0 success, 1 verification violation (for analyze and
+sweep, a false chain_ok flag, after the output is written), 2 input
+error, 3 singular field point.
 
 Config schema (JSON, UTF-8):
 
@@ -216,14 +217,13 @@ def _point_record(cfg: DipoleConfig, candidates: bool, alg=None) -> dict:
     A DEGENERATE point (the zero operator) has no Gram spectrum, plane
     or maximizer, and a NONPLANAR one no plane and so no bound chain;
     the planar branches take the chain of the primary plane.  With
-    candidates set, the candidate search of that plane follows chain_ok;
-    the SI keys come last.  alg is cfg's algebra when already built
-    (and perhaps solved); otherwise it is built here.
+    candidates set, the candidate search on that plane's report follows
+    chain_ok; the SI keys come last.  alg is cfg's algebra when already
+    built (and perhaps solved); otherwise it is built here.
     """
     if alg is None:
         alg = build_algebra(cfg)
     rec: dict = {"field_point": _vec(cfg.field_point)}
-    plane = None
     if alg.is_trivial():
         wc, rep = None, _degenerate_report()
         rec.update(
@@ -262,7 +262,7 @@ def _point_record(cfg: DipoleConfig, candidates: bool, alg=None) -> dict:
         if planes:
             reports = [bounds_report(alg, p) for p in planes]
             used = _primary_plane(reports)
-            rep, plane = reports[used], planes[used]
+            rep = reports[used]
             rec.update(
                 branch=rep.branch.value,
                 plane_used=used,
@@ -303,7 +303,7 @@ def _point_record(cfg: DipoleConfig, candidates: bool, alg=None) -> dict:
             chain_ok=rep.chain_ok,
         )
     if candidates:
-        found = [] if plane is None else locate_candidates(alg, plane)
+        found = [] if rep is None else locate_candidates(alg, rep)
         rec["candidates"] = [
             {"moment": _vec(c.moment), "kind": c.kind.value, "lambda_abs": c.lambda_abs}
             for c in found
@@ -337,17 +337,6 @@ def _solved(cfgs, build):
         yield from zip(block, algs)
 
 
-def _meta(si: bool) -> dict:
-    return {
-        "name": "magalg",
-        "version": __version__,
-        "seed": 0,  # kept in the schema; analyze takes no seed
-        "tol": CHAIN_RTOL,  # kept in the schema; the chain tolerance is fixed
-        "planarity_tol": PLANARITY_TOL,
-        "si": si,
-    }
-
-
 def cmd_analyze(args) -> int:
     data = load_config(args.config)
     if not data["field_points"]:
@@ -356,14 +345,30 @@ def cmd_analyze(args) -> int:
     si = data["si_prefactor"] or args.si
     cfgs = [DipoleConfig(positions, fp, si) for fp in data["field_points"]]
     results = [_point_record(cfg, candidates=True, alg=alg) for cfg, alg in _solved(cfgs, build_algebra)]
-    report = {"tool": _meta(args.si), "config": data, "results": results}
+    tool = {
+        "name": "magalg",
+        "version": __version__,
+        "seed": 0,  # kept in the schema; analyze takes no seed
+        "tol": CHAIN_RTOL,  # kept in the schema; the chain tolerance is fixed
+        "planarity_tol": PLANARITY_TOL,
+        "si": args.si,
+    }
+    report = {"tool": tool, "config": data, "results": results}
     report.update(results[0])  # hoist the first record for convenience
     out = json.dumps(report)  # indent would bypass the C encoder
     if args.out == "-":
         print(out)
     else:
         Path(args.out).write_text(out + "\n", encoding="utf-8")
-    return EXIT_OK
+    return EXIT_VIOLATION if any([_chain_violated(rec) for rec in results]) else EXIT_OK  # a list: name them all
+
+
+def _chain_violated(rec) -> bool:
+    """Whether a plane report of rec, the primary one's included, has a false chain_ok flag; names them on stderr."""
+    bad = sorted({name for r in rec.get("plane_reports", []) for name, ok in r["chain_ok"].items() if not ok})
+    if bad:
+        print(f"violation: field point {rec['field_point']}: chain_ok false: {', '.join(bad)}", file=sys.stderr)
+    return bool(bad)
 
 
 def _fmt(value) -> str:
@@ -390,22 +395,25 @@ def cmd_sweep(args) -> int:
     data = load_config(args.config)
     positions = config_positions(data)
     cfgs = [DipoleConfig(positions, fp) for fp in grid.points()]
-    rows = [_sweep_row(cfg, alg) for cfg, alg in _solved(cfgs, _grid_algebra)]
+    rows, violated = [], False
+    for cfg, alg in _solved(cfgs, _grid_algebra):
+        rec = None if alg is None else analyze_point(cfg, alg)
+        rows.append(_sweep_row(cfg, rec))
+        violated |= rec is not None and _chain_violated(rec)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
-    return EXIT_OK
+    return EXIT_VIOLATION if violated else EXIT_OK
 
 
-def _sweep_row(cfg: DipoleConfig, alg) -> dict:
-    """The CSV row of one grid point; alg is None at a singular point."""
+def _sweep_row(cfg: DipoleConfig, rec) -> dict:
+    """The CSV row of one grid point from its analyze record; rec is None at a singular point."""
     fp = cfg.field_point
     row = {"x": repr(float(fp[0])), "y": repr(float(fp[1])), "z": repr(float(fp[2]))}
-    if alg is None:
+    if rec is None:
         row.update({c: "" for c in SWEEP_COLUMNS[3:-1]}, branch="singular")
         return row
-    rec = analyze_point(cfg, alg)
     bounds = rec.get("bounds") or {}
     row.update(
         norm_P=_fmt(rec.get("norm_P")),
@@ -446,24 +454,13 @@ def _config_json(cfg: DipoleConfig) -> dict:
     }
 
 
-def _emit_config(cfg: DipoleConfig) -> int:
-    print(json.dumps(_config_json(cfg), indent=2))
-    return EXIT_OK
-
-
 def cmd_gen(args) -> int:
     fp = _parse_vec(args.field_point)
     if args.kind == "pair":
-        if args.o_plus or args.o_minus:
-            if not (args.o_plus and args.o_minus):
-                raise ConfigError("pair needs both --o-plus and --o-minus")
-            op, om = _parse_vec(args.o_plus), _parse_vec(args.o_minus)
-        else:
-            if args.sep <= 0.0:
-                raise ConfigError("separation must be positive")
-            half = 0.5 * args.sep * _parse_axis(args.axis)
-            op, om = half, -half
-        cfg = gen_pair(op, om, field_point=fp, si_prefactor=args.si)
+        if args.sep <= 0.0:
+            raise ConfigError("separation must be positive")
+        half = 0.5 * args.sep * _parse_axis(args.axis)
+        cfg = gen_pair(half, -half, field_point=fp, si_prefactor=args.si)
     elif args.kind == "mirror":
         base = []
         for spec in args.base or []:
@@ -485,10 +482,11 @@ def cmd_gen(args) -> int:
             args.spacing, args.k, exclude_origin=args.exclude_origin,
             field_point=fp, si_prefactor=args.si,
         )
-    return _emit_config(cfg)
+    print(json.dumps(_config_json(cfg), indent=2))
+    return EXIT_OK
 
 
-def _verify_trial(alg, n_hat, accum, samples, seed):
+def _verify_trial(alg, n_hat, accum, seed):
     """Run the per-configuration check battery, updating worst residuals.
 
     With n_hat None (no invariant plane) only its plane-free part runs:
@@ -516,7 +514,7 @@ def _verify_trial(alg, n_hat, accum, samples, seed):
             return
         _plane_checks(alg, plane, note, seed)
 
-    checks = verify_theorems(alg, plane, trials=200, seed=seed, n_samples=samples)
+    checks = verify_theorems(alg, plane, trials=200, seed=seed, n_samples=1500)  # the lattice cross-check
     for name, chk in checks.items():
         if plane is not None or name != "plane_chain":  # without a plane it was skipped, not passed
             note(name, chk.residual, chk.ok)
@@ -550,18 +548,16 @@ def _plane_checks(alg, plane, note, seed):
     note("decomposition_equivariance", worst_equi, worst_equi <= 1e-10 * dec_scale)
 
 
-def _trial_violates(alg, n_hat, accum, samples, seed) -> bool:
+def _trial_violates(alg, n_hat, accum, seed) -> bool:
     """Run one verification trial; True when it makes a check that held so far fail."""
     before = {k: v[1] for k, v in accum.items()}
-    _verify_trial(alg, n_hat, accum, samples, seed)
+    _verify_trial(alg, n_hat, accum, seed)
     return any(not v[1] and before.get(k, True) for k, v in accum.items())
 
 
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ConfigError("trials must be at least 1")
-    if args.samples < 1:
-        raise ConfigError("samples must be at least 1")
     if args.seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     accum: dict = {}
@@ -577,7 +573,7 @@ def cmd_verify(args) -> int:
                 continue
             planes = find_invariant_planes(alg)
             n_hat = planes[0].n_hat if planes else None
-            if _trial_violates(alg, n_hat, accum, args.samples, args.seed) and offending is None:
+            if _trial_violates(alg, n_hat, accum, args.seed) and offending is None:
                 offending = data
         if not accum:
             raise ConfigError("no field point of the config has a nonzero operator; nothing to verify")
@@ -591,7 +587,7 @@ def cmd_verify(args) -> int:
             alg = build_algebra(cfg)
             if alg.is_trivial():
                 continue
-            if _trial_violates(alg, n_hat, accum, args.samples, args.seed + t) and offending is None:
+            if _trial_violates(alg, n_hat, accum, args.seed + t) and offending is None:
                 offending = _config_json(cfg)
     all_ok = all(ok for _, ok in accum.values())
     for name in sorted({*accum, "plane_chain"}):
@@ -633,8 +629,6 @@ def _parser() -> argparse.ArgumentParser:
     pp = gsub.add_parser("pair")
     pp.add_argument("--sep", type=float, default=2.0)
     pp.add_argument("--axis", default="x")
-    pp.add_argument("--o-plus", dest="o_plus")
-    pp.add_argument("--o-minus", dest="o_minus")
     pm = gsub.add_parser("mirror")
     pm.add_argument("--normal", required=True)
     pm.add_argument("--base", action="append", help="ux,uy,uz:t (repeatable)")
@@ -652,7 +646,6 @@ def _parser() -> argparse.ArgumentParser:
     pv.add_argument("--trials", type=int, default=100)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--config")
-    pv.add_argument("--samples", type=int, default=1500, help="size of the lattice cross-check")
     pv.set_defaults(func=cmd_verify)
     return p
 

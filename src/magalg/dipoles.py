@@ -125,8 +125,8 @@ class MagneticAlgebra:
         b = self.basis_images
         return float(np.sqrt(np.einsum("kab,kab->k", b, b).max()))
 
-    def is_trivial(self, tol=0.0) -> bool:
-        return self.scale <= tol
+    def is_trivial(self) -> bool:
+        return self.scale == 0.0
 
     def reciprocity_residual(self) -> float:
         b = self.basis_images
@@ -145,8 +145,6 @@ class MagneticAlgebra:
 
     def __mul__(self, c) -> "MagneticAlgebra":
         return MagneticAlgebra(self.basis_images * float(c))
-
-    __rmul__ = __mul__
 
 
 def p_vector(cfg: DipoleConfig) -> np.ndarray:

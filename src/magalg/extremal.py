@@ -76,10 +76,6 @@ def principal_abs(alg: MagneticAlgebra, M) -> float:
     return abs(float(lam)) * s
 
 
-def principal_abs_batch(alg: MagneticAlgebra, Ms) -> np.ndarray:
-    return np.abs(principal_split_batch(alg, Ms)[0])
-
-
 def principal_split_batch(alg: MagneticAlgebra, Ms):
     """(lam, delta, r) arrays for a batch of moments, scaled as in principal_abs."""
     s = alg.scale or 1.0
@@ -154,7 +150,7 @@ def lambda_bar_bruteforce(
     if alg.is_trivial():
         return WorstCase(0.0, _Z.copy(), _Z.copy())
     pts = fibonacci_sphere(n_samples) @ random_frame(np.random.default_rng(seed)).T
-    vals = principal_abs_batch(alg, pts)
+    vals = np.abs(principal_split_batch(alg, pts)[0])
     best = int(np.argmax(vals))
     m0, v0 = pts[best], float(vals[best])
     m_ref, v_ref = sphere_ascent(
@@ -168,7 +164,6 @@ def lambda_bar_bruteforce(
 class PlaneMax(NamedTuple):
     value: float
     moment: np.ndarray
-    degenerate_frame: bool
 
 
 def _plane_quadratic(alg, plane):
@@ -199,11 +194,8 @@ def lambda_plane(alg: MagneticAlgebra, plane: PlanarStructure) -> PlaneMax:
     frame.  Its stationary points are theta = pi/2 and the roots
     t = tan(theta) of -ga t^3 + (de - 2 be) t^2 + (2 ga - al) t + be; the
     objective is evaluated there and at theta = 0, where |P . M| = ||P||.
-    Memoized on alg per plane object.
+    Not memoized: bounds_report's report carries the result on.
     """
-    key = ("lambda_plane", plane)
-    if key in alg.memo:
-        return alg.memo[key]
     e1, e2, a, b, c = _plane_quadratic(alg, plane)
     f1 = alg.matrix(e1)
     al, be, ga = float(e1 @ f1 @ e1), float(e1 @ f1 @ e2), float(e2 @ f1 @ e2)
@@ -215,8 +207,7 @@ def lambda_plane(alg: MagneticAlgebra, plane: PlanarStructure) -> PlaneMax:
     vals = in_plane_abs(a * ct * ct + 2.0 * b * ct * st + c * st * st, plane.norm_P * ct)
     i = int(np.argmax(vals))
     moment = canonical_sign(ct[i] * e1 + st[i] * e2)
-    alg.memo[key] = PlaneMax(float(vals[i]), moment, plane.P_hat is None)
-    return alg.memo[key]
+    return PlaneMax(float(vals[i]), moment)
 
 
 def plane_gram_moment(alg: MagneticAlgebra, plane: PlanarStructure):
@@ -227,30 +218,25 @@ def plane_gram_moment(alg: MagneticAlgebra, plane: PlanarStructure):
     the choice this way keeps the closed form below applicable even when
     the top eigenvalue is degenerate.  An isotropic in-plane block gives
     the frame's second axis (Q_hat when P is nonzero), so the choice
-    follows the geometry rather than rounding.  Returns (M_F, lambda_F),
-    memoized on alg per plane object.
+    follows the geometry rather than rounding.  Returns (M_F, lambda_F);
+    the normal's eigenvalue is plane.gram_eigenvalue.  Not memoized, as
+    lambda_plane.
     """
-    key = ("plane_gram_moment", plane)
-    if key in alg.memo:
-        return alg.memo[key]
     e1, e2, a, b, c = _plane_quadratic(alg, plane)
-    n = plane.n_hat
-    lam_n = float(n @ alg.gram @ n)
+    lam_n = plane.gram_eigenvalue
     disc = float(np.hypot(0.5 * (a - c), b))  # squaring Gram entries underflows in the far field
     mu = 0.5 * (a + c) + disc
     if mu < lam_n:
-        alg.memo[key] = n, lam_n
-    elif 2.0 * disc <= GRAM_DEGENERACY_RTOL * mu:
-        alg.memo[key] = canonical_sign(e2), mu
-    else:
-        # eigenvector of [[a, b], [b, c]] for mu: pick the better-conditioned
-        # of the two cofactor forms; both vanish only when the block is mu*I
-        c1 = np.array([mu - c, b])
-        c2 = np.array([b, mu - a])
-        n1, n2 = np.hypot(*c1), np.hypot(*c2)
-        coeff = c1 / n1 if n1 >= n2 else c2 / n2
-        alg.memo[key] = canonical_sign(coeff[0] * e1 + coeff[1] * e2), mu
-    return alg.memo[key]
+        return plane.n_hat, lam_n
+    if 2.0 * disc <= GRAM_DEGENERACY_RTOL * mu:
+        return canonical_sign(e2), mu
+    # eigenvector of [[a, b], [b, c]] for mu: pick the better-conditioned
+    # of the two cofactor forms; both vanish only when the block is mu*I
+    c1 = np.array([mu - c, b])
+    c2 = np.array([b, mu - a])
+    n1, n2 = np.hypot(*c1), np.hypot(*c2)
+    coeff = c1 / n1 if n1 >= n2 else c2 / n2
+    return canonical_sign(coeff[0] * e1 + coeff[1] * e2), mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +254,6 @@ class ExtremalReport:
     lambda_bar_certified: float | None  # exact value in the plane-dominant branch
     bounds: dict
     chain_ok: dict
-    lambda_bar_complete: bool = False  # lambda_bar maximizes over a certified-complete Z-eigenvector set
 
     @property
     def all_ok(self) -> bool:
@@ -379,7 +364,6 @@ def bounds_report(alg: MagneticAlgebra, plane: PlanarStructure | None) -> Extrem
             "sqrt_two_thirds_lambda_F": sqrt_23,
         },
         chain_ok=chain_ok,
-        lambda_bar_complete=wc.complete,
     )
 
 
@@ -390,30 +374,30 @@ class Candidate:
     lambda_abs: float
 
 
-def locate_candidates(alg: MagneticAlgebra, plane: PlanarStructure, n_starts=50) -> list[Candidate]:
+def locate_candidates(alg: MagneticAlgebra, report: ExtremalReport, n_starts=50) -> list[Candidate]:
     """Candidate maximizer moments, by provenance.
 
     GRAM_TOP: top Gram eigenvector(s); IN_PLANE_MAX: the in-plane
     maximizer; EIGEN_SELF: moments that are eigenvectors of their own
     matrix, from self_eigenvectors; DETZERO duplicates any candidate
-    whose matrix is singular, |det F| <= 1e-9 over the scale.  n_starts
-    is unused, as the solve takes no starts; bench/tracing.py still
-    reads it.  The Gram spectrum, the
-    plane's Gram moment and in-plane maximum and the Z-eigenvectors come
-    from alg's memos, which analyze fills first; magnitudes take one
-    principal_split_batch, determinants one det3.
+    whose matrix is singular, |det F| <= 1e-9 over the scale.  report is
+    bounds_report's for one plane: its M_F, M_P and lambda_P are that
+    plane's Gram moment and in-plane maximum.  n_starts is unused, as
+    the solve takes no starts; bench/tracing.py still reads it.  The
+    Gram spectrum and the Z-eigenvectors come from alg's memos, which
+    analyze fills first; magnitudes take one principal_split_batch,
+    determinants one det3.
     """
     if alg.is_trivial():
         return []
     # a degenerate top eigenvalue leaves eigh's basis arbitrary: only the canonical M_F is used
     gs = gram_spectrum(alg)
-    m_f, _ = plane_gram_moment(alg, plane)
+    m_f = report.M_F
     seen = _distinct([unit(m) for m in ([m_f] if gs.multiplicity > 1 else [gs.eigenvectors[:, -1], m_f])], 1e-9)
-    pm = lambda_plane(alg, plane)
     eigen = self_eigenvectors(alg).moments
     lam = np.abs(principal_split_batch(alg, [*seen, *eigen])[0]).tolist()
     out = [Candidate(m, CandidateKind.GRAM_TOP, v) for m, v in zip(seen, lam)]
-    out.append(Candidate(pm.moment, CandidateKind.IN_PLANE_MAX, pm.value))
+    out.append(Candidate(report.M_P, CandidateKind.IN_PLANE_MAX, report.lambda_P))
     out += [Candidate(m, CandidateKind.EIGEN_SELF, v) for m, v in zip(eigen, lam[len(seen):])]
     det = det3(alg.matrices([c.moment for c in out]) / alg.scale)
     out += [Candidate(c.moment, CandidateKind.DETZERO, c.lambda_abs) for c, d in zip(out, det) if abs(d) <= 1e-9]
@@ -427,7 +411,6 @@ def locate_candidates(alg: MagneticAlgebra, plane: PlanarStructure, n_starts=50)
 class TheoremCheck:
     ok: bool
     residual: float
-    detail: str
 
 
 def verify_theorems(
@@ -456,7 +439,7 @@ def verify_theorems(
     rng = np.random.default_rng(seed)
     checks: dict[str, TheoremCheck] = {}
     if alg.is_trivial():
-        zero = TheoremCheck(True, 0.0, "trivial algebra, vacuous")
+        zero = TheoremCheck(True, 0.0)  # vacuous on the zero operator
         return {
             k: zero
             for k in ("squares_bracket", "spread_ordering", "plane_chain", "subadditive", "exact_above_lattice")
@@ -479,29 +462,27 @@ def verify_theorems(
 
     tol_sq = CHAIN_RTOL * max(lam_f, 1e-300)
     res_a = max(abs_mf ** 2 - lam_bar ** 2, lam_bar ** 2 - (2.0 / 3.0) * lam_f)
-    checks["squares_bracket"] = TheoremCheck(res_a <= tol_sq, float(res_a), "lambda_MF^2 <= lambda_bar^2 <= (2/3) lambda_F")
+    checks["squares_bracket"] = TheoremCheck(res_a <= tol_sq, float(res_a))
 
     lam, delta, r = principal_split_batch(alg, ms)
     beats = lam ** 2 > abs_mf ** 2 + tol_sq
     res_b = float((r[beats] - r_mf).max()) if beats.any() else -1.0
-    checks["spread_ordering"] = TheoremCheck(res_b <= 1e-8, res_b, "larger |lambda| forces spread ratio <= r_MF")
+    checks["spread_ordering"] = TheoremCheck(res_b <= 1e-8, res_b)
 
     if plane is not None:
         pm = lambda_plane(alg, plane)
         tol_c = CHAIN_RTOL * max(pm.value, 1e-300)
         res_c = max(plane.norm_P - abs_mf, abs_mf - pm.value)
-        checks["plane_chain"] = TheoremCheck(res_c <= tol_c, float(res_c), "||P|| <= |lambda_MF| <= lambda_P")
+        checks["plane_chain"] = TheoremCheck(res_c <= tol_c, float(res_c))
     else:
-        checks["plane_chain"] = TheoremCheck(True, 0.0, "no invariant plane; skipped")
+        checks["plane_chain"] = TheoremCheck(True, 0.0)  # no invariant plane: skipped
 
     lam_1 = lambda_bar_exact(other).lambda_bar
     lam_01 = lambda_bar_exact(both).lambda_bar
     res_d = lam_01 - lam_bar - lam_1
-    checks["subadditive"] = TheoremCheck(
-        res_d <= 1e-12 * (lam_bar + lam_1), float(res_d), "lambda_bar(F0+F1) <= lambda_bar(F0) + lambda_bar(F1)"
-    )
+    checks["subadditive"] = TheoremCheck(res_d <= 1e-12 * (lam_bar + lam_1), float(res_d))
 
     lattice = fibonacci_sphere(n_samples) @ random_frame(np.random.default_rng(seed)).T
-    res_e = float(principal_abs_batch(alg, lattice).max()) / lam_bar - 1.0
-    checks["exact_above_lattice"] = TheoremCheck(res_e <= 1e-12, res_e, "max over the lattice <= lambda_bar")
+    res_e = float(np.abs(principal_split_batch(alg, lattice)[0]).max()) / lam_bar - 1.0
+    checks["exact_above_lattice"] = TheoremCheck(res_e <= 1e-12, res_e)
     return checks

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -21,7 +22,7 @@ from magalg.cli import (
     parse_grid,
 )
 from magalg.corpus import random_mirror_config
-from magalg.dipoles import build_algebra
+from magalg.dipoles import DipoleConfig, build_algebra
 
 
 # five coplanar magnets; at (0.24, 1.2, 0) a 2000-sample oracle falls short by 3e-8 relative
@@ -335,6 +336,75 @@ def test_verify_far_magnet_passes(tmp_path, capsys):
     assert "verify: PASS" in capsys.readouterr().out
 
 
+def test_near_magnet_ring_of_a_pair_lies_in_the_weight_bracket():
+    """610 field points 1e-4 to 1e-1 from a magnet of the pair at (+-1, 0, 0), solved as
+    sweep solves them: each lambda_bar lies in 2 (2 w_max - sum w) <= lambda_bar <= 2 sum w,
+    and every chain flag, at the top level and per plane, holds.  Nearly zonal operators
+    whose solve is not certified complete are among them."""
+    rng = np.random.default_rng(0)
+    magnets = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    n = 610
+    near = magnets[rng.integers(0, 2, n)]
+    dirs = rng.standard_normal((n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    points = near + 10.0 ** rng.uniform(-4.0, -1.0, n)[:, None] * dirs
+    cfgs = [DipoleConfig(magnets, p) for p in points]
+    incomplete = 0
+    for cfg, alg in cli._solved(cfgs, build_algebra):
+        rec = cli.analyze_point(cfg, alg)
+        w = np.linalg.norm(cfg.field_point - magnets, axis=1) ** -4
+        lam = rec["lambda_bar"]["value"]
+        assert 2.0 * (2.0 * w.max() - w.sum()) * (1.0 - 1e-12) <= lam <= 2.0 * w.sum() * (1.0 + 1e-12)
+        assert all(rec["chain_ok"].values())
+        assert all(all(plane["chain_ok"].values()) for plane in rec["plane_reports"])
+        incomplete += not rec["lambda_bar"]["complete"]
+    assert incomplete > 0
+
+
+def _flip_chain_flag(monkeypatch, which):
+    """Make cli.bounds_report set branch_bound false on the reports that which(plane) picks."""
+    bounds_report = cli.bounds_report
+
+    def flipped(alg, plane):
+        rep = bounds_report(alg, plane)
+        return dataclasses.replace(rep, chain_ok={**rep.chain_ok, "branch_bound": False}) if which(plane) else rep
+
+    monkeypatch.setattr(cli, "bounds_report", flipped)
+
+
+def test_analyze_exits_1_on_a_false_chain_flag_after_writing_the_report(tmp_path, single_dipole_json,
+                                                                        monkeypatch, capsys):
+    """A false flag on a plane other than the primary one: the top-level chain holds, the exit code is 1."""
+    code, rep = run_analyze(tmp_path, single_dipole_json)
+    assert code == EXIT_OK
+    other = 1 if rep["plane_used"] == 0 else 0
+    n_other = rep["planes"][other]["n_hat"]
+    _flip_chain_flag(monkeypatch, lambda plane: np.array_equal(plane.n_hat, n_other))
+    capsys.readouterr()
+    (tmp_path / "report.json").unlink()
+    code, flipped = run_analyze(tmp_path, single_dipole_json)
+    assert code == EXIT_VIOLATION
+    assert all(flipped["chain_ok"].values())
+    assert [r["chain_ok"]["branch_bound"] for r in flipped["plane_reports"]] == [
+        i != other for i in range(len(rep["plane_reports"]))]
+    assert capsys.readouterr().err == "violation: field point [0.0, 0.0, 1.0]: chain_ok false: branch_bound\n"
+
+
+def test_sweep_exits_1_on_a_false_chain_flag_after_writing_the_csv(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "pair.json", [[1, 0, 0], [-1, 0, 0]], [])
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(cfg), "--grid", "0:1:2,0.5:0.5:1,0:0:1", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    want = out.read_text()
+    out.unlink()
+    _flip_chain_flag(monkeypatch, lambda plane: True)
+    capsys.readouterr()
+    assert main(argv) == EXIT_VIOLATION
+    assert out.read_text() == want
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"violation: field point [{x}, 0.5, 0.0]: chain_ok false: branch_bound" for x in ("0.0", "1.0")]
+
+
 def test_analyze_rejects_bad_request(tmp_path, single_dipole_json, capsys):
     # the chain tolerance is fixed at CHAIN_RTOL: --tol is no option, whatever its value
     for tol in ("1e-9", "0", "nan", "inf", "1", "-1"):
@@ -352,6 +422,11 @@ def test_analyze_rejects_bad_request(tmp_path, single_dipole_json, capsys):
         argv = [*command, "--config", str(single_dipole_json),
                 "--out", str(tmp_path / "r.out"), flag, "20000"]
         assert main(argv) == EXIT_INPUT
+    # verify's lattice is fixed at 1500 moments, and gen pair places its magnets by --sep and --axis only
+    for argv in (["verify", "--trials", "1", "--samples", "1500"],
+                 ["gen", "pair", "--o-plus", "1,0,0"], ["gen", "pair", "--o-minus", "-1,0,0"]):
+        assert main(argv) == EXIT_INPUT
+        assert argv[-2] in capsys.readouterr().err
 
 
 def test_analyze_nonplanar_config(tmp_path):
@@ -733,12 +808,12 @@ def test_sweep_non_finite_grid_bound(tmp_path, single_dipole_json, capsys, grid,
 
 
 def test_verify_passes_and_is_deterministic(capsys):
-    code = main(["verify", "--trials", "6", "--seed", "12", "--samples", "800"])
+    code = main(["verify", "--trials", "6", "--seed", "12"])
     out1 = capsys.readouterr().out
     assert code == EXIT_OK
     assert "verify: PASS" in out1
     assert "exact_above_lattice: ok" in out1
-    code = main(["verify", "--trials", "6", "--seed", "12", "--samples", "800"])
+    code = main(["verify", "--trials", "6", "--seed", "12"])
     out2 = capsys.readouterr().out
     assert code == EXIT_OK
     assert out1 == out2
@@ -746,7 +821,6 @@ def test_verify_passes_and_is_deterministic(capsys):
 
 def test_verify_zero_trials(capsys):
     assert main(["verify", "--trials", "0"]) == EXIT_INPUT
-    assert main(["verify", "--samples", "0"]) == EXIT_INPUT
 
 
 def test_verify_negative_seed(single_dipole_json, capsys):
@@ -786,7 +860,7 @@ def test_lattice_cross_check_catches_a_missed_maximizer(tmp_path, monkeypatch, c
 
 
 def test_verify_with_config(tmp_path, single_dipole_json, capsys):
-    code = main(["verify", "--trials", "1", "--config", str(single_dipole_json), "--samples", "800"])
+    code = main(["verify", "--trials", "1", "--config", str(single_dipole_json)])
     assert code == EXIT_OK
     assert "verify: PASS" in capsys.readouterr().out
 
@@ -794,7 +868,7 @@ def test_verify_with_config(tmp_path, single_dipole_json, capsys):
 def test_verify_checks_a_point_without_invariant_planes(tmp_path, capsys):
     """A NONPLANAR point gets the plane-free part of the battery."""
     path = write_config(tmp_path / "np.json", NONPLANAR_FIVE, [[0.05, -0.02, 0.03]])
-    assert main(["verify", "--config", str(path), "--samples", "800"]) == EXIT_OK
+    assert main(["verify", "--config", str(path)]) == EXIT_OK
     out = capsys.readouterr().out
     for name in ("reciprocity", "trace", "det_identity", "squares_bracket", "subadditive", "exact_above_lattice"):
         assert f"{name}: ok" in out
@@ -803,7 +877,7 @@ def test_verify_checks_a_point_without_invariant_planes(tmp_path, capsys):
     assert "verify: PASS" in out
     # with an invariant plane the check runs and reports its residual
     path = write_config(tmp_path / "dipole.json", [[0, 0, 0]], [[0, 0, 1]])
-    assert main(["verify", "--config", str(path), "--samples", "800"]) == EXIT_OK
+    assert main(["verify", "--config", str(path)]) == EXIT_OK
     assert "plane_chain: ok worst_residual=" in capsys.readouterr().out
 
 

@@ -142,7 +142,6 @@ def test_lambda_plane_single_dipole(single_dipole_algebra, dipole_plane):
     pm = lambda_plane(single_dipole_algebra, dipole_plane)
     assert pm.value == 2.0
     assert abs(pm.moment[2]) >= 1.0 - 1e-9
-    assert not pm.degenerate_frame
 
 
 def test_lambda_plane_at_least_norm_p(pair_config):
@@ -216,7 +215,7 @@ def test_tetrahedral_centre_reports_are_rotation_invariant(rng):
                 (r.norm_P, r.abs_lambda_MF, r.lambda_P, r.bounds["refined_upper"]) for r in reps
             )))
             gram_top.append(np.array(sorted(
-                c.lambda_abs for c in locate_candidates(alg, planes[0]) if c.kind is CandidateKind.GRAM_TOP
+                c.lambda_abs for c in locate_candidates(alg, reps[0]) if c.kind is CandidateKind.GRAM_TOP
             )))
         for values in per_plane[1:]:
             assert values == pytest.approx(per_plane[0], rel=1e-9)
@@ -235,7 +234,6 @@ def test_lambda_plane_degenerate_frame(rng):
     assert plane.norm_P <= 1e-14
     assert plane.P_hat is None
     pm = lambda_plane(alg, plane)
-    assert pm.degenerate_frame
     bf = lambda_bar_bruteforce(alg, n_samples=4000, refine_steps=80, seed=0)
     assert pm.value == pytest.approx(bf.lambda_bar, abs=1e-6)
 
@@ -348,7 +346,7 @@ def test_plane_dominant_exactness(rng):
 
 
 def test_locate_candidates_single_dipole(single_dipole_algebra, dipole_plane):
-    cands = locate_candidates(single_dipole_algebra, dipole_plane)
+    cands = locate_candidates(single_dipole_algebra, bounds_report(single_dipole_algebra, dipole_plane))
     kinds = {c.kind for c in cands}
     assert CandidateKind.GRAM_TOP in kinds
     assert CandidateKind.IN_PLANE_MAX in kinds
@@ -390,7 +388,7 @@ def test_self_eigen_jacobian_matches_central_differences(rng):
 def test_eigen_self_candidates_converged_and_distinct(rng):
     for cfg, n_hat in planar_corpus(rng, 40):
         alg = build_algebra(cfg)
-        cands = locate_candidates(alg, planar_structure(alg, n_hat))
+        cands = locate_candidates(alg, bounds_report(alg, planar_structure(alg, n_hat)))
         ms = np.array([c.moment for c in cands if c.kind is CandidateKind.EIGEN_SELF])
         assert len(ms) > 0
         r, _ = _self_eigen_system(alg, ms)
@@ -777,7 +775,7 @@ def test_locate_candidates_best_matches_oracle(rng):
     for cfg, n_hat in planar_corpus(rng, 60):
         alg = build_algebra(cfg)
         plane = planar_structure(alg, n_hat)
-        cands = locate_candidates(alg, plane)
+        cands = locate_candidates(alg, bounds_report(alg, plane))
         bf = lambda_bar_bruteforce(alg, n_samples=2000, refine_steps=60, seed=0)
         tol = sampling_tolerance(bf.lambda_bar, 2000)
         best = max(c.lambda_abs for c in cands)
@@ -791,7 +789,7 @@ def test_detzero_candidates_have_sqrt_half_energy(rng):
         cfg, n_hat = random_coplanar_config(rng, n_min=2)
         alg = build_algebra(cfg)
         plane = planar_structure(alg, n_hat)
-        for c in locate_candidates(alg, plane):
+        for c in locate_candidates(alg, bounds_report(alg, plane)):
             if c.kind is CandidateKind.DETZERO:
                 f = alg.matrix(c.moment)
                 tr2 = float(np.einsum("ab,ab->", f, f))
@@ -856,7 +854,7 @@ def test_candidates_of_a_far_single_dipole_match_the_near_one():
     """Candidate search is scale-free: no cubic invariant underflows out to 1e38 m."""
     def candidates(d):
         alg = build_algebra(DipoleConfig([[0.0, 0.0, 0.0]], [0.0, 0.0, d]))
-        return locate_candidates(alg, planar_structure(alg, [0.0, 1.0, 0.0]))
+        return locate_candidates(alg, bounds_report(alg, planar_structure(alg, [0.0, 1.0, 0.0])))
 
     near = candidates(1.0)
     for d in (1e20, 1e30, 1e38):
