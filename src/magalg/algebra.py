@@ -353,13 +353,12 @@ def _axis_form(t):
         moments, complete = np.vstack([a, a / np.sqrt(5.0) + np.concatenate([u, -u])]), False
     elif shape == [1, 2]:
         a = axes[:, 0]
-        u, v = tangent_basis(a)
-        circle = lambda p: np.cos(p)[:, None] * u + np.sin(p)[:, None] * v
-        x = circle(np.arange(12) * (np.pi / 6))
+        circle = _great_circles(a[None])
+        x = circle(np.arange(12) * (np.pi / 6), 0)
         c = np.fft.rfft(np.einsum("ijk,ni,nj,nk->n", t, x, x, x))[3] / 6.0  # A - iB
-        e = u + 1j * v
+        e = x[0] + 1j * cross(a, x[0])  # u + i v: x[0] is u, and tangent_basis makes v as a x u
         form = (c * np.einsum("i,j,k->ijk", e, e, e)).real
-        moments, complete = np.vstack([a, circle((np.arange(3) * np.pi - np.angle(c)) / 3.0)]), True
+        moments, complete = np.vstack([a, circle((np.arange(3) * np.pi - np.angle(c)) / 3.0, 0)]), True
     else:
         return None
     return (moments, complete) if np.linalg.norm(t - form) <= _EIGEN_TOL else None

@@ -35,7 +35,6 @@ from . import __version__
 from .algebra import (
     PLANARITY_TOL,
     NotInvariantPlaneError,
-    TrivialAlgebraError,
     decompose,
     find_invariant_planes,
     gram_spectrum,
@@ -55,6 +54,7 @@ from .dipoles import (
 )
 from .extremal import (  # lambda_bar_bruteforce and lambda_plane stay bound here for tracing
     CHAIN_RTOL,
+    IDENTITY_RTOL,
     WorstCase,
     _degenerate_report,
     bounds_report,
@@ -342,8 +342,7 @@ def cmd_analyze(args) -> int:
     if not data["field_points"]:
         raise ConfigError("analyze needs at least one field point in the config")
     positions = config_positions(data)
-    si = data["si_prefactor"] or args.si
-    cfgs = [DipoleConfig(positions, fp, si) for fp in data["field_points"]]
+    cfgs = [DipoleConfig(positions, fp, data["si_prefactor"]) for fp in data["field_points"]]
     results = [_point_record(cfg, candidates=True, alg=alg) for cfg, alg in _solved(cfgs, build_algebra)]
     tool = {
         "name": "magalg",
@@ -351,7 +350,7 @@ def cmd_analyze(args) -> int:
         "seed": 0,  # kept in the schema; analyze takes no seed
         "tol": CHAIN_RTOL,  # kept in the schema; the chain tolerance is fixed
         "planarity_tol": PLANARITY_TOL,
-        "si": args.si,
+        "si": data["si_prefactor"],
     }
     report = {"tool": tool, "config": data, "results": results}
     report.update(results[0])  # hoist the first record for convenience
@@ -486,109 +485,120 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _verify_trial(alg, n_hat, accum, seed):
-    """Run the per-configuration check battery, updating worst residuals.
+def _within(residual, bound):
+    """(residual, ok) of a check whose residual may not exceed bound."""
+    return residual, residual <= bound
+
+
+def _verify_trial(alg, n_hat, seed) -> dict:
+    """name -> (residual, ok) of the check battery on one configuration.
 
     With n_hat None (no invariant plane) only its plane-free part runs:
-    the algebra identities and verify_theorems without a plane.
+    the algebra identities and verify_theorems without a plane.  The
+    identities are exact; each allows IDENTITY_RTOL of its scale.
     """
     scale = alg.scale
-
-    def note(name, residual, ok):
-        worst, all_ok = accum.get(name, (-np.inf, True))
-        accum[name] = (max(worst, residual), all_ok and ok)
-
-    rec = alg.reciprocity_residual()
-    note("reciprocity", rec, rec <= 1e-12 * scale)
-    tr = alg.trace_residual()
-    note("trace", tr, tr <= 1e-12 * scale)
-    det = alg.det_residual()
-    note("det_identity", det, det <= 1e-12 * scale ** 3)
-
+    out = {
+        "reciprocity": _within(alg.reciprocity_residual(), IDENTITY_RTOL * scale),
+        "trace": _within(alg.trace_residual(), IDENTITY_RTOL * scale),
+        "det_identity": _within(alg.det_residual(), IDENTITY_RTOL * scale ** 3),
+    }
     plane = None
     if n_hat is not None:
         try:
             plane = planar_structure(alg, n_hat)
         except NotInvariantPlaneError as e:
-            note("planarity_residual", e.residual, False)
-            return
-        _plane_checks(alg, plane, note, seed)
-
+            return {**out, "planarity_residual": (e.residual, False)}
+        out.update(_plane_checks(alg, plane, seed))
     checks = verify_theorems(alg, plane, trials=200, seed=seed, n_samples=1500)  # the lattice cross-check
-    for name, chk in checks.items():
-        if plane is not None or name != "plane_chain":  # without a plane it was skipped, not passed
-            note(name, chk.residual, chk.ok)
+    out.update((name, (chk.residual, chk.ok)) for name, chk in checks.items())
+    return out
 
 
-def _plane_checks(alg, plane, note, seed):
-    """The checks of the battery that need an invariant plane."""
-    scale = alg.scale
-    note("planarity_residual", plane.residual, True)
-    g = alg.gram
-    eig_res = float(np.linalg.norm(g @ plane.n_hat - 2.0 * plane.norm_P ** 2 * plane.n_hat))
-    note("gram_eigenvector", eig_res, eig_res <= 1e-9 * max(scale ** 2, 1e-300))
-    fn = alg.matrix(plane.n_hat)
-    fro_res = abs(float(np.einsum("ab,ab->", fn, fn)) - 2.0 * plane.norm_P ** 2)
-    note("frame_energy", fro_res, fro_res <= 1e-10 * max(scale ** 2, 1e-300))
+def _plane_checks(alg, plane, seed) -> dict:
+    """The checks of the battery that need an invariant plane.
+
+    Each identity is exact on an exactly invariant plane.  On the plane
+    given, rho = ||[n] F_n [n]||_F = ||B||_F, with B the in-plane block of
+    F_n, bounds its error: with p the in-plane part of P and
+    d = n . P = -tr B, |d| <= sqrt2 rho.  Each check allows that bound
+    plus IDENTITY_RTOL of its scale, for rounding.
+    """
+    scale, rho, pn, n = alg.scale, plane.residual, plane.norm_P, plane.n_hat
+    scale_sq = max(scale ** 2, 1e-300)
+    fn = alg.matrix(n)
+    out = {"planarity_residual": (rho, True)}
+    # G n - 2||P||^2 n = 2Bp + dp - d^2 n + <T, B>, and |<T, B>| <= sqrt3 scale rho
+    eig_res = float(np.linalg.norm(alg.gram @ n - 2.0 * pn ** 2 * n))
+    eig_bound = ((2.0 + math.sqrt(2.0)) * pn + math.sqrt(3.0) * scale + 2.0 * rho) * rho
+    out["gram_eigenvector"] = _within(eig_res, eig_bound + IDENTITY_RTOL * scale_sq)
+    # ||F_n||^2 - 2||P||^2 = ||B||^2 - d^2, with ||B||^2 = rho^2 and d^2 <= 2 rho^2
+    fro_res = abs(float(np.einsum("ab,ab->", fn, fn)) - 2.0 * pn ** 2)
+    out["frame_energy"] = _within(fro_res, 2.0 * rho ** 2 + IDENTITY_RTOL * scale_sq)
     if plane.Q_hat is not None:
-        ker = float(np.linalg.norm(fn @ plane.Q_hat))
-        note("kernel_direction", ker, ker <= 1e-10 * scale)
+        # Q is in-plane and orthogonal to p, so F_n Q = (p . Q) n + B Q = B Q
+        out["kernel_direction"] = _within(float(np.linalg.norm(fn @ plane.Q_hat)), rho + IDENTITY_RTOL * scale)
 
     dec = decompose(alg, plane, gamma=0.7)
     rng = np.random.default_rng(seed)
     ms = random_moments(rng, 8)
-    worst_plane = float(np.abs(plane.n_hat @ dec.plane_part(ms)).max())
+    worst_plane = float(np.abs(n @ dec.plane_part(ms)).max())
     worst_equi = 0.0
-    if plane.norm_P > 0:
+    if pn > 0:
         c = rot_about(plane.P, rng.uniform(0.0, 2.0 * np.pi, size=len(ms)))  # one rotation per moment
         rotated = dec.equivariant_part((c @ ms[:, :, None])[..., 0])
         worst_equi = float(np.abs(rotated - c @ dec.equivariant_part(ms) @ c.transpose(0, 2, 1)).max())
-    dec_scale = max(scale, abs(dec.gamma) * plane.norm_P ** 2, 1e-300)
-    note("decomposition_into_plane", worst_plane, worst_plane <= 1e-10 * dec_scale)
-    note("decomposition_equivariance", worst_equi, worst_equi <= 1e-10 * dec_scale)
+    dec_scale = max(scale, abs(dec.gamma) * pn ** 2, 1e-300)
+    # n^T Pi(M) = d M^T + d (n.M) n^T - gamma d P^T - (BM)^T for unit M
+    into_bound = (1.0 + math.sqrt(2.0) * (2.0 + abs(dec.gamma) * pn)) * rho
+    out["decomposition_into_plane"] = _within(worst_plane, into_bound + IDENTITY_RTOL * dec_scale)
+    # E depends on P alone and a rotation about P fixes P: exact on any plane
+    out["decomposition_equivariance"] = _within(worst_equi, IDENTITY_RTOL * dec_scale)
+    return out
 
 
-def _trial_violates(alg, n_hat, accum, seed) -> bool:
-    """Run one verification trial; True when it makes a check that held so far fail."""
-    before = {k: v[1] for k, v in accum.items()}
-    _verify_trial(alg, n_hat, accum, seed)
-    return any(not v[1] and before.get(k, True) for k, v in accum.items())
+def _verify_draws(args):
+    """(cfg, n_hat, seed) of each verify trial: args.trials random draws, or the config's field points.
+
+    A random draw comes with the normal of its invariant plane; a config
+    point with None, and the trial takes its first invariant plane, if any.
+    """
+    if not args.config:
+        for t in range(args.trials):
+            draw = random_coplanar_config if t % 2 == 0 else random_mirror_config
+            yield (*draw(np.random.default_rng([args.seed, t])), args.seed + t)
+        return
+    data = load_config(args.config)
+    if not data["field_points"]:
+        raise ConfigError("verify needs a field point in the config")
+    positions = config_positions(data)
+    for fp in data["field_points"]:
+        yield DipoleConfig(positions, fp), None, args.seed
 
 
 def cmd_verify(args) -> int:
+    """Run the battery on each trial; the replay config is the first trial with a failed check."""
     if args.trials < 1:
         raise ConfigError("trials must be at least 1")
     if args.seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     accum: dict = {}
-    offending = None
-    if args.config:
-        data = load_config(args.config)
-        if not data["field_points"]:
-            raise ConfigError("verify needs a field point in the config")
-        positions = config_positions(data)
-        for fp in data["field_points"]:
-            alg = build_algebra(DipoleConfig(positions, fp))
-            if alg.is_trivial():
-                continue
+    replay = None
+    for cfg, n_hat, seed in _verify_draws(args):
+        alg = build_algebra(cfg)
+        if alg.is_trivial():
+            continue
+        if n_hat is None:
             planes = find_invariant_planes(alg)
             n_hat = planes[0].n_hat if planes else None
-            if _trial_violates(alg, n_hat, accum, args.seed) and offending is None:
-                offending = data
-        if not accum:
-            raise ConfigError("no field point of the config has a nonzero operator; nothing to verify")
-    else:
-        for t in range(args.trials):
-            rng = np.random.default_rng([args.seed, t])
-            if t % 2 == 0:
-                cfg, n_hat = random_coplanar_config(rng)
-            else:
-                cfg, n_hat = random_mirror_config(rng)
-            alg = build_algebra(cfg)
-            if alg.is_trivial():
-                continue
-            if _trial_violates(alg, n_hat, accum, args.seed + t) and offending is None:
-                offending = _config_json(cfg)
+        checks = _verify_trial(alg, n_hat, seed)
+        for name, (residual, ok) in checks.items():
+            worst, held = accum.get(name, (-np.inf, True))
+            accum[name] = (max(worst, residual), held and ok)
+        if replay is None and not all(ok for _, ok in checks.values()):
+            replay = _config_json(cfg)
+    if not accum:
+        raise ConfigError("no field point of the config has a nonzero operator; nothing to verify")
     all_ok = all(ok for _, ok in accum.values())
     for name in sorted({*accum, "plane_chain"}):
         if name not in accum:
@@ -597,9 +607,9 @@ def cmd_verify(args) -> int:
         worst, ok = accum[name]
         print(f"{name}: {'ok' if ok else 'VIOLATION'} worst_residual={worst!r}")
     print(f"verify: {'PASS' if all_ok else 'FAIL'}")
-    if not all_ok and offending is not None:
+    if replay is not None:
         print("offending config for replay:", file=sys.stderr)
-        print(json.dumps(offending), file=sys.stderr)
+        print(json.dumps(replay), file=sys.stderr)
     return EXIT_OK if all_ok else EXIT_VIOLATION
 
 
@@ -614,7 +624,6 @@ def _parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="full analysis of a configuration")
     pa.add_argument("--config", required=True)
-    pa.add_argument("--si", action="store_true")
     pa.add_argument("--out", required=True)
     pa.set_defaults(func=cmd_analyze)
 
@@ -675,10 +684,7 @@ def main(argv=None) -> int:
     except SingularFieldPointError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (ConfigError, TrivialAlgebraError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as e:
+    except (ValueError, OSError) as e:  # ConfigError and TrivialAlgebraError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -157,9 +157,8 @@ def test_analyze_planar_record_keys_are_pinned(tmp_path):
     assert list(rec["chain_ok"]) == chain
 
 
-@pytest.mark.parametrize("asked_by", ["--si", "si_prefactor"])
-def test_si_keys_close_the_record_of_every_branch(tmp_path, asked_by):
-    """Under --si, or "si_prefactor": true in the config, every branch ends with both SI keys."""
+def test_si_keys_close_the_record_of_every_branch(tmp_path):
+    """Under "si_prefactor": true in the config every branch ends with both SI keys, and tool.si records it."""
     cases = [
         ([[1, 0, 0], [-1, 0, 0]], [0.3, 0.2, 0.5], "PLANE_DOMINANT"),
         (NONPLANAR_FIVE, [0.05, -0.02, 0.03], "NONPLANAR"),
@@ -167,10 +166,10 @@ def test_si_keys_close_the_record_of_every_branch(tmp_path, asked_by):
     ]
     out = tmp_path / "r.json"
     for magnets, fp, branch in cases:
-        cfg = write_config(tmp_path / "c.json", magnets, [fp], si=asked_by == "si_prefactor")
-        argv = ["analyze", "--config", str(cfg), "--out", str(out)]
-        assert main(argv + (["--si"] if asked_by == "--si" else [])) == EXIT_OK
+        cfg = write_config(tmp_path / "c.json", magnets, [fp], si=True)
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         rep = json.loads(out.read_text())
+        assert rep["tool"]["si"] is True
         for rec in (rep, rep["results"][0]):
             assert rec["branch"] == branch
             assert list(rec)[-2:] == ["force_scale_si", "max_force_si_per_unit_moments"]
@@ -336,6 +335,40 @@ def test_verify_far_magnet_passes(tmp_path, capsys):
     assert "verify: PASS" in capsys.readouterr().out
 
 
+def test_verify_passes_on_nearly_invariant_planes_of_a_nearly_zonal_pair(tmp_path, capsys):
+    """A far magnet of weight 1e-10 to 1e-7 of the near one's leaves the planes found
+    invariant only to about that weight; each plane check allows the bound that the
+    plane's residual proves, so verify passes where fixed thresholds failed."""
+    path = write_config(tmp_path / "far90.json", [[1, 0, 0], [90, 96, 72]], [[0, 0, 0]])  # weight 1.6e-8
+    assert main(["verify", "--config", str(path)]) == EXIT_OK
+    assert "verify: PASS" in capsys.readouterr().out
+    rng = np.random.default_rng(0)
+    for i in range(40):
+        near, far = (v / np.linalg.norm(v) for v in rng.standard_normal((2, 3)))
+        ratio = 10.0 ** rng.uniform(-10, -7)  # the weight d^-4 of the far magnet over the near one's
+        path = write_config(tmp_path / f"draw{i}.json", [near, far * ratio ** -0.25], [[0, 0, 0]])
+        assert main(["verify", "--config", str(path)]) == EXIT_OK, (i, capsys.readouterr())
+        assert "verify: PASS" in capsys.readouterr().out
+
+
+def test_verify_catches_a_kernel_direction_off_by_1e_11_rad(tmp_path, monkeypatch, capsys):
+    """On a plane invariant to rounding, Q_hat turned about n_hat by 1e-11 rad leaves
+    F_n Q_hat at about 1e-11 ||P||, four times the rounding that kernel_direction allows."""
+    exact = cli.planar_structure
+
+    def tilted(alg, n_hat):
+        plane = exact(alg, n_hat)
+        return dataclasses.replace(plane, Q_hat=plane.Q_hat + 1e-11 * plane.P_hat)  # cos(1e-11) is 1.0
+
+    monkeypatch.setattr(cli, "planar_structure", tilted)
+    path = write_config(tmp_path / "pair.json", [[1, 0, 0], [-1, 0, 0]], [[0.3, 0.2, 0.5]])
+    assert main(["verify", "--config", str(path)]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.out.splitlines() if "VIOLATION" in line] == ["kernel_direction"]
+    assert "verify: FAIL" in captured.out
+    assert json.loads(captured.err.splitlines()[-1])["field_points"] == [[0.3, 0.2, 0.5]]
+
+
 def test_near_magnet_ring_of_a_pair_lies_in_the_weight_bracket():
     """610 field points 1e-4 to 1e-1 from a magnet of the pair at (+-1, 0, 0), solved as
     sweep solves them: each lambda_bar lies in 2 (2 w_max - sum w) <= lambda_bar <= 2 sum w,
@@ -422,6 +455,11 @@ def test_analyze_rejects_bad_request(tmp_path, single_dipole_json, capsys):
         argv = [*command, "--config", str(single_dipole_json),
                 "--out", str(tmp_path / "r.out"), flag, "20000"]
         assert main(argv) == EXIT_INPUT
+    # the config's si_prefactor asks for the SI keys: analyze has no --si
+    argv = ["analyze", "--config", str(single_dipole_json), "--out", str(tmp_path / "r.out"), "--si"]
+    assert main(argv) == EXIT_INPUT
+    assert "--si" in capsys.readouterr().err
+    assert not (tmp_path / "r.out").exists()
     # verify's lattice is fixed at 1500 moments, and gen pair places its magnets by --sep and --axis only
     for argv in (["verify", "--trials", "1", "--samples", "1500"],
                  ["gen", "pair", "--o-plus", "1,0,0"], ["gen", "pair", "--o-minus", "-1,0,0"]):
