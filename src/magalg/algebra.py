@@ -51,7 +51,7 @@ class NotInvariantPlaneError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GramSpectrum:
-    """Gram matrix of the basis images with its full eigendecomposition.
+    """Full eigendecomposition of the Gram matrix of the basis images (alg.gram).
 
     lambda_F is the largest eigenvalue (max of tr F_M^2 over unit M) and
     M_F an associated unit eigenvector.  When the top eigenvalue is
@@ -59,7 +59,6 @@ class GramSpectrum:
     flags that M_F is only one representative of an eigenspace.
     """
 
-    gram: np.ndarray
     lambda_F: float
     M_F: np.ndarray
     eigenvalues: np.ndarray  # ascending
@@ -68,14 +67,13 @@ class GramSpectrum:
 
 
 def gram_spectrum(alg: MagneticAlgebra) -> GramSpectrum:
-    """The Gram matrix with its eigh, memoized on alg: callers share it and must not modify it."""
+    """The eigh of the Gram matrix, memoized on alg: callers share it and must not modify it."""
     key = ("gram_spectrum",)
     if key not in alg.memo:
-        g = alg.gram
-        w, v = np.linalg.eigh(g)
+        w, v = np.linalg.eigh(alg.gram)
         lam = float(max(w[-1], 0.0))
         mult = int(np.sum(w >= lam - GRAM_DEGENERACY_RTOL * max(lam, 1e-300)))
-        alg.memo[key] = GramSpectrum(g, lam, canonical_sign(v[:, -1]), w, v, mult)
+        alg.memo[key] = GramSpectrum(lam, canonical_sign(v[:, -1]), w, v, mult)
     return alg.memo[key]
 
 
@@ -389,19 +387,18 @@ def self_eigenvectors(alg: MagneticAlgebra) -> ZEigenvectors:
     accepted once its residual is at most _EIGEN_TOL times the operator
     scale; two whose cosine is within 1e-8 of +-1 count once.  The solve
     runs on the operator over its scale, where squared residuals cannot
-    underflow.  Memoized on alg: this is self_eigenvectors_batch of
-    [alg], so it reads what a batch call already solved.
+    underflow.  This is self_eigenvectors_batch of [alg], so it reads
+    what a batch call already solved.
     """
-    key = ("self_eigenvectors",)
-    return alg.memo[key] if key in alg.memo else self_eigenvectors_batch([alg])[0]
+    return self_eigenvectors_batch([alg])[0]
 
 
 def self_eigenvectors_batch(algs) -> list[ZEigenvectors]:
     """self_eigenvectors of each algebra of algs, with one stacked null-space solve for all of them.
 
-    Each result is memoized on its algebra under the key self_eigenvectors
-    reads, and is bitwise the one a solve of that algebra alone gives, in
-    any order of algs.  Algebras already solved are not solved again;
+    Each result is memoized on its algebra, and is bitwise the one a
+    solve of that algebra alone gives, in any order of algs.  Algebras
+    already solved (by this function) are read from the memo;
     closed forms run one at a time, complete only if all their moments
     converge, and the others share one _algebraic_eigenvectors call.
     Raises TrivialAlgebraError on a zero operator.

@@ -55,7 +55,6 @@ from .dipoles import (
 from .extremal import (  # lambda_bar_bruteforce and lambda_plane stay bound here for tracing
     CHAIN_RTOL,
     IDENTITY_RTOL,
-    WorstCase,
     _degenerate_report,
     bounds_report,
     lambda_bar_bruteforce,
@@ -185,18 +184,6 @@ def _mat(m):
     return [[float(x) for x in row] for row in np.asarray(m)]
 
 
-def _lambda_bar(wc: WorstCase | None, certified) -> dict:
-    """The lambda_bar block of a record; wc is None on a DEGENERATE point, which has no maximizer."""
-    return {
-        "value": 0.0 if wc is None else wc.lambda_bar,
-        "M_bar": None if wc is None else _vec(wc.M_bar),
-        "m_bar": None if wc is None else _vec(wc.m_bar),
-        "tol_sampling": 0.0,  # no sampling slack: a Z-eigenvalue; the key stays in the schema
-        "certified": certified,
-        "complete": False if wc is None else wc.complete,
-    }
-
-
 def _primary_plane(reports) -> int:
     """Index of the plane with the tightest refined upper bound.
 
@@ -211,15 +198,16 @@ def _primary_plane(reports) -> int:
     return ([i for i in tied if reports[i].lambda_bar_certified is not None] or tied)[0]
 
 
-def _point_record(cfg: DipoleConfig, candidates: bool, alg=None) -> dict:
-    """The record of one field point, for every branch.
+def analyze_point(cfg: DipoleConfig, alg=None, candidates=False) -> dict:
+    """The analyze record of one field point, for every branch, as JSON-ready data.
 
     A DEGENERATE point (the zero operator) has no Gram spectrum, plane
-    or maximizer, and a NONPLANAR one no plane and so no bound chain;
-    the planar branches take the chain of the primary plane.  With
-    candidates set, the candidate search on that plane's report follows
-    chain_ok; the SI keys come last.  alg is cfg's algebra when already
-    built (and perhaps solved); otherwise it is built here.
+    or maximizer, and a NONPLANAR one no plane and so no primary plane
+    report and no bound chain; the planar branches take the chain of the
+    primary plane.  With candidates set (only analyze sets it), the
+    candidate search on that plane's report follows chain_ok; the SI
+    keys come last.  alg is cfg's algebra when already built (and
+    perhaps solved); otherwise it is built here.
     """
     if alg is None:
         alg = build_algebra(cfg)
@@ -240,9 +228,12 @@ def _point_record(cfg: DipoleConfig, candidates: bool, alg=None) -> dict:
         gs = gram_spectrum(alg)
         planes = find_invariant_planes(alg)
         wc = lambda_bar_exact(alg)
+        reports = [bounds_report(alg, p) for p in planes]
+        used = _primary_plane(reports) if reports else None
+        rep = None if used is None else reports[used]
         rec.update(
             p_vector=_vec(p_vector(cfg)),
-            gram=_mat(gs.gram),
+            gram=_mat(alg.gram),
             lambda_F=gs.lambda_F,
             M_F=_vec(gs.M_F),
             gram_eigenvalues=_vec(gs.eigenvalues),
@@ -258,52 +249,40 @@ def _point_record(cfg: DipoleConfig, candidates: bool, alg=None) -> dict:
                 }
                 for p in planes
             ],
+            branch="NONPLANAR" if rep is None else rep.branch.value,
+            plane_used=used,
         )
-        if planes:
-            reports = [bounds_report(alg, p) for p in planes]
-            used = _primary_plane(reports)
-            rep = reports[used]
-            rec.update(
-                branch=rep.branch.value,
-                plane_used=used,
-                plane_reports=[
-                    {
-                        "branch": r.branch.value,
-                        "norm_P": r.norm_P,
-                        "abs_lambda_MF": r.abs_lambda_MF,
-                        "lambda_P": r.lambda_P,
-                        "bounds": r.bounds,
-                        "chain_ok": r.chain_ok,
-                    }
-                    for r in reports
-                ],
-            )
-        else:
-            rep = None
-            rec.update(branch="NONPLANAR", plane_used=None)
-
-    if rep is None:
-        rec.update(
-            norm_P=None,
-            abs_lambda_MF=principal_abs(alg, gs.M_F),
-            lambda_P=None,
-            M_P=None,
-            lambda_bar=_lambda_bar(wc, None),
-            bounds=None,
-            chain_ok=None,
-        )
-    else:
-        rec.update(
-            norm_P=rep.norm_P,
-            abs_lambda_MF=rep.abs_lambda_MF,
-            lambda_P=rep.lambda_P,
-            M_P=None if rep.M_P is None else _vec(rep.M_P),
-            lambda_bar=_lambda_bar(wc, rep.lambda_bar_certified),
-            bounds=rep.bounds,
-            chain_ok=rep.chain_ok,
-        )
+        if reports:
+            rec["plane_reports"] = [
+                {
+                    "branch": r.branch.value,
+                    "norm_P": r.norm_P,
+                    "abs_lambda_MF": r.abs_lambda_MF,
+                    "lambda_P": r.lambda_P,
+                    "bounds": r.bounds,
+                    "chain_ok": r.chain_ok,
+                }
+                for r in reports
+            ]
+    planar = rep is not None  # a NONPLANAR point has no primary report
+    rec.update(
+        norm_P=rep.norm_P if planar else None,
+        abs_lambda_MF=rep.abs_lambda_MF if planar else principal_abs(alg, gs.M_F),
+        lambda_P=rep.lambda_P if planar else None,
+        M_P=_vec(rep.M_P) if planar and rep.M_P is not None else None,
+        lambda_bar={
+            "value": 0.0 if wc is None else wc.lambda_bar,
+            "M_bar": None if wc is None else _vec(wc.M_bar),
+            "m_bar": None if wc is None else _vec(wc.m_bar),
+            "tol_sampling": 0.0,  # no sampling slack: a Z-eigenvalue; the key stays in the schema
+            "certified": rep.lambda_bar_certified if planar else None,
+            "complete": False if wc is None else wc.complete,
+        },
+        bounds=rep.bounds if planar else None,
+        chain_ok=rep.chain_ok if planar else None,
+    )
     if candidates:
-        found = [] if rep is None else locate_candidates(alg, rep)
+        found = locate_candidates(alg, rep) if planar else []
         rec["candidates"] = [
             {"moment": _vec(c.moment), "kind": c.kind.value, "lambda_abs": c.lambda_abs}
             for c in found
@@ -312,15 +291,6 @@ def _point_record(cfg: DipoleConfig, candidates: bool, alg=None) -> dict:
         rec["force_scale_si"] = FORCE_PREFACTOR
         rec["max_force_si_per_unit_moments"] = FORCE_PREFACTOR * rec["lambda_bar"]["value"]
     return rec
-
-
-def analyze_point(cfg: DipoleConfig, alg=None) -> dict:
-    """Full analysis of one field point as a JSON-ready record.
-
-    Candidate search is not part of it: only `analyze` reports
-    candidates.  alg is as in _point_record.
-    """
-    return _point_record(cfg, candidates=False, alg=alg)
 
 
 def _solved(cfgs, build):
@@ -343,7 +313,7 @@ def cmd_analyze(args) -> int:
         raise ConfigError("analyze needs at least one field point in the config")
     positions = config_positions(data)
     cfgs = [DipoleConfig(positions, fp, data["si_prefactor"]) for fp in data["field_points"]]
-    results = [_point_record(cfg, candidates=True, alg=alg) for cfg, alg in _solved(cfgs, build_algebra)]
+    results = [analyze_point(cfg, alg, candidates=True) for cfg, alg in _solved(cfgs, build_algebra)]
     tool = {
         "name": "magalg",
         "version": __version__,
@@ -539,7 +509,7 @@ def _plane_checks(alg, plane, seed) -> dict:
         # Q is in-plane and orthogonal to p, so F_n Q = (p . Q) n + B Q = B Q
         out["kernel_direction"] = _within(float(np.linalg.norm(fn @ plane.Q_hat)), rho + IDENTITY_RTOL * scale)
 
-    dec = decompose(alg, plane, gamma=0.7)
+    dec = decompose(alg, plane, gamma=0.7 / scale)  # gamma P P^T scales as the operator
     rng = np.random.default_rng(seed)
     ms = random_moments(rng, 8)
     worst_plane = float(np.abs(n @ dec.plane_part(ms)).max())

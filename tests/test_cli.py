@@ -369,6 +369,34 @@ def test_verify_catches_a_kernel_direction_off_by_1e_11_rad(tmp_path, monkeypatc
     assert json.loads(captured.err.splitlines()[-1])["field_points"] == [[0.3, 0.2, 0.5]]
 
 
+def test_verify_decomposition_checks_allow_rounding_of_the_operator_not_of_gamma_p_squared(monkeypatch):
+    """Trial 38 of verify --seed 0 has ||P|| 9.5e3 at scale 2.0e4.  gamma = 0.7 / scale keeps
+    gamma ||P||^2 at the operator's size, so a term 1e-10 scale n n^T added to E, which a
+    rotation about P does not fix, breaks decomposition_equivariance; at gamma 0.7 the
+    decomposition checks allowed 1e-12 * 0.7 ||P||^2, about 3000 times 1e-12 scale, and
+    missed it."""
+    from magalg import algebra
+    from magalg.corpus import random_coplanar_config
+
+    cfg, n_hat = random_coplanar_config(np.random.default_rng([0, 38]))
+    alg = build_algebra(cfg)
+    assert alg.scale == pytest.approx(2.0e4, rel=0.05)
+    assert planar_structure(alg, n_hat).norm_P == pytest.approx(9.5e3, rel=0.05)
+    checks = cli._verify_trial(alg, n_hat, 38)
+    assert all(ok for _, ok in checks.values())
+    exact = algebra.Decomposition.equivariant_part
+
+    def shifted(self, M):
+        n = self.plane.n_hat
+        return exact(self, M) + 1e-10 * self.algebra.scale * np.outer(n, n)
+
+    monkeypatch.setattr(algebra.Decomposition, "equivariant_part", shifted)
+    checks = cli._verify_trial(alg, n_hat, 38)
+    # n n^T also leaves the plane, as n^T Pi(M)
+    assert [name for name, (_, ok) in checks.items() if not ok] == ["decomposition_into_plane",
+                                                                    "decomposition_equivariance"]
+
+
 def test_near_magnet_ring_of_a_pair_lies_in_the_weight_bracket():
     """610 field points 1e-4 to 1e-1 from a magnet of the pair at (+-1, 0, 0), solved as
     sweep solves them: each lambda_bar lies in 2 (2 w_max - sum w) <= lambda_bar <= 2 sum w,
@@ -606,15 +634,15 @@ def test_circle_axis_order_does_not_change_the_record(low_degree, monkeypatch):
     solving them in reverse order gives the same analyze record, candidates
     included, also when one circle's polynomial takes np.roots."""
     from magalg import algebra
-    from magalg.cli import _point_record
+    from magalg.cli import analyze_point
     from magalg.dipoles import DipoleConfig
     from test_algebra import TETRA_LOW_DEGREE
 
     cfg = DipoleConfig(*TETRA_LOW_DEGREE) if low_degree else _metamorphic_case("tetra")
-    base = json.dumps(_point_record(cfg, candidates=True))
+    base = json.dumps(analyze_point(cfg, candidates=True))
     circle_normals = algebra._circle_normals
     monkeypatch.setattr(algebra, "_circle_normals", lambda alg, axes, threshold: circle_normals(alg, axes[::-1], threshold))
-    assert json.dumps(_point_record(cfg, candidates=True)) == base
+    assert json.dumps(analyze_point(cfg, candidates=True)) == base
 
 
 def test_report_roundtrip(tmp_path, single_dipole_json):
@@ -750,6 +778,23 @@ def test_analyze_of_several_points_matches_each_point_alone(tmp_path, monkeypatc
     assert code == EXIT_OK
     assert stacks == [2]  # the zonal operator takes its closed form
     assert [json.dumps(r) for r in rep["results"]] == [json.dumps(r) for r in alone]
+
+
+def test_analyze_builds_the_record_of_every_branch_with_analyze_point(tmp_path, monkeypatch):
+    """analyze writes the DEGENERATE, NONPLANAR and planar records of one config through
+    cli.analyze_point, the function the benchmark traces, and counting its calls changes
+    nothing in the report."""
+    magnets = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]  # two antipodal pairs: zero at the origin
+    cfg = write_config(tmp_path / "three.json", magnets, [[0, 0, 0], [0.3, 0.2, 0.5], [0.3, 0.2, 0]])
+    code, base = run_analyze(tmp_path, cfg)
+    assert code == EXIT_OK
+    assert [r["branch"] for r in base["results"]] == ["DEGENERATE", "NONPLANAR", "PLANE_DOMINANT"]
+    record, calls = cli.analyze_point, []
+    monkeypatch.setattr(cli, "analyze_point", lambda *args, **kwargs: calls.append(args) or record(*args, **kwargs))
+    code, rep = run_analyze(tmp_path, cfg)
+    assert code == EXIT_OK
+    assert len(calls) == 3
+    assert json.dumps(rep) == json.dumps(base)
 
 
 def test_sweep_header_exact(tmp_path, single_dipole_json):
