@@ -195,20 +195,18 @@ def _newton_step(x, r, jac):
     return x / np.linalg.norm(x, axis=1)[:, None]
 
 
-def _converge(alg, m):
-    """Projected Newton on each row of m until its residual is at most _EIGEN_TOL.
+def _converge(images, m):
+    """Projected Newton on each row m[i] of m, of basis images images[i], until its residual is at most _EIGEN_TOL.
 
-    alg is as in _self_eigen_system.  Returns the rows after Newton and a
-    mask of those that converged: a row still above _EIGEN_TOL after 60
-    residual checks has not.
+    Returns the rows after Newton and a mask of those that converged: a
+    row still above _EIGEN_TOL after 60 residual checks has not.
     """
     m = np.array(m, dtype=float).reshape(-1, 3)
-    images = getattr(alg, "basis_images", alg)
     converged = np.zeros(len(m), dtype=bool)
     active = np.arange(len(m))
     for _ in range(60):
         x = m[active]
-        r, jac = _self_eigen_system(images if images.ndim == 3 else images[active], x)
+        r, jac = _self_eigen_system(images[active], x)
         done = np.linalg.norm(r, axis=1) <= _EIGEN_TOL
         converged[active[done]] = True
         active = active[~done]
@@ -292,34 +290,8 @@ def _eigenpoints(t):
     return x / np.linalg.norm(x, axis=2, keepdims=True), w.imag == 0.0, s[:, 7] / s[:, 0]
 
 
-def _algebraic_eigenvectors(unit_algs):
-    """(moments, complete) of each unit-scale operator: Newton from its real eigenpoints, all operators in one call.
-
-    complete holds when the rank gap is at least _RANK_GAP and the real
-    points converge to as many distinct moments, all 7 eigenpoints over C
-    being accounted for (Cartwright & Sturmfels, LAA 2013).  Any other
-    operator takes one more Newton call from the real parts of its 7
-    points and its 3 Gram eigenvectors, the axis of a nearly zonal one.
-    """
-    images = np.array([u.basis_images for u in unit_algs])
-    x, real, gap = _eigenpoints(images)
-    owner = np.nonzero(real)[0]
-    moments, converged = _converge(images[owner], x[real])
-    out = []
-    for i, n_real in enumerate(real.sum(axis=1)):
-        found = _distinct(moments[converged & (owner == i)])
-        out.append((found, bool(gap[i] >= _RANK_GAP and len(found) == n_real)))
-    if fail := [i for i, (_, complete) in enumerate(out) if not complete]:
-        axes = np.linalg.eigh(np.array([unit_algs[i].gram for i in fail]))[1].transpose(0, 2, 1)
-        starts = np.concatenate([x[fail], axes], axis=1)
-        moments, converged = _converge(np.repeat(images[fail], starts.shape[1], axis=0), starts)
-        for i, m, c in zip(fail, moments.reshape(starts.shape), converged.reshape(starts.shape[:2])):
-            out[i] = _distinct(m[c]), False
-    return out
-
-
-def _axis_form(t):
-    """(moments, complete) of a unit-scale operator tensor t that is one harmonic about a Gram axis a, or None.
+def _axis_form(t, w, axes):
+    """(moments, complete) of a unit-scale operator tensor t, with Gram eigh (w, axes), if one harmonic about a Gram axis a; or None.
 
     Accepted only when the Gram eigenvalues group as [2, 1] or [1, 2] and
     ||t - form||_F <= _EIGEN_TOL; a Gram split alone makes neither form
@@ -338,7 +310,6 @@ def _axis_form(t):
     The null-space solve cannot certify either form; one near a form but
     beyond _EIGEN_TOL falls back to Newton from the Gram axes there.
     """
-    w, axes = np.linalg.eigh(np.einsum("iab,jab->ij", t, t))
     shape = [len(g) for g in _group_eigenvalues(w, GRAM_DEGENERACY_RTOL)]
     if shape == [2, 1]:
         a = axes[:, 2]
@@ -380,44 +351,66 @@ def self_eigenvectors(alg: MagneticAlgebra) -> ZEigenvectors:
     reports for the family, and complete false.  A Gram-null one (a
     singular eigenpoint, such as the in-plane centre of an equilateral
     triangle of magnets) is sectoral: its null axis and 3 lines, complete.
-    Any other operator is solved by _algebraic_eigenvectors: complete
-    certifies a 7-dimensional Macaulay null space whose real points
-    converge to distinct moments; a nearly zonal or nearly Gram-null one
-    that fails it also starts Newton from its Gram axes.  A moment is
-    accepted once its residual is at most _EIGEN_TOL times the operator
-    scale; two whose cosine is within 1e-8 of +-1 count once.  The solve
-    runs on the operator over its scale, where squared residuals cannot
-    underflow.  This is self_eigenvectors_batch of [alg], so it reads
-    what a batch call already solved.
+    Any other operator is solved from its eigenpoints: complete certifies
+    a 7-dimensional Macaulay null space whose real points converge to
+    distinct moments; a nearly zonal or nearly Gram-null one that fails
+    it also starts Newton from its Gram axes.  A moment is accepted once
+    its residual is at most _EIGEN_TOL times the operator scale; two
+    whose cosine is within 1e-8 of +-1 count once.  The solve runs on the
+    operator over its scale, where squared residuals cannot underflow.
+    This is self_eigenvectors_batch of [alg], so it reads what a batch
+    call already solved.
     """
     return self_eigenvectors_batch([alg])[0]
 
 
 def self_eigenvectors_batch(algs) -> list[ZEigenvectors]:
-    """self_eigenvectors of each algebra of algs, with one stacked null-space solve for all of them.
+    """self_eigenvectors of each algebra of algs, in one pass over all of them.
 
     Each result is memoized on its algebra, and is bitwise the one a
-    solve of that algebra alone gives, in any order of algs.  Algebras
-    already solved (by this function) are read from the memo;
-    closed forms run one at a time, complete only if all their moments
-    converge, and the others share one _algebraic_eigenvectors call.
-    Raises TrivialAlgebraError on a zero operator.
+    solve of that algebra alone gives, in any order of algs.  A call that
+    finds every algebra solved reads the memo alone.  The others, over
+    their scales, share one Gram eigh, which _axis_form classifies, one
+    _eigenpoints call for those without a closed form, and one Newton call
+    from every start: a closed form's moments, complete if the form is and
+    they all converge; another operator's real eigenpoints, complete if
+    its rank gap is at least _RANK_GAP and they converge to as many
+    distinct moments (all 7 over C are then accounted for: Cartwright &
+    Sturmfels, LAA 2013).  The rest share one more Newton call from their
+    7 points and their Gram axes, the axis of a nearly zonal one.  Raises
+    TrivialAlgebraError on a zero operator.
     """
     key = ("self_eigenvectors",)
+    if all(key in a.memo for a in algs):
+        return [a.memo[key] for a in algs]
     todo = list(dict.fromkeys(a for a in algs if key not in a.memo))  # each object once
     if any(a.is_trivial() for a in todo):
         raise TrivialAlgebraError("trivial algebra")
-    units = [a * (1.0 / a.scale) for a in todo]
-    forms = [_axis_form(u.basis_images) for u in units]
-    generic = [u for u, f in zip(units, forms) if f is None]
-    solved = iter(_algebraic_eigenvectors(generic) if generic else [])
-    for alg, unit_alg, form in zip(todo, units, forms):
-        if form is not None:
-            x, converged = _converge(unit_alg, form[0])
-            found, complete = _distinct(x[converged]), form[1] and bool(converged.all())
-        else:
-            found, complete = next(solved)
-        alg.memo[key] = ZEigenvectors(tuple(found), complete)
+    t = np.array([a.basis_images * (1.0 / a.scale) for a in todo])
+    w, axes = np.linalg.eigh(np.einsum("niab,njab->nij", t, t))
+    forms = [_axis_form(*op) for op in zip(t, w, axes)]
+    generic = [i for i, form in enumerate(forms) if form is None]
+    x, real, gap = np.zeros((len(t), _EIGENPOINTS, 3)), np.zeros((len(t), _EIGENPOINTS), bool), np.zeros(len(t))
+    if generic:
+        x[generic], real[generic], gap[generic] = _eigenpoints(t[generic])
+    starts = [x[i, real[i]] if form is None else form[0] for i, form in enumerate(forms)]
+    counts = [len(s) for s in starts]
+    moments, converged = _converge(np.repeat(t, counts, axis=0), np.concatenate(starts))
+    fail = []
+    for i, (alg, form, n, end) in enumerate(zip(todo, forms, counts, itertools.accumulate(counts))):
+        m, c = moments[end - n:end], converged[end - n:end]
+        found = _distinct(m[c])
+        if form is not None:  # zonal or sectoral
+            alg.memo[key] = ZEigenvectors(tuple(found), form[1] and bool(c.all()))
+        elif gap[i] >= _RANK_GAP and len(found) == real[i].sum():  # certified
+            alg.memo[key] = ZEigenvectors(tuple(found), True)
+        else:  # one more Newton call below
+            fail.append(i)
+    if fail:
+        starts = np.concatenate([x[fail], axes[fail].transpose(0, 2, 1)], axis=1)
+        moments, converged = _converge(np.repeat(t[fail], starts.shape[1], axis=0), starts)
+        for i, m, c in zip(fail, moments.reshape(starts.shape), converged.reshape(starts.shape[:2])):
+            todo[i].memo[key] = ZEigenvectors(tuple(_distinct(m[c])), False)
     return [a.memo[key] for a in algs]
 
 

@@ -56,6 +56,7 @@ from .extremal import (  # lambda_bar_bruteforce and lambda_plane stay bound her
     CHAIN_RTOL,
     IDENTITY_RTOL,
     _degenerate_report,
+    _within,
     bounds_report,
     lambda_bar_bruteforce,
     lambda_bar_exact,
@@ -455,11 +456,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _within(residual, bound):
-    """(residual, ok) of a check whose residual may not exceed bound."""
-    return residual, residual <= bound
-
-
 def _verify_trial(alg, n_hat, seed) -> dict:
     """name -> (residual, ok) of the check battery on one configuration.
 
@@ -480,9 +476,22 @@ def _verify_trial(alg, n_hat, seed) -> dict:
         except NotInvariantPlaneError as e:
             return {**out, "planarity_residual": (e.residual, False)}
         out.update(_plane_checks(alg, plane, seed))
-    checks = verify_theorems(alg, plane, trials=200, seed=seed, n_samples=1500)  # the lattice cross-check
-    out.update((name, (chk.residual, chk.ok)) for name, chk in checks.items())
+    out.update(verify_theorems(alg, plane, trials=200, seed=seed, n_samples=1500))  # the lattice cross-check
     return out
+
+
+def _weight_bracket(cfg, alg):
+    """(residual, ok) of 2 (2 w_max - sum w) <= lambda_bar <= 2 sum w, with w = d^-4 the magnet weights.
+
+    build_algebra's operator is -2 sum_i w_i Z_i, with Z_i the zonal cubic
+    about the direction u_i of magnet i, and Z_u(x,x,x) = P_3(u . x) has
+    spectral norm 1, so the triangle inequality gives the bracket.  The
+    residual is relative to its upper end and allows IDENTITY_RTOL.
+    """
+    w = cfg.separations()[1] ** -4
+    lower, upper = 2.0 * (2.0 * w.max() - w.sum()), 2.0 * w.sum()
+    lam = lambda_bar_exact(alg).lambda_bar
+    return _within(float(max(lower - lam, lam - upper) / upper), IDENTITY_RTOL)
 
 
 def _plane_checks(alg, plane, seed) -> dict:
@@ -547,7 +556,7 @@ def _verify_draws(args):
 
 
 def cmd_verify(args) -> int:
-    """Run the battery on each trial; the replay config is the first trial with a failed check."""
+    """Run the battery and the weight bracket on each trial; the replay config is the first trial with a failed check."""
     if args.trials < 1:
         raise ConfigError("trials must be at least 1")
     if args.seed < 0:
@@ -561,7 +570,7 @@ def cmd_verify(args) -> int:
         if n_hat is None:
             planes = find_invariant_planes(alg)
             n_hat = planes[0].n_hat if planes else None
-        checks = _verify_trial(alg, n_hat, seed)
+        checks = {**_verify_trial(alg, n_hat, seed), "weight_bracket": _weight_bracket(cfg, alg)}
         for name, (residual, ok) in checks.items():
             worst, held = accum.get(name, (-np.inf, True))
             accum[name] = (max(worst, residual), held and ok)

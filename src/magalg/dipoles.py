@@ -143,9 +143,6 @@ class MagneticAlgebra:
     def __add__(self, other) -> "MagneticAlgebra":
         return MagneticAlgebra(self.basis_images + other.basis_images)
 
-    def __mul__(self, c) -> "MagneticAlgebra":
-        return MagneticAlgebra(self.basis_images * float(c))
-
 
 def p_vector(cfg: DipoleConfig) -> np.ndarray:
     """Source vector: sum of unit directions weighted by distance^-4."""

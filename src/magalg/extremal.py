@@ -404,10 +404,9 @@ def locate_candidates(alg: MagneticAlgebra, report: ExtremalReport, n_starts=50)
     return out
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
-    ok: bool
-    residual: float
+def _within(residual, bound):
+    """(residual, ok) of a check whose residual may not exceed bound."""
+    return residual, residual <= bound
 
 
 def verify_theorems(
@@ -429,16 +428,16 @@ def verify_theorems(
     on the true worst case, so (e) holds at rounding unless the
     Z-eigenvector solve missed the maximizer.  (a) and (c) allow
     CHAIN_RTOL, as the chain flags do, and the others IDENTITY_RTOL of
-    their scale.  Each check reports its worst signed residual
+    their scale.  Returns name -> (residual, ok), each residual signed
     (negative means margin); that of (e) is relative to lambda_bar.  The
     rng draws the moments of (b) and then the algebra other of (d); the
     Z-eigenvectors of alg, other and alg + other come from one
     self_eigenvectors_batch call, which lambda_bar_exact reads back.
     """
     rng = np.random.default_rng(seed)
-    checks: dict[str, TheoremCheck] = {}
+    checks = {}
     if alg.is_trivial():
-        zero = TheoremCheck(True, 0.0)  # vacuous on the zero operator
+        zero = (0.0, True)  # vacuous on the zero operator
         return {k: zero for k in ("squares_bracket", "spread_ordering", "subadditive", "exact_above_lattice")}
 
     # the draws keep their order; the three worst cases share one stacked solve
@@ -458,25 +457,25 @@ def verify_theorems(
 
     tol_sq = CHAIN_RTOL * max(lam_f, 1e-300)
     res_a = max(abs_mf ** 2 - lam_bar ** 2, lam_bar ** 2 - (2.0 / 3.0) * lam_f)
-    checks["squares_bracket"] = TheoremCheck(res_a <= tol_sq, float(res_a))
+    checks["squares_bracket"] = _within(float(res_a), tol_sq)
 
     lam, delta, r = principal_split_batch(alg, ms)
     beats = lam ** 2 > abs_mf ** 2 + tol_sq
     res_b = float((r[beats] - r_mf).max()) if beats.any() else -1.0
-    checks["spread_ordering"] = TheoremCheck(res_b <= IDENTITY_RTOL, res_b)  # spread ratios lie in [0, 1]
+    checks["spread_ordering"] = _within(res_b, IDENTITY_RTOL)  # spread ratios lie in [0, 1]
 
     if plane is not None:
         pm = lambda_plane(alg, plane)
         tol_c = CHAIN_RTOL * max(pm.value, 1e-300)
         res_c = max(plane.norm_P - abs_mf, abs_mf - pm.value)
-        checks["plane_chain"] = TheoremCheck(res_c <= tol_c, float(res_c))
+        checks["plane_chain"] = _within(float(res_c), tol_c)
 
     lam_1 = lambda_bar_exact(other).lambda_bar
     lam_01 = lambda_bar_exact(both).lambda_bar
     res_d = lam_01 - lam_bar - lam_1
-    checks["subadditive"] = TheoremCheck(res_d <= IDENTITY_RTOL * (lam_bar + lam_1), float(res_d))
+    checks["subadditive"] = _within(float(res_d), IDENTITY_RTOL * (lam_bar + lam_1))
 
     lattice = fibonacci_sphere(n_samples) @ random_frame(np.random.default_rng(seed)).T
     res_e = float(np.abs(principal_split_batch(alg, lattice)[0]).max()) / lam_bar - 1.0
-    checks["exact_above_lattice"] = TheoremCheck(res_e <= IDENTITY_RTOL, res_e)
+    checks["exact_above_lattice"] = _within(res_e, IDENTITY_RTOL)
     return checks

@@ -727,25 +727,32 @@ def test_sweep_single_point_matches_analyze(tmp_path):
         assert row["branch"] == rep["branch"]
 
 
-def test_multi_point_sweep_matches_per_point_analyze(tmp_path, capsys, monkeypatch):
-    """A 3x3 grid of gen pair --sep 2 through both magnets and their midpoint: two
-    singular rows, the DEGENERATE midpoint and six planar points, solved as one
-    stack, each row byte-equal to analyze of its point alone."""
+@pytest.mark.parametrize("grid, head, stack", [
+    ("-1:1:3,0:0.9:3,0:0:1", ["singular", "DEGENERATE", "singular"], 6),
+    ("0.99:1.01:5,0:0.03:4,0:0:1", ["PLANE_DOMINANT", "PLANE_DOMINANT", "singular"], 15),
+], ids=["through-both-magnets", "about-a-magnet"])
+def test_multi_point_sweep_matches_per_point_analyze(tmp_path, capsys, monkeypatch, grid, head, stack):
+    """Grids of gen pair --sep 2, each row byte-equal to analyze of its point alone, and
+    the null-space solve sees one stack.  A 3x3 grid through both magnets and their
+    midpoint: two singular rows, the DEGENERATE midpoint and six planar points.  A
+    5x4 grid about a magnet: one singular row, 4 zonal closed forms on the pair axis,
+    5 nearly zonal rows that fall back and 10 certified ones, all in one block."""
     from magalg import algebra
 
     assert main(["gen", "pair", "--sep", "2"]) == EXIT_OK
     pair = json.loads(capsys.readouterr().out)
     cfg = tmp_path / "pair.json"
     cfg.write_text(json.dumps(pair))
-    solve = algebra._algebraic_eigenvectors
+    eigenpoints = algebra._eigenpoints
     stacks = []
-    monkeypatch.setattr(algebra, "_algebraic_eigenvectors", lambda units: stacks.append(len(units)) or solve(units))
+    monkeypatch.setattr(algebra, "_eigenpoints", lambda t: stacks.append(len(t)) or eigenpoints(t))
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", str(cfg), "--grid", "-1:1:3,0:0.9:3,0:0:1", "--out", str(out)]) == EXIT_OK
-    assert capsys.readouterr().err.count("warning: skipping grid point") == 2
-    assert stacks == [6]
+    assert main(["sweep", "--config", str(cfg), "--grid", grid, "--out", str(out)]) == EXIT_OK
     rows = list(csv.DictReader(out.read_text().splitlines()))
-    assert [row["branch"] for row in rows][:3] == ["singular", "DEGENERATE", "singular"]
+    singular = [row["branch"] for row in rows].count("singular")
+    assert capsys.readouterr().err.count("warning: skipping grid point") == singular
+    assert stacks == [stack]
+    assert [row["branch"] for row in rows][:3] == head
     for row in rows:
         point = [float(row[c]) for c in "xyz"]
         magnets = [m["position"] for m in pair["magnets"]]
@@ -771,9 +778,9 @@ def test_analyze_of_several_points_matches_each_point_alone(tmp_path, monkeypatc
     points = [[0.3, 0.2, 0.5], [0.0, 0.0, 0.0], [1.7, 0.4, -0.2]]  # at the origin the pair cancels: zonal
     alone = [run_analyze(tmp_path, write_config(tmp_path / "one.json", magnets, [p]))[1]["results"][0]
              for p in points]
-    solve = algebra._algebraic_eigenvectors
+    eigenpoints = algebra._eigenpoints
     stacks = []
-    monkeypatch.setattr(algebra, "_algebraic_eigenvectors", lambda units: stacks.append(len(units)) or solve(units))
+    monkeypatch.setattr(algebra, "_eigenpoints", lambda t: stacks.append(len(t)) or eigenpoints(t))
     code, rep = run_analyze(tmp_path, write_config(tmp_path / "all.json", magnets, points))
     assert code == EXIT_OK
     assert stacks == [2]  # the zonal operator takes its closed form
@@ -915,8 +922,8 @@ def test_verify_negative_seed(single_dipole_json, capsys):
         assert captured.out == ""
 
 
-def test_lattice_cross_check_catches_a_missed_maximizer(tmp_path, monkeypatch, capsys):
-    """A solve that misses the maximizing Z-eigenvectors fails verify, and the config is printed for replay."""
+def _miss_the_maximizer(monkeypatch):
+    """Make the solve that extremal reads drop every moment at the top |x^T F_x x|."""
     solve = extremal.self_eigenvectors
 
     def missing_best(alg, *args, **kwargs):
@@ -927,11 +934,17 @@ def test_lattice_cross_check_catches_a_missed_maximizer(tmp_path, monkeypatch, c
         return sol._replace(moments=kept)
 
     monkeypatch.setattr(extremal, "self_eigenvectors", missing_best)
+
+
+def test_lattice_cross_check_catches_a_missed_maximizer(tmp_path, monkeypatch, capsys):
+    """A solve that misses the maximizing Z-eigenvectors fails verify, and the config is printed for replay."""
+    _miss_the_maximizer(monkeypatch)
     cfg, n_hat = random_mirror_config(np.random.default_rng(4))  # second-best Z-eigenvalue at 0.91 of the best
     alg = build_algebra(cfg)
     checks = extremal.verify_theorems(alg, planar_structure(alg, n_hat), trials=200, seed=0, n_samples=1500)
-    assert not checks["exact_above_lattice"].ok
-    assert checks["exact_above_lattice"].residual > 0.05
+    residual, ok = checks["exact_above_lattice"]
+    assert not ok
+    assert residual > 0.05
 
     path = write_config(tmp_path / "mirror.json", cfg.magnet_positions, [cfg.field_point])
     assert main(["verify", "--config", str(path)]) == EXIT_VIOLATION
@@ -940,6 +953,20 @@ def test_lattice_cross_check_catches_a_missed_maximizer(tmp_path, monkeypatch, c
     assert "verify: FAIL" in captured.out
     offending = json.loads(captured.err.splitlines()[-1])
     assert offending["magnets"] == json.loads(path.read_text())["magnets"]
+
+
+def test_weight_bracket_catches_a_missed_maximizer_at_the_far_magnet(tmp_path, monkeypatch, capsys):
+    """The operator is -2 sum_i w_i Z_i, with w = d^-4 and Z_i the zonal cubic about magnet
+    i, of spectral norm 1, so 2 (2 w_max - sum w) <= lambda_bar <= 2 sum w.  At the far
+    magnet that is [1.99999999997, 2.00000000003]: a solve that misses the axis reports
+    less, and verify names the bracket and fails."""
+    _miss_the_maximizer(monkeypatch)
+    far = build_algebra(DipoleConfig(FAR_MAGNET[0], FAR_MAGNET[1][0]))
+    assert extremal.lambda_bar_exact(far).lambda_bar < 1.99999999997
+    assert main(["verify", "--config", str(write_config(tmp_path / "far.json", *FAR_MAGNET))]) == EXIT_VIOLATION
+    out = capsys.readouterr().out
+    assert "weight_bracket: VIOLATION" in out
+    assert "verify: FAIL" in out
 
 
 def test_verify_with_config(tmp_path, single_dipole_json, capsys):

@@ -413,8 +413,9 @@ def test_the_five_six_pair_configs_are_certified_with_seven():
     corpus = six_pair_corpus()
     for i in (92, 107, 183, 200 + 16, 400 + 160):
         alg = build_algebra(corpus[i])
-        unit_alg = alg * (1.0 / alg.scale)
-        x, converged = _converge(unit_alg, fibonacci_sphere(50) @ random_frame(np.random.default_rng(0)).T)
+        unit_alg = MagneticAlgebra(alg.basis_images * (1.0 / alg.scale))
+        starts = fibonacci_sphere(50) @ random_frame(np.random.default_rng(0)).T
+        x, converged = _converge(np.repeat(unit_alg.basis_images[None], len(starts), axis=0), starts)
         multistart = _distinct(x[converged])
         assert len(multistart) == 6
         sol = self_eigenvectors(alg)
@@ -469,14 +470,14 @@ def test_axisymmetric_operators_are_solved_in_closed_form(monkeypatch, magnets, 
     def not_called(*args, **kwargs):
         raise AssertionError("the closed form should not need this")
 
-    monkeypatch.setattr(algebra, "_algebraic_eigenvectors", not_called)
+    monkeypatch.setattr(algebra, "_eigenpoints", not_called)
     alg = build_algebra(DipoleConfig(magnets, field_point))
     sol = self_eigenvectors(alg)
     assert not sol.complete
     assert len(sol.moments) == 1 + 2 * _FAMILY_SIZE
     best = max(sol.moments, key=lambda m: abs(float(m @ alg.matrix(m) @ m)))
     assert min(np.linalg.norm(best - axis), np.linalg.norm(best + axis)) <= 1e-12
-    r, _ = _self_eigen_system(alg * (1.0 / alg.scale), np.array(sol.moments))
+    r, _ = _self_eigen_system(MagneticAlgebra(alg.basis_images * (1.0 / alg.scale)), np.array(sol.moments))
     assert np.linalg.norm(r, axis=1).max() <= 1e-11
 
 
@@ -488,9 +489,9 @@ _TRIANGLE = np.array([[np.cos(t), np.sin(t), 0.0] for t in 2.0 * np.pi * np.aran
     ([[0.0, 0.0, 0.0], [60.0, 40.0, -20.0]], [0.3, -1.2, 2.0]),  # second magnet at 9e-7 of the first
 ])
 def test_nearly_axisymmetric_operators_take_the_algebraic_solve(monkeypatch, magnets, field_point):
-    solve = algebra._algebraic_eigenvectors
+    eigenpoints = algebra._eigenpoints
     calls = []
-    monkeypatch.setattr(algebra, "_algebraic_eigenvectors", lambda a: calls.append(a) or solve(a))
+    monkeypatch.setattr(algebra, "_eigenpoints", lambda t: calls.append(t) or eigenpoints(t))
     alg = build_algebra(DipoleConfig(magnets, field_point))
     wc = lambda_bar_exact(alg)
     assert len(calls) == 1
@@ -503,13 +504,15 @@ def test_a_trigonal_cubic_passes_the_gram_test_and_fails_the_residual():
     alg = build_algebra(DipoleConfig(_TRIANGLE, [0.0, 0.0, 1.5]))
     w = np.linalg.eigvalsh(alg.gram)
     assert [len(g) for g in algebra._group_eigenvalues(w, algebra._PLANE_GROUP_RTOL)] == [2, 1]
-    assert algebra._axis_form(alg.basis_images / alg.scale) is None
+    t = alg.basis_images / alg.scale
+    assert algebra._axis_form(t, *np.linalg.eigh(np.einsum("iab,jab->ij", t, t))) is None
 
 
 def _multistart_reference(alg):
     """Distinct moments projected Newton reaches from 200 Fibonacci starts in a seeded frame."""
-    unit_alg = alg * (1.0 / alg.scale)
-    x, converged = _converge(unit_alg, fibonacci_sphere(200) @ random_frame(np.random.default_rng(0)).T)
+    unit_alg = MagneticAlgebra(alg.basis_images * (1.0 / alg.scale))
+    starts = fibonacci_sphere(200) @ random_frame(np.random.default_rng(0)).T
+    x, converged = _converge(np.repeat(unit_alg.basis_images[None], len(starts), axis=0), starts)
     return _distinct(x[converged])
 
 
@@ -556,7 +559,7 @@ def test_singular_eigenpoints_are_certified_in_closed_form(monkeypatch, k):
     def not_called(*args, **kwargs):
         raise AssertionError("the closed form should not need this")
 
-    monkeypatch.setattr(algebra, "_algebraic_eigenvectors", not_called)
+    monkeypatch.setattr(algebra, "_eigenpoints", not_called)
     sol = _assert_matches_the_multistart(build_algebra(_singular_eigenpoint_configs()[k]))
     assert sol.complete
     assert len(sol.moments) == 4
@@ -568,15 +571,15 @@ def test_a_nearly_singular_eigenpoint_fails_the_residual_and_the_certificate(mon
     near the null axis merge, so complete is false."""
     magnets = _TRIANGLE + [[1e-9, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
     alg = build_algebra(DipoleConfig(magnets, [0.0, 0.0, 0.0]))
-    unit_alg = alg * (1.0 / alg.scale)
-    w = np.linalg.eigvalsh(unit_alg.gram)
+    unit_alg = MagneticAlgebra(alg.basis_images * (1.0 / alg.scale))
+    w, axes = np.linalg.eigh(unit_alg.gram)
     assert [len(g) for g in algebra._group_eigenvalues(w, algebra._PLANE_GROUP_RTOL)] == [1, 2]
-    assert algebra._axis_form(unit_alg.basis_images) is None
+    assert algebra._axis_form(unit_alg.basis_images, w, axes) is None
     _, real, gap = algebra._eigenpoints(unit_alg.basis_images[None])
     assert gap[0] >= algebra._RANK_GAP and real.sum() == 5
-    solve = algebra._algebraic_eigenvectors
+    eigenpoints = algebra._eigenpoints
     calls = []
-    monkeypatch.setattr(algebra, "_algebraic_eigenvectors", lambda a: calls.append(a) or solve(a))
+    monkeypatch.setattr(algebra, "_eigenpoints", lambda t: calls.append(t) or eigenpoints(t))
     sol = _assert_matches_the_multistart(alg)
     assert not sol.complete
     assert len(sol.moments) == 4
@@ -703,35 +706,41 @@ def _mixed_stack_configs():
 def test_stacked_solve_matches_one_operator_at_a_time(monkeypatch, order):
     """self_eigenvectors_batch gives, bitwise, the moments, their order and complete
     that solving each operator alone gives, whatever the order of the batch (an
-    object listed twice included); the null-space solve runs once for all of them
-    and each result lands in its algebra's memo, where self_eigenvectors reads it."""
+    object listed twice included); the null-space solve runs once for all of them,
+    Newton twice (every start of the stack, then the far magnet's fallback), and
+    each result lands in its algebra's memo, where self_eigenvectors reads it."""
     configs = _mixed_stack_configs()
     alone = [self_eigenvectors(build_algebra(cfg)) for cfg in configs]
     assert [sol.complete for sol in alone] == [True, False, True, True, True, False]
     assert len(alone[1].moments) == 1 + 2 * _FAMILY_SIZE
 
-    solve = algebra._algebraic_eigenvectors
+    eigenpoints = algebra._eigenpoints
     stacks = []
-    monkeypatch.setattr(algebra, "_algebraic_eigenvectors", lambda units: stacks.append(len(units)) or solve(units))
+    monkeypatch.setattr(algebra, "_eigenpoints", lambda t: stacks.append(len(t)) or eigenpoints(t))
+    converge = algebra._converge
+    newton = []
+    monkeypatch.setattr(algebra, "_converge", lambda images, m: newton.append(len(m)) or converge(images, m))
     built = [build_algebra(cfg) for cfg in configs]
     algs = [built[i] for i in order]
     got = self_eigenvectors_batch(algs)
     assert stacks[0] == 4  # the generic, nearly zonal and far-magnet operators, each once; the dipole and triangle are closed forms
+    assert len(newton) == 2
     for i, alg, sol in zip(order, algs, got):
         assert sol.complete == alone[i].complete
         assert np.array_equal(np.array(sol.moments), np.array(alone[i].moments))
         assert self_eigenvectors(alg) is sol
     assert len(stacks) == 1  # the reads above solved nothing again
+    assert len(newton) == 2
 
 
 def test_verify_theorems_solves_its_three_operators_as_one_stack(monkeypatch):
     """alg, the drawn other and the very alg + other whose worst case is checked for subadditivity."""
     from magalg import extremal
 
-    batch, solve = extremal.self_eigenvectors_batch, algebra._algebraic_eigenvectors
+    batch, eigenpoints = extremal.self_eigenvectors_batch, algebra._eigenpoints
     stacks, solves = [], []
     monkeypatch.setattr(extremal, "self_eigenvectors_batch", lambda algs: stacks.append(algs) or batch(algs))
-    monkeypatch.setattr(algebra, "_algebraic_eigenvectors", lambda units: solves.append(len(units)) or solve(units))
+    monkeypatch.setattr(algebra, "_eigenpoints", lambda t: solves.append(len(t)) or eigenpoints(t))
     cfg, n_hat = random_mirror_config(np.random.default_rng(4))
     alg = build_algebra(cfg)
     verify_theorems(alg, planar_structure(alg, n_hat), trials=50, seed=3, n_samples=500)
@@ -798,14 +807,14 @@ def test_detzero_candidates_have_sqrt_half_energy(rng):
 
 def test_verify_theorems_single_dipole(single_dipole_algebra, dipole_plane):
     checks = verify_theorems(single_dipole_algebra, dipole_plane, trials=500, seed=0, n_samples=2000)
-    assert all(c.ok for c in checks.values()), {k: v for k, v in checks.items() if not v.ok}
+    assert all(ok for _, ok in checks.values()), {k: v for k, v in checks.items() if not v[1]}
     # the dipole sits exactly on the chain boundary: zero residual
-    assert checks["plane_chain"].residual <= 1e-12
+    assert checks["plane_chain"][0] <= 1e-12
 
 
 def test_verify_theorems_trivial(antipodal_config):
     checks = verify_theorems(build_algebra(antipodal_config), None)
-    assert all(c.ok for c in checks.values())
+    assert all(ok for _, ok in checks.values())
 
 
 def test_verify_theorems_random_planar(rng):
@@ -814,7 +823,7 @@ def test_verify_theorems_random_planar(rng):
         alg = build_algebra(cfg)
         plane = planar_structure(alg, n_hat)
         checks = verify_theorems(alg, plane, trials=300, seed=5, n_samples=1500)
-        assert all(c.ok for c in checks.values()), {k: v for k, v in checks.items() if not v.ok}
+        assert all(ok for _, ok in checks.values()), {k: v for k, v in checks.items() if not v[1]}
 
 
 def test_subadditivity(rng):
