@@ -124,7 +124,8 @@ def planar_structure(alg: MagneticAlgebra, n_hat, degenerate=False) -> PlanarStr
     if scale == 0.0:
         raise TrivialAlgebraError("trivial algebra")
     n = unit(n_hat)
-    res = float(plane_residual_batch(alg, n[None])[0])  # the value find_invariant_planes accepted n by
+    # from n_hat as given, as find_invariant_planes scored it
+    res = float(plane_residual_batch(alg, np.asarray(n_hat, dtype=float)[None])[0])
     threshold = PLANARITY_TOL * scale
     if res > threshold:
         raise NotInvariantPlaneError(res, threshold)
@@ -290,47 +291,116 @@ def _eigenpoints(t):
     return x / np.linalg.norm(x, axis=2, keepdims=True), w.imag == 0.0, s[:, 7] / s[:, 0]
 
 
-def _axis_form(t, w, axes):
-    """(moments, complete) of a unit-scale operator tensor t, with Gram eigh (w, axes), if one harmonic about a Gram axis a; or None.
+_ANGLES = np.arange(12) * (np.pi / 6)  # a circle's samples: they give a trigonometric polynomial of degree 5 or less
+# The rounding bound of Q, over ||T||_F^2 at unit scale.  A contraction T(x, y, z) with unit vectors is three
+# rounded sums of rounded products, within 9 eps of the sum of its absolute terms (at most ||T||_F by
+# Cauchy-Schwarz), and each rounded vector adds 4 eps ||T||_F: within 32 eps ||T||_F.  L, L', C are such and
+# C' three, with |L|, |L'|, |C| <= ||T||_F, |C'| <= 3 ||T||_F: the computed Q = L C' + 6 L L' - 3 C L' is off
+# by at most (32 (3 + 6) + 96 + 6 32 + 3 32 + 3 32 + 3 12) eps = 804 eps ||T||_F^2.
+_CURVE_ROUNDING = 1024 * np.finfo(float).eps
 
-    Accepted only when the Gram eigenvalues group as [2, 1] or [1, 2] and
-    ||t - form||_F <= _EIGEN_TOL; a Gram split alone makes neither form
-    (a trigonal cubic can have it).  [2, 1]: form = t(a,a,a) Z_a about the
-    top eigenvector, Z_a = (5 a⊗a⊗a - sym(a⊗I)) / 2 the zonal cubic, sym
-    summing a⊗I over its 3 index placements.  The moments are a and 2
-    _FAMILY_SIZE points of the cone at cosine 1/sqrt(5) about a, a
-    continuum, so complete is false.  [1, 2]: form = Re(c e⊗e⊗e) about the
-    null eigenvector, e = u + i v, with c = A - iB from t(x,x,x) = A cos 3p
-    + B sin 3p on the circle orthogonal to a.  At x = a cos s + x' sin s,
-    F_x x = sin^2 s t(x',x',.) is parallel to x only at s = 0 or pi/2, as a
-    nonzero harmonic binary cubic has no double root.  So the moments, a
-    and the 3 lines at 3p = atan2(B, A) + k pi, are all of them: complete
-    is true.  At the acceptance tolerance the pair of eigenpoints that
-    splits off a lies within _distinct's 1e-8 merge cosine, with |tau| ~ 0.
-    The null-space solve cannot certify either form; one near a form but
-    beyond _EIGEN_TOL falls back to Newton from the Gram axes there.
+
+def _on_circle(t, n, e1, e2, s):
+    """u = cos s e1 + sin s e2, C = T(u, u, u), C' = dC/ds, L = T(n, n, u) and L' at the angles s[j] of each plane j."""
+    c, sn = np.cos(s)[..., None], np.sin(s)[..., None]
+    u, v = c * e1[:, None] + sn * e2[:, None], c * e2[:, None] - sn * e1[:, None]
+    g, p = np.einsum("jkab,jia,jib->jik", t, u, u), np.einsum("jkab,ja,jb->jk", t, n, n)[:, None]
+    return u, (u * g).sum(-1), 3.0 * (v * g).sum(-1), (u * p).sum(-1), (v * p).sum(-1)
+
+
+def _in_plane_stationary(alg: MagneticAlgebra, plane) -> np.ndarray:
+    """Unit moments in the plane at which T(u, u, u) is stationary on its circle: the roots of C'.
+
+    Memoized on alg by the normal: the planar solve of self_eigenvectors
+    leaves them for the planes it solved through.
     """
-    shape = [len(g) for g in _group_eigenvalues(w, GRAM_DEGENERACY_RTOL)]
-    if shape == [2, 1]:
-        a = axes[:, 2]
-        a_eye = np.einsum("i,jk->ijk", a, np.eye(3))
-        zonal = 0.5 * (5.0 * np.einsum("i,j,k->ijk", a, a, a)
-                       - a_eye - a_eye.transpose(1, 0, 2) - a_eye.transpose(1, 2, 0))
-        form = float(np.einsum("ijk,i,j,k->", t, a, a, a)) * zonal
-        # a x n_j = n_(j+4) up to sign, so the pair (a +- 2 n_j) / sqrt(5) lies in a family plane
-        u = (2.0 / np.sqrt(5.0)) * _great_circles(a[None])(_FAMILY_ANGLES, 0)
-        moments, complete = np.vstack([a, a / np.sqrt(5.0) + np.concatenate([u, -u])]), False
-    elif shape == [1, 2]:
-        a = axes[:, 0]
-        circle = _great_circles(a[None])
-        x = circle(np.arange(12) * (np.pi / 6), 0)
-        c = np.fft.rfft(np.einsum("ijk,ni,nj,nk->n", t, x, x, x))[3] / 6.0  # A - iB
-        e = x[0] + 1j * cross(a, x[0])  # u + i v: x[0] is u, and tangent_basis makes v as a x u
-        form = (c * np.einsum("i,j,k->ijk", e, e, e)).real
-        moments, complete = np.vstack([a, circle((np.arange(3) * np.pi - np.angle(c)) / 3.0, 0)]), True
-    else:
-        return None
-    return (moments, complete) if np.linalg.norm(t - form) <= _EIGEN_TOL else None
+    known = alg.memo.setdefault(("in_plane_stationary",), {})  # by n_hat.tobytes()
+    if plane.n_hat.tobytes() not in known:
+        e1, e2 = plane.frame()
+        t = (alg.basis_images * (1.0 / alg.scale))[None]
+        s = _trig_roots(_on_circle(t, plane.n_hat[None], e1[None], e2[None], _ANGLES[None])[2], 3)[0]
+        known[plane.n_hat.tobytes()] = np.cos(s)[:, None] * e1 + np.sin(s)[:, None] * e2
+    return known[plane.n_hat.tobytes()]
+
+
+def _through_planes(t, planes):
+    """Candidate Z-eigenvectors of unit-scale tensors t[j] from their invariant planes planes[j].
+
+    With n the normal and x = cos(r) u + sin(r) n, u = cos s e1 + sin s e2,
+    an invariant plane has T(n, u, u) = T(n, n, n) = 0, so T(x, x, x) =
+    cos^3 r C + 3 cos r sin^2 r L.  Its stationary points are the roots of
+    C' in the plane; off it, where cos^2 r = L / (3L - C) = 3L' / (3L' -
+    C'), the roots of Q = L C' + 6 L L' - 3 C L', of degree 4; and n when
+    P = 0.  The plane is curved when a sample of Q exceeds its rounding
+    bound: else Q may vanish, as on a zonal operator's family plane, where
+    a cone of Z-eigenvectors is a continuum, and its roots are not sought.
+    Each candidate takes one Newton step on the full operator, which
+    refines the roots and brings in what the plane's residual leaves out.
+    Returns the candidates, the plane of each, whether its residual is
+    then at most _EIGEN_TOL, whether each plane is curved, and the roots
+    of C' of each plane, in it.
+    """
+    n = np.array([p.n_hat for p in planes])
+    e1, e2 = tangent_basis(n)  # not frame(): P_hat leaves a nearly invariant plane when P is about its residual
+    _, c, dc, l, dl = _on_circle(t, n, e1, e2, np.tile(_ANGLES, (len(t), 1)))
+    q = l * dc + 6.0 * l * dl - 3.0 * c * dl
+    curved = np.abs(q).max(axis=1) > _CURVE_ROUNDING * np.einsum("jkab,jkab->j", t, t)
+    roots = _trig_roots(dc, 3) + _trig_roots(q[curved], 4)
+    counts = [len(s) for s in roots]
+    rows = np.repeat(np.concatenate([np.arange(len(t)), np.flatnonzero(curved)]), counts)
+    s = np.concatenate([[], *roots])[:, None]
+    u, c, dc, l, dl = (f[:, 0] for f in _on_circle(t[rows], n[rows], e1[rows], e2[rows], s))
+    off = np.arange(len(rows)) >= sum(counts[:len(t)])
+    # cos^2 r: 1 at a root of C'; at one of Q from the better conditioned form, clipped: a root
+    # that gives none gives a point in the plane or the pole, rejected unless it is one
+    first = np.abs(3.0 * l - c) >= np.abs(3.0 * dl - dc)
+    num, den = np.where(first, l, 3.0 * dl), np.where(first, 3.0 * l - c, 3.0 * dl - dc)
+    c2 = np.where(off, np.clip(np.divide(num, den, out=np.ones_like(num), where=den != 0.0), 0.0, 1.0), 1.0)
+    h, z = np.sqrt(c2)[:, None] * u, np.sqrt(1.0 - c2)[:, None] * n[rows]
+    x = np.concatenate([h + z, h[off] - z[off], n])
+    rows = np.concatenate([rows, rows[off], np.arange(len(t))])
+    x = _newton_step(x, *_self_eigen_system(t[rows], x))
+    accepted = np.linalg.norm(_self_eigen_system(t[rows], x)[0], axis=1) <= _EIGEN_TOL
+    return x, rows, accepted, curved, np.split(u[~off], np.cumsum(counts[:len(t)])[:-1])
+
+
+def _planar_solve(algs, t):
+    """Per operator of algs (t: their tensors over their scales), None or (ZEigenvectors, final).
+
+    None when its Gram spectrum is 3-fold or it has no invariant plane;
+    else it is solved through the planes find_invariant_planes reports and
+    the lowest normal of each family circle, in one _through_planes call.
+    Zeroing the entries of T that a plane's residual rho measures makes
+    the plane exactly invariant and moves T by at most sqrt(5) rho, so a
+    plane is exact when sqrt(5) rho is at most _EIGEN_TOL: the two
+    operators' Z-eigenvectors agree at the tolerance that defines them.
+    The moments of the exact curved plane of least rho are all of them:
+    complete.  Else those of the reported planes (a zonal operator's axis
+    and a pair of cone points in each family plane) are not, and are final
+    only if one of them is exact: the null-space certificate may still
+    prove the set of a nearly invariant plane complete.
+    """
+    listed = [(i, p, k == 0) for i, a in enumerate(algs)
+              if len(_group_eigenvalues(gram_spectrum(a).eigenvalues, _PLANE_GROUP_RTOL)) > 1  # not 3-fold
+              for k, ps in enumerate((find_invariant_planes(a), a.memo[("family_lowest",)])) for p in ps]
+    out = [None] * len(algs)
+    if not listed:
+        return out
+    owner, planes, reported = zip(*listed)
+    owner, reported = np.array(owner), np.array(reported)
+    rho = np.array([p.residual / algs[i].scale for i, p in zip(owner, planes)])
+    exact = np.sqrt(5.0) * rho <= _EIGEN_TOL
+    x, rows, accepted, curved, inside = _through_planes(t[owner], planes)
+    for i, p, x_in in zip(owner, planes, inside):
+        algs[i].memo.setdefault(("in_plane_stationary",), {})[p.n_hat.tobytes()] = x_in
+    for i in np.unique(owner).tolist():
+        sure = np.flatnonzero((owner == i) & exact & curved)
+        take = rows == sure[np.argmin(rho[sure])] if len(sure) else ((owner == i) & reported)[rows]
+        moments = _distinct(x[accepted & take])
+        final = bool(len(sure)) or bool((exact & reported)[owner == i].any())
+        if moments:
+            out[i] = ZEigenvectors(tuple(moments), bool(len(sure))), final
+    return out
 
 
 class ZEigenvectors(NamedTuple):
@@ -344,22 +414,16 @@ def self_eigenvectors(alg: MagneticAlgebra) -> ZEigenvectors:
     """Distinct unit moments x with F_x x parallel to x, and whether they are all of them.
 
     These are the Z-eigenvectors of the operator tensor, sign-canonical
-    and read-only.  _axis_form gives two classes in closed form.  An
-    axisymmetric operator (a single dipole, a field point on a magnet
-    axis or on a 4-fold axis) is zonal: its axis and a cone, with one
-    pair of cone points in each meridian plane that find_invariant_planes
-    reports for the family, and complete false.  A Gram-null one (a
-    singular eigenpoint, such as the in-plane centre of an equilateral
-    triangle of magnets) is sectoral: its null axis and 3 lines, complete.
-    Any other operator is solved from its eigenpoints: complete certifies
-    a 7-dimensional Macaulay null space whose real points converge to
-    distinct moments; a nearly zonal or nearly Gram-null one that fails
-    it also starts Newton from its Gram axes.  A moment is accepted once
-    its residual is at most _EIGEN_TOL times the operator scale; two
-    whose cosine is within 1e-8 of +-1 count once.  The solve runs on the
-    operator over its scale, where squared residuals cannot underflow.
-    This is self_eigenvectors_batch of [alg], so it reads what a batch
-    call already solved.
+    and read-only.  They come from its eigenpoints, complete when a
+    7-dimensional Macaulay null space's real points converge to as many
+    distinct moments, or through its invariant planes (_planar_solve),
+    complete when one is exact and curved: first for a 2-fold Gram
+    spectrum (zonal and sectoral operators, those near them), second for
+    any other spectrum but a 3-fold one.  A moment is accepted once its
+    residual is at most _EIGEN_TOL times the operator scale; two whose
+    cosine is within 1e-8 of +-1 count once.  This is
+    self_eigenvectors_batch of [alg], so it reads what a batch call
+    already solved.
     """
     return self_eigenvectors_batch([alg])[0]
 
@@ -370,15 +434,15 @@ def self_eigenvectors_batch(algs) -> list[ZEigenvectors]:
     Each result is memoized on its algebra, and is bitwise the one a
     solve of that algebra alone gives, in any order of algs.  A call that
     finds every algebra solved reads the memo alone.  The others, over
-    their scales, share one Gram eigh, which _axis_form classifies, one
-    _eigenpoints call for those without a closed form, and one Newton call
-    from every start: a closed form's moments, complete if the form is and
-    they all converge; another operator's real eigenpoints, complete if
-    its rank gap is at least _RANK_GAP and they converge to as many
-    distinct moments (all 7 over C are then accounted for: Cartwright &
-    Sturmfels, LAA 2013).  The rest share one more Newton call from their
-    7 points and their Gram axes, the axis of a nearly zonal one.  Raises
-    TrivialAlgebraError on a zero operator.
+    their scales (where squared residuals cannot underflow), share one
+    _planar_solve call for those with a 2-fold Gram spectrum, one
+    _eigenpoints call for those it does not settle, and one Newton call
+    from their real points: complete if the rank gap is at least
+    _RANK_GAP and they converge to as many distinct moments (all 7 over C
+    are then accounted for: Cartwright & Sturmfels, LAA 2013).  Those that
+    fail share a second _planar_solve call and take their planes'
+    moments; without a plane, one more Newton call from their 7 points
+    and their Gram axes.  Raises TrivialAlgebraError on a zero operator.
     """
     key = ("self_eigenvectors",)
     if all(key in a.memo for a in algs):
@@ -387,29 +451,39 @@ def self_eigenvectors_batch(algs) -> list[ZEigenvectors]:
     if any(a.is_trivial() for a in todo):
         raise TrivialAlgebraError("trivial algebra")
     t = np.array([a.basis_images * (1.0 / a.scale) for a in todo])
+    # a 2-fold Gram spectrum marks the zonal and sectoral operators and those near them, which the
+    # null-space solve does not certify: they go through their planes first, the others if it fails
     w, axes = np.linalg.eigh(np.einsum("niab,njab->nij", t, t))
-    forms = [_axis_form(*op) for op in zip(t, w, axes)]
-    generic = [i for i, form in enumerate(forms) if form is None]
-    x, real, gap = np.zeros((len(t), _EIGENPOINTS, 3)), np.zeros((len(t), _EIGENPOINTS), bool), np.zeros(len(t))
-    if generic:
-        x[generic], real[generic], gap[generic] = _eigenpoints(t[generic])
-    starts = [x[i, real[i]] if form is None else form[0] for i, form in enumerate(forms)]
+    first = [i for i, wi in enumerate(w) if 2 in map(len, _group_eigenvalues(wi, _PLANE_GROUP_RTOL))]
+    planar = dict(zip(first, _planar_solve([todo[i] for i in first], t[first])))
+    for i, sol in planar.items():
+        if sol is not None and sol[1]:
+            todo[i].memo[key] = sol[0]
+    generic = [i for i, a in enumerate(todo) if key not in a.memo]
+    if not generic:
+        return [a.memo[key] for a in algs]
+    x, real, gap = _eigenpoints(t[generic])
+    starts = [xi[ri] for xi, ri in zip(x, real)]
     counts = [len(s) for s in starts]
-    moments, converged = _converge(np.repeat(t, counts, axis=0), np.concatenate(starts))
+    moments, converged = _converge(np.repeat(t[generic], counts, axis=0), np.concatenate(starts))
     fail = []
-    for i, (alg, form, n, end) in enumerate(zip(todo, forms, counts, itertools.accumulate(counts))):
-        m, c = moments[end - n:end], converged[end - n:end]
-        found = _distinct(m[c])
-        if form is not None:  # zonal or sectoral
-            alg.memo[key] = ZEigenvectors(tuple(found), form[1] and bool(c.all()))
-        elif gap[i] >= _RANK_GAP and len(found) == real[i].sum():  # certified
-            alg.memo[key] = ZEigenvectors(tuple(found), True)
-        else:  # one more Newton call below
-            fail.append(i)
-    if fail:
-        starts = np.concatenate([x[fail], axes[fail].transpose(0, 2, 1)], axis=1)
-        moments, converged = _converge(np.repeat(t[fail], starts.shape[1], axis=0), starts)
-        for i, m, c in zip(fail, moments.reshape(starts.shape), converged.reshape(starts.shape[:2])):
+    for j, (i, n, end) in enumerate(zip(generic, counts, itertools.accumulate(counts))):
+        found = _distinct(moments[end - n:end][converged[end - n:end]])
+        if gap[j] >= _RANK_GAP and len(found) == real[j].sum():  # certified
+            todo[i].memo[key] = ZEigenvectors(tuple(found), True)
+        else:
+            fail.append(j)
+    late = [generic[j] for j in fail if generic[j] not in planar]
+    planar.update(zip(late, _planar_solve([todo[i] for i in late], t[late])))
+    for j in fail:
+        if planar[generic[j]] is not None:  # the moments of its planes
+            todo[generic[j]].memo[key] = planar[generic[j]][0]
+    fail = [j for j in fail if planar[generic[j]] is None]
+    if fail:  # one more Newton call, from the points and the Gram axes
+        ops = [generic[j] for j in fail]
+        starts = np.concatenate([x[fail], axes[ops].transpose(0, 2, 1)], axis=1)
+        moments, converged = _converge(np.repeat(t[ops], starts.shape[1], axis=0), starts)
+        for i, m, c in zip(ops, moments.reshape(starts.shape), converged.reshape(starts.shape[:2])):
             todo[i].memo[key] = ZEigenvectors(tuple(_distinct(m[c])), False)
     return [a.memo[key] for a in algs]
 
@@ -420,42 +494,56 @@ def _great_circles(axes):
     return lambda t, i: np.cos(t)[..., None] * u[i] + np.sin(t)[..., None] * v[i]
 
 
+def _trig_roots(samples, degree, derivative=False):
+    """Angles of the roots of the real trigonometric polynomial each row of samples gives, or of its derivative.
+
+    A row holds the values of one of degree at most degree at more than
+    2 degree equispaced angles of a period.  With z = exp(it), z^degree times it is a polynomial whose
+    coefficients one rfft gives.  The rows share one batch of companion
+    eigenproblems built as np.roots builds them (a row whose leading
+    coefficient is exactly 0 takes np.roots).  Complex roots give angles too.
+    """
+    if not len(samples):
+        return []
+    c = np.fft.rfft(samples)[:, :degree + 1] / samples.shape[1]
+    coeffs = np.concatenate([np.conj(c[:, :0:-1]), c], axis=1)  # of z^-degree .. z^degree
+    if derivative:
+        coeffs = np.arange(-degree, degree + 1) * coeffs  # f'(t) / i
+    poly = coeffs[:, ::-1]  # highest power first
+    full = poly[:, 0] != 0
+    companion = np.zeros((np.count_nonzero(full), 2 * degree, 2 * degree), complex)
+    companion[:, 1:, :-1] = np.eye(2 * degree - 1)
+    companion[:, 0] = -poly[full, 1:] / poly[full, :1]
+    roots = iter(np.linalg.eigvals(companion))
+    return [np.angle(next(roots) if f else np.roots(p)) for f, p in zip(full, poly)]
+
+
 def _circle_normals(alg: MagneticAlgebra, axes, threshold):
-    """Plane normals on the great circles orthogonal to the rows of axes, and representatives of families.
+    """Plane normals on the great circles orthogonal to the rows of axes, family representatives, each family's lowest normal.
 
     Along a circle, ||[n] F_n [n]||^2 is a trigonometric polynomial of
-    degree 3 in 2t: twelve samples give it exactly, and its stationary
-    points are the roots of a degree-6 polynomial in z = exp(2it).  The
-    circles share one residual batch of samples, one rfft, one batch of
-    companion eigenproblems built as np.roots builds them (a row whose
-    leading coefficient is exactly 0 has lower degree and takes np.roots)
-    and one residual batch at the stationary points.  A circle with no
-    point above threshold is a family, given by _FAMILY_SIZE normals; on
-    any other, each arc between points above threshold gives its lowest.
+    degree 3 in 2t: twelve samples give it exactly, and _trig_roots finds
+    its stationary points.  The circles share one residual batch of
+    samples, one _trig_roots call and one residual batch at the stationary
+    points.  A circle with no point above threshold is a family, given by
+    _FAMILY_SIZE normals; on any other, each arc between points above
+    threshold gives its lowest.
     """
     on_circle, m = _great_circles(axes), len(axes)
     t = np.arange(12) * (np.pi / 12)
     res = plane_residual_batch(alg, on_circle(t, np.arange(m)[:, None]).reshape(-1, 3)).reshape(m, 12)
-    # coefficient of z^k, k = 0..3, of the squared residual over the scale (unscaled,
-    # it underflows in the far field); that of z^-k is its conjugate
-    c = np.fft.rfft((res / alg.scale) ** 2)[:, :4] / 12
-    # z^3 f'(t) / 2i = sum_k k c_k z^(k+3), highest power first
-    poly = (np.arange(-3, 4) * np.concatenate([np.conj(c[:, :0:-1]), c], axis=1))[:, ::-1]
-    full = poly[:, 0] != 0
-    companion = np.zeros((np.count_nonzero(full), 6, 6), complex)
-    companion[:, 1:, :-1] = np.eye(5)
-    companion[:, 0] = -poly[full, 1:] / poly[full, :1]
-    roots = iter(np.linalg.eigvals(companion))
-    t_stat = [np.angle(next(roots) if f else np.roots(p)) / 2 for f, p in zip(full, poly)]
+    # the squared residual over the scale: unscaled, it underflows in the far field
+    t_stat = [a / 2 for a in _trig_roots((res / alg.scale) ** 2, 3, derivative=True)]
     counts = [len(ts) for ts in t_stat]
     res_stat = plane_residual_batch(alg, on_circle(np.concatenate([[], *t_stat]), np.repeat(np.arange(m), counts)))
-    best, rows, family = [], [], []
+    best, rows, family, lowest_of_family = [], [], [], []
     for i, (ts, end) in enumerate(zip(t_stat, np.cumsum(counts).tolist())):
         ti = np.concatenate([t, ts]) % np.pi
         ri = np.concatenate([res[i], res_stat[end - len(ts):end]]).tolist()
         low = [r <= threshold for r in ri]
         if all(low):
             family.extend(on_circle(_FAMILY_ANGLES, i))
+            lowest_of_family.append(on_circle(ti[int(np.argmin(ri))], i))
             continue
         order = np.argsort(ti).tolist()
         first = next(j for j, k in enumerate(order) if not low[k])
@@ -468,7 +556,7 @@ def _circle_normals(alg: MagneticAlgebra, axes, threshold):
                 best.append(ti[lowest])
                 rows.append(i)
                 lowest = None
-    return on_circle(np.array(best), np.array(rows, dtype=int)), family
+    return on_circle(np.array(best), np.array(rows, dtype=int)), family, lowest_of_family
 
 
 def find_invariant_planes(alg: MagneticAlgebra) -> list[PlanarStructure]:
@@ -483,35 +571,46 @@ def find_invariant_planes(alg: MagneticAlgebra) -> list[PlanarStructure]:
     scored in one residual batch.  Families come back as representatives
     flagged degenerate.  Gram eigenvalues that group at GRAM_DEGENERACY_RTOL
     tie, and the normal up to sign orders a tie, so the order (and
-    plane_used in an analyze record) does not follow rounding.
+    plane_used in an analyze record) does not follow rounding.  Memoized
+    on alg, as gram_spectrum: callers share the list and must not modify
+    it.  A family's representatives sit at fixed angles on its circle; the
+    plane at its lowest normal, invariant if any of them is, is memoized
+    too, for self_eigenvectors_batch to solve through.
     """
+    key = ("find_invariant_planes",)
+    if key in alg.memo:
+        return alg.memo[key]
     if alg.is_trivial():
         raise TrivialAlgebraError("trivial algebra")
     threshold = PLANARITY_TOL * alg.scale
     gs = gram_spectrum(alg)
     v, groups = gs.eigenvectors, _group_eigenvalues(gs.eigenvalues, _PLANE_GROUP_RTOL)
-    found, family = [v[:, [g[0] for g in groups if len(g) == 1]].T], []
+    found, family, lowest = [v[:, [g[0] for g in groups if len(g) == 1]].T], [], []
     for group in [g for g in groups if len(g) > 1]:
         if len(group) == 3:
             # one more Newton step takes each axis from the 1e-11 acceptance to full precision
             x = np.reshape(self_eigenvectors(alg).moments, (-1, 3))
-            normals, reps = _circle_normals(alg, _newton_step(x, *_self_eigen_system(alg, x)), threshold)
+            normals, reps, lows = _circle_normals(alg, _newton_step(x, *_self_eigen_system(alg, x)), threshold)
         else:
-            normals, reps = _circle_normals(alg, v[:, [3 - sum(group)]].T, threshold)  # about the third eigenvector
+            normals, reps, lows = _circle_normals(alg, v[:, [3 - sum(group)]].T, threshold)  # about the third eigenvector
         found.append(normals)
         family.extend(reps)
+        lowest.extend(lows)
     # several circles can pass through one normal and locate it with
-    # different accuracy: the most accurate comes first, so dedupe keeps it
-    found = np.concatenate(found)
+    # different accuracy: the most accurate comes first, so dedupe keeps it;
+    # each is scored as planar_structure scores it, from the unit normal it gets
+    found = [unit(n) for n in np.concatenate(found)]
     res = plane_residual_batch(alg, found)
     out = [planar_structure(alg, n)
-           for n in _distinct([unit(found[i]) for i in np.argsort(res, kind="stable") if res[i] <= threshold], 1e-9)]
+           for n in _distinct([found[i] for i in np.argsort(res, kind="stable") if res[i] <= threshold], 1e-9)]
     # the isolated normals lead and are all kept, so the family normals follow them
     normals = _distinct([*(p.n_hat for p in out), *(unit(n) for n in family)], 1e-9)[len(out):] if family else []
     out = sorted(out + [planar_structure(alg, n, degenerate=True) for n in normals],
                  key=lambda p: p.gram_eigenvalue)
     ties = _group_eigenvalues([p.gram_eigenvalue for p in out], GRAM_DEGENERACY_RTOL) if out else []
-    return [out[i] for tie in ties[::-1] for i in sorted(tie, key=lambda i: _sign_free_key(out[i].n_hat))]
+    alg.memo[("family_lowest",)] = [planar_structure(alg, n) for n in lowest]
+    alg.memo[key] = [out[i] for tie in ties[::-1] for i in sorted(tie, key=lambda i: _sign_free_key(out[i].n_hat))]
+    return alg.memo[key]
 
 
 def _sign_free_key(n) -> tuple:

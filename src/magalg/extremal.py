@@ -3,15 +3,11 @@
 The quantity of interest is the largest principal-eigenvalue magnitude of
 the moment-dependent gradient matrix over all unit moments (lambda_bar).
 It is attained at a Z-eigenvector of the symmetric operator tensor.  An
-algebraic solve (the null space of a Macaulay matrix) finds them all and
-certifies the set complete by its rank and real-point count, so
-lambda_bar is exact to rounding.  Closed forms give the axis and a cone
-of an axisymmetric operator, the axis giving lambda_bar, and the null
-axis and 3 lines, certified, of a Gram-null one (a singular eigenpoint).
-The rare operators near those forms that the solve cannot certify take
-the moments Newton reaches from its points and their Gram axes, not
-complete.  The planar structure gives closed forms and a
-chain of bounds around it:
+operator with an invariant plane has them from two trigonometric
+polynomials of the plane, and any other from the null space of a
+Macaulay matrix; self_eigenvectors says when the set is certified
+complete, and lambda_bar is the best of them, exact to rounding.  The
+planar structure gives closed forms and a chain of bounds around it:
 
     ||P|| <= |lambda_MF| <= lambda_P <= lambda_bar <= |lambda_MF| + ||P||/2
 
@@ -38,6 +34,7 @@ from .algebra import (
     GRAM_DEGENERACY_RTOL,
     PlanarStructure,
     _distinct,
+    _in_plane_stationary,
     gram_spectrum,
     self_eigenvectors,
     self_eigenvectors_batch,
@@ -106,18 +103,13 @@ def lambda_bar_exact(alg: MagneticAlgebra) -> WorstCase:
     """Worst-case magnitude at the best Z-eigenvector found, with its maximizers.
 
     By Banach's theorem on the symmetric operator tensor, lambda_bar is
-    the largest |x^T F_x x| over unit x, attained at a Z-eigenvector.
-    When self_eigenvectors certifies its set complete (a 7-dimensional
-    Macaulay null space whose real points converge to distinct moments,
-    or the null axis and 3 lines of a Gram-null operator), that maximum
-    is exact to rounding and complete is true.  On an axisymmetric
-    operator it is attained on the axis, which beats the cone of the
-    other Z-eigenvectors by a factor sqrt(5): exact too, but complete is
-    false, as the set is a continuum.  Otherwise (the rare operators near
-    those forms) it is the best moment Newton reaches from the points of
-    the solve and the Gram axes, and complete is false.  The triple is
-    finished from the eigensolver, as in lambda_bar_bruteforce.  Memoized
-    on alg: callers share it and must not modify it.
+    the largest |x^T F_x x| over unit x, attained at a Z-eigenvector, so
+    it is exact to rounding whenever self_eigenvectors finds the best of
+    them; complete is true when it certifies its set complete.  A zonal
+    operator's is not (its cone is a continuum), yet its axis, which
+    beats the cone by a factor sqrt(5), gives lambda_bar exactly.  The
+    triple is finished from the eigensolver, as in lambda_bar_bruteforce.
+    Memoized on alg: callers share it and must not modify it.
     """
     if alg.is_trivial():
         return WorstCase(0.0, _Z.copy(), _Z.copy())
@@ -187,19 +179,14 @@ def lambda_plane(alg: MagneticAlgebra, plane: PlanarStructure) -> PlaneMax:
 
     An in-plane moment M sends the normal to (P . M) n, so by Banach's
     theorem the maximum is max(||P||, max |tau|) over unit in-plane x,
-    tau = x^T F_x x = al c^3 + 3 be c^2 s + 3 ga c s^2 + de s^3 in the
-    frame.  Its stationary points are theta = pi/2 and the roots
-    t = tan(theta) of -ga t^3 + (de - 2 be) t^2 + (2 ga - al) t + be; the
-    objective is evaluated there and at theta = 0, where |P . M| = ||P||.
-    Not memoized: bounds_report's report carries the result on.
+    tau = x^T F_x x.  The objective is evaluated at theta = 0, where
+    |P . M| = ||P||, and at the stationary points of tau, which the planar
+    solve of self_eigenvectors leaves in _in_plane_stationary.  Not
+    memoized: bounds_report's report carries the result on.
     """
     e1, e2, a, b, c = _plane_quadratic(alg, plane)
-    f1 = alg.matrix(e1)
-    al, be, ga = float(e1 @ f1 @ e1), float(e1 @ f1 @ e2), float(e2 @ f1 @ e2)
-    de = float(e2 @ alg.matrix(e2) @ e2)
-    # real parts of complex roots are harmless extra angles: every angle is a valid moment
-    roots = np.roots([-ga, de - 2.0 * be, 2.0 * ga - al, be]).real
-    thetas = np.concatenate([[0.0, 0.5 * np.pi], np.arctan(roots)])
+    x = _in_plane_stationary(alg, plane)
+    thetas = np.concatenate([[0.0], np.arctan2(x @ e2, x @ e1)])
     ct, st = np.cos(thetas), np.sin(thetas)
     vals = in_plane_abs(a * ct * ct + 2.0 * b * ct * st + c * st * st, plane.norm_P * ct)
     i = int(np.argmax(vals))

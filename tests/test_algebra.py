@@ -232,7 +232,7 @@ def test_batched_circle_search_matches_one_circle_at_a_time(rng):
         else:
             continue
         threshold = 1e-8 * alg.scale
-        normals, family = _circle_normals(alg, axes, threshold)
+        normals, family, _ = _circle_normals(alg, axes, threshold)
         want_normals, want_family = [], []
         for axis in axes:
             got_normals, got_family, zero_lead = _one_circle(alg, axis, threshold)

@@ -400,8 +400,11 @@ def test_verify_decomposition_checks_allow_rounding_of_the_operator_not_of_gamma
 def test_near_magnet_ring_of_a_pair_lies_in_the_weight_bracket():
     """610 field points 1e-4 to 1e-1 from a magnet of the pair at (+-1, 0, 0), solved as
     sweep solves them: each lambda_bar lies in 2 (2 w_max - sum w) <= lambda_bar <= 2 sum w,
-    and every chain flag, at the top level and per plane, holds.  Nearly zonal operators
-    whose solve is not certified complete are among them."""
+    and every chain flag, at the top level and per plane, holds.  The plane of the two
+    magnets is invariant, so the planar solve is complete at every point 3e-3 or more from
+    its magnet, 377 of them in all.  Closer in, the far magnet weighs under 1e-11 of the
+    near one, and the off-plane polynomial is within its rounding bound of the vanishing
+    one of a zonal operator, whose cone of Z-eigenvectors is a continuum."""
     rng = np.random.default_rng(0)
     magnets = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     n = 610
@@ -410,7 +413,7 @@ def test_near_magnet_ring_of_a_pair_lies_in_the_weight_bracket():
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     points = near + 10.0 ** rng.uniform(-4.0, -1.0, n)[:, None] * dirs
     cfgs = [DipoleConfig(magnets, p) for p in points]
-    incomplete = 0
+    complete = []
     for cfg, alg in cli._solved(cfgs, build_algebra):
         rec = cli.analyze_point(cfg, alg)
         w = np.linalg.norm(cfg.field_point - magnets, axis=1) ** -4
@@ -418,8 +421,10 @@ def test_near_magnet_ring_of_a_pair_lies_in_the_weight_bracket():
         assert 2.0 * (2.0 * w.max() - w.sum()) * (1.0 - 1e-12) <= lam <= 2.0 * w.sum() * (1.0 + 1e-12)
         assert all(rec["chain_ok"].values())
         assert all(all(plane["chain_ok"].values()) for plane in rec["plane_reports"])
-        incomplete += not rec["lambda_bar"]["complete"]
-    assert incomplete > 0
+        complete.append(rec["lambda_bar"]["complete"])
+    distance = np.linalg.norm(points - near, axis=1)
+    assert all(np.array(complete)[distance >= 3e-3])
+    assert sum(complete) == 377
 
 
 def _flip_chain_flag(monkeypatch, which):
@@ -729,14 +734,15 @@ def test_sweep_single_point_matches_analyze(tmp_path):
 
 @pytest.mark.parametrize("grid, head, stack", [
     ("-1:1:3,0:0.9:3,0:0:1", ["singular", "DEGENERATE", "singular"], 6),
-    ("0.99:1.01:5,0:0.03:4,0:0:1", ["PLANE_DOMINANT", "PLANE_DOMINANT", "singular"], 15),
+    ("0.99:1.01:5,0:0.03:4,0:0:1", ["PLANE_DOMINANT", "PLANE_DOMINANT", "singular"], 0),
 ], ids=["through-both-magnets", "about-a-magnet"])
 def test_multi_point_sweep_matches_per_point_analyze(tmp_path, capsys, monkeypatch, grid, head, stack):
     """Grids of gen pair --sep 2, each row byte-equal to analyze of its point alone, and
-    the null-space solve sees one stack.  A 3x3 grid through both magnets and their
-    midpoint: two singular rows, the DEGENERATE midpoint and six planar points.  A
-    5x4 grid about a magnet: one singular row, 4 zonal closed forms on the pair axis,
-    5 nearly zonal rows that fall back and 10 certified ones, all in one block."""
+    the null-space solve sees one stack or none.  A 3x3 grid through both magnets and
+    their midpoint: two singular rows, the DEGENERATE midpoint and six planar points,
+    which the null-space solve certifies.  A 5x4 grid about a magnet: one singular row,
+    and 19 nearly zonal or zonal operators (4 on the pair axis), with 2-fold Gram
+    spectra, solved through their planes, all in one block."""
     from magalg import algebra
 
     assert main(["gen", "pair", "--sep", "2"]) == EXIT_OK
@@ -751,7 +757,7 @@ def test_multi_point_sweep_matches_per_point_analyze(tmp_path, capsys, monkeypat
     rows = list(csv.DictReader(out.read_text().splitlines()))
     singular = [row["branch"] for row in rows].count("singular")
     assert capsys.readouterr().err.count("warning: skipping grid point") == singular
-    assert stacks == [stack]
+    assert stacks == ([stack] if stack else [])
     assert [row["branch"] for row in rows][:3] == head
     for row in rows:
         point = [float(row[c]) for c in "xyz"]

@@ -12,6 +12,7 @@ from magalg.algebra import (
     _converge,
     _distinct,
     _self_eigen_system,
+    find_invariant_planes,
     planar_structure,
     self_eigenvectors,
     self_eigenvectors_batch,
@@ -489,23 +490,36 @@ _TRIANGLE = np.array([[np.cos(t), np.sin(t), 0.0] for t in 2.0 * np.pi * np.aran
     ([[0.0, 0.0, 0.0], [60.0, 40.0, -20.0]], [0.3, -1.2, 2.0]),  # second magnet at 9e-7 of the first
 ])
 def test_nearly_axisymmetric_operators_take_the_algebraic_solve(monkeypatch, magnets, field_point):
+    """The trigonal cubic's Gram spectrum is 2-fold: it is solved through its 3 mirror
+    planes, without the null-space solve, which certifies the pair, whose Gram eigenvalues
+    are 1e-6 apart.  Both are complete, and no moment of the oracle beats lambda_bar."""
     eigenpoints = algebra._eigenpoints
     calls = []
     monkeypatch.setattr(algebra, "_eigenpoints", lambda t: calls.append(t) or eigenpoints(t))
     alg = build_algebra(DipoleConfig(magnets, field_point))
     wc = lambda_bar_exact(alg)
-    assert len(calls) == 1
+    assert len(calls) == (len(magnets) == 2)
+    assert wc.complete
     bf = lambda_bar_bruteforce(alg, n_samples=20000, refine_steps=100, seed=0)
     assert bf.lambda_bar <= wc.lambda_bar * (1.0 + 1e-12)
     assert wc.lambda_bar <= bf.lambda_bar + sampling_tolerance(bf.lambda_bar, 20000)
 
 
 def test_a_trigonal_cubic_passes_the_gram_test_and_fails_the_residual():
+    """A zonal operator's Gram split [2, 1] alone does not make one: the trigonal cubic is
+    over 1e-3 of its scale from t(a,a,a) Z_a about its Gram axis a, with Z_a the zonal
+    cubic, and its mirror planes give a finite set of Z-eigenvectors, complete, where a
+    zonal operator's family planes give the axis and 2 _FAMILY_SIZE cone points."""
     alg = build_algebra(DipoleConfig(_TRIANGLE, [0.0, 0.0, 1.5]))
-    w = np.linalg.eigvalsh(alg.gram)
+    w, v = np.linalg.eigh(alg.gram)
     assert [len(g) for g in algebra._group_eigenvalues(w, algebra._PLANE_GROUP_RTOL)] == [2, 1]
-    t = alg.basis_images / alg.scale
-    assert algebra._axis_form(t, *np.linalg.eigh(np.einsum("iab,jab->ij", t, t))) is None
+    t, a = alg.basis_images / alg.scale, v[:, 2]
+    a_eye = np.einsum("i,jk->ijk", a, np.eye(3))
+    zonal = 0.5 * (5.0 * np.einsum("i,j,k->ijk", a, a, a) - a_eye - a_eye.transpose(1, 0, 2) - a_eye.transpose(1, 2, 0))
+    assert np.linalg.norm(t - np.einsum("ijk,i,j,k->", t, a, a, a) * zonal) > 1e-3
+    sol = self_eigenvectors(alg)
+    assert sol.complete
+    assert len(sol.moments) < 1 + 2 * _FAMILY_SIZE
 
 
 def _multistart_reference(alg):
@@ -555,7 +569,8 @@ def _singular_eigenpoint_configs():
 def test_singular_eigenpoints_are_certified_in_closed_form(monkeypatch, k):
     """A singular eigenpoint's operator is sectoral about its Gram null axis a: its
     Z-eigenvectors are a and 3 in-plane lines, the moments and lambda_bar of a dense
-    multistart, certified complete without the null-space solve."""
+    multistart, certified complete through its mirror planes without the null-space
+    solve.  The off-plane polynomial vanishes on the plane orthogonal to a, where P = 0."""
     def not_called(*args, **kwargs):
         raise AssertionError("the closed form should not need this")
 
@@ -568,22 +583,25 @@ def test_singular_eigenpoints_are_certified_in_closed_form(monkeypatch, k):
 def test_a_nearly_singular_eigenpoint_fails_the_residual_and_the_certificate(monkeypatch):
     """Moving one magnet of the triangle by 1e-9 keeps the Gram split [1, 2] but not the
     sectoral form.  The null space is 7-dimensional, but two of the 5 real eigenpoints
-    near the null axis merge, so complete is false."""
+    near the null axis merge, so the null-space certificate fails.  All the magnets stay
+    in one plane, and the mirror plane through the moved magnet stays too: solved
+    through them, its 4 moments are complete, without the null-space solve."""
     magnets = _TRIANGLE + [[1e-9, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
     alg = build_algebra(DipoleConfig(magnets, [0.0, 0.0, 0.0]))
     unit_alg = MagneticAlgebra(alg.basis_images * (1.0 / alg.scale))
     w, axes = np.linalg.eigh(unit_alg.gram)
     assert [len(g) for g in algebra._group_eigenvalues(w, algebra._PLANE_GROUP_RTOL)] == [1, 2]
-    assert algebra._axis_form(unit_alg.basis_images, w, axes) is None
-    _, real, gap = algebra._eigenpoints(unit_alg.basis_images[None])
+    x, real, gap = algebra._eigenpoints(unit_alg.basis_images[None])
     assert gap[0] >= algebra._RANK_GAP and real.sum() == 5
+    moments, converged = _converge(np.repeat(unit_alg.basis_images[None], 5, axis=0), x[0, real[0]])
+    assert len(_distinct(moments[converged])) == 4  # fewer than the real points: not certified
     eigenpoints = algebra._eigenpoints
     calls = []
     monkeypatch.setattr(algebra, "_eigenpoints", lambda t: calls.append(t) or eigenpoints(t))
     sol = _assert_matches_the_multistart(alg)
-    assert not sol.complete
+    assert sol.complete
     assert len(sol.moments) == 4
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def _nearly_zonal_configs():
@@ -609,32 +627,50 @@ _FAR_MAGNET = DipoleConfig([[1.0, 0.0, 0.0], [300.0, 320.0, 240.0]], [0.0, 0.0, 
 
 def test_a_far_magnet_fails_the_rank_gap_and_keeps_lambda_bar_in_the_weight_bracket():
     """The second magnet weighs 1.6e-11 of the first: the operator is within 1e-10 of
-    zonal and the rank gap fails, yet the fallback reaches the axis, so lambda_bar lies
-    in the bracket 2 (2 w_max - sum w) <= lambda_bar <= 2 sum w of the weights w = d^-4
-    (the zonal cubic about each magnet has spectral norm 1)."""
+    zonal and the rank gap fails, but the plane of the two magnets is exactly invariant
+    and its off-plane polynomial does not vanish, so the planar solve is complete, and
+    lambda_bar lies in the bracket 2 (2 w_max - sum w) <= lambda_bar <= 2 sum w of the
+    weights w = d^-4 (the zonal cubic about each magnet has spectral norm 1)."""
     alg = build_algebra(_FAR_MAGNET)
     _, gap = algebra._eigenpoints(alg.basis_images[None] / alg.scale)[1:]
     assert gap[0] < algebra._RANK_GAP
     wc = lambda_bar_exact(alg)
-    assert not wc.complete
+    assert wc.complete
     w = _FAR_MAGNET.separations()[1] ** -4.0
     assert 2.0 * (2.0 * w.max() - w.sum()) <= wc.lambda_bar <= 2.0 * w.sum()
 
 
+def _fold():
+    """A NONPLANAR operator where two real eigenpoints meet: A + s B, A and B drawn by
+    random_algebra, with s where the number of real eigenpoints changes, to rounding."""
+    rng = np.random.default_rng(2)
+    a, b = random_algebra(rng), random_algebra(rng)
+    return MagneticAlgebra(a.basis_images + 0.4607236548570228 * b.basis_images)
+
+
 def test_a_failed_certificate_starts_newton_from_the_gram_axes(monkeypatch):
-    """Whatever points the null space gives the far-magnet operator (here all 7 on the cone
-    about its axis e_x), the fallback also starts Newton from its Gram eigenvectors, one of
-    them next to the axis, where lambda_bar is attained."""
+    """The fold operator has no invariant plane and fails the certificate, its nearly
+    double real points converging to fewer moments than they are.  Whatever points the
+    null space gives it (here all 7 at one), the fallback also starts Newton from its Gram
+    eigenvectors: each of them that converges gives a moment, and complete is false."""
+    assert find_invariant_planes(_fold()) == []
+    assert not self_eigenvectors(_fold()).complete
     eigenpoints = algebra._eigenpoints
 
-    def on_the_cone(t):
+    def at_one_point(t):
         x, real, gap = eigenpoints(t)
-        return np.broadcast_to([1.0, 2.0, 0.0] / np.sqrt(5.0), x.shape).copy(), real, gap
+        return np.broadcast_to(x[:, :1], x.shape).copy(), real, gap
 
-    monkeypatch.setattr(algebra, "_eigenpoints", on_the_cone)
-    wc = lambda_bar_exact(build_algebra(_FAR_MAGNET))
-    assert not wc.complete
-    assert 1.99999999997 <= wc.lambda_bar <= 2.00000000003
+    monkeypatch.setattr(algebra, "_eigenpoints", at_one_point)
+    alg = _fold()
+    sol = self_eigenvectors(alg)
+    assert not sol.complete
+    t = alg.basis_images / alg.scale
+    axes = np.linalg.eigh(np.einsum("iab,jab->ij", t, t))[1].T
+    reached, converged = _converge(np.repeat(t[None], 3, axis=0), axes)
+    assert converged.any()
+    for x in reached[converged]:
+        assert max(abs(float(x @ m)) for m in sol.moments) >= 1.0 - 1e-8
 
 
 def _harmonic(a):
@@ -673,9 +709,11 @@ def test_lambda_bar_moves_at_most_eps_under_a_perturbation_of_norm_eps():
 
 
 def test_certified_and_fallback_operators_keep_a_stacked_result_bitwise_the_solo_one():
-    """Certified operators and three that fall back (the far magnet, the nearly singular
-    triangle and a zonal form off by 1e-9), shuffled into one stack: each gets, bitwise,
-    the moments and complete of its solo solve."""
+    """Certified operators, planar ones among them, the far magnet and the nearly
+    singular triangle, which the planar solve certifies, a zonal form off by 1e-9, whose
+    nearly invariant planes give its moments, and the fold operator, which falls back,
+    shuffled into one stack: each gets, bitwise, the moments and complete of its solo
+    solve."""
     corpus = six_pair_corpus()
     triangle = DipoleConfig(_TRIANGLE + [[1e-9, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [0.0, 0.0, 0.0])
     algs = [build_algebra(cfg) for cfg in [corpus[i] for i in (0, 7, 18, 523)] + _nearly_zonal_configs()]
@@ -683,8 +721,9 @@ def test_certified_and_fallback_operators_keep_a_stacked_result_bitwise_the_solo
     zonal = build_algebra(DipoleConfig([[0.0, 0.0, 0.0]], [0.3, -1.2, 2.0]))
     pert = random_algebra(np.random.default_rng(1)).basis_images
     algs.append(MagneticAlgebra(zonal.basis_images + 1e-9 * zonal.scale * pert / np.linalg.norm(pert)))
+    algs.append(_fold())
     alone = [self_eigenvectors(MagneticAlgebra(a.basis_images)) for a in algs]
-    assert sum(not sol.complete for sol in alone) == 3
+    assert [sol.complete for sol in alone[-3:]] == [True, False, False]
     order = np.random.default_rng(2).permutation(len(algs))
     for i, sol in zip(order, self_eigenvectors_batch([algs[i] for i in order])):
         assert sol.complete == alone[i].complete
@@ -692,9 +731,8 @@ def test_certified_and_fallback_operators_keep_a_stacked_result_bitwise_the_solo
 
 
 def _mixed_stack_configs():
-    """Two certified generic operators, a single dipole and an equilateral triangle's
-    centre (the zonal and the sectoral closed form), a nearly zonal operator the
-    null-space solve certifies and the far magnet, which falls back."""
+    """A generic operator, a single dipole and an equilateral triangle's centre (zonal
+    and sectoral), a mirror draw, a nearly zonal one and the far magnet."""
     rng = np.random.default_rng(17)
     return [random_config(rng), DipoleConfig([[0.3, -0.2, 0.1]], [-0.4, 0.5, 0.9]),
             DipoleConfig(_TRIANGLE, [0.0, 0.0, 0.0]), random_mirror_config(rng)[0], _nearly_zonal_configs()[0],
@@ -706,12 +744,15 @@ def _mixed_stack_configs():
 def test_stacked_solve_matches_one_operator_at_a_time(monkeypatch, order):
     """self_eigenvectors_batch gives, bitwise, the moments, their order and complete
     that solving each operator alone gives, whatever the order of the batch (an
-    object listed twice included); the null-space solve runs once for all of them,
-    Newton twice (every start of the stack, then the far magnet's fallback), and
-    each result lands in its algebra's memo, where self_eigenvectors reads it."""
+    object listed twice included), the fold operator last.  The planar solve runs
+    first for the dipole, the triangle and the far magnet, whose Gram spectra are
+    2-fold, the null-space solve once for the other four, the planar solve again for
+    the fold, which it does not certify and which has no plane, and Newton twice (the
+    real points, then the fold's fallback); each result lands in its algebra's memo,
+    where self_eigenvectors reads it."""
     configs = _mixed_stack_configs()
-    alone = [self_eigenvectors(build_algebra(cfg)) for cfg in configs]
-    assert [sol.complete for sol in alone] == [True, False, True, True, True, False]
+    alone = [self_eigenvectors(build_algebra(cfg)) for cfg in configs] + [self_eigenvectors(_fold())]
+    assert [sol.complete for sol in alone] == [True, False, True, True, True, True, False]
     assert len(alone[1].moments) == 1 + 2 * _FAMILY_SIZE
 
     eigenpoints = algebra._eigenpoints
@@ -720,16 +761,21 @@ def test_stacked_solve_matches_one_operator_at_a_time(monkeypatch, order):
     converge = algebra._converge
     newton = []
     monkeypatch.setattr(algebra, "_converge", lambda images, m: newton.append(len(m)) or converge(images, m))
-    built = [build_algebra(cfg) for cfg in configs]
+    planar = algebra._planar_solve
+    planes = []
+    monkeypatch.setattr(algebra, "_planar_solve", lambda algs, t: planes.append(len(algs)) or planar(algs, t))
+    built = [build_algebra(cfg) for cfg in configs] + [_fold()]
+    order = order + [6]
     algs = [built[i] for i in order]
     got = self_eigenvectors_batch(algs)
-    assert stacks[0] == 4  # the generic, nearly zonal and far-magnet operators, each once; the dipole and triangle are closed forms
+    assert planes == [3, 1]
+    assert stacks == [4]
     assert len(newton) == 2
     for i, alg, sol in zip(order, algs, got):
         assert sol.complete == alone[i].complete
         assert np.array_equal(np.array(sol.moments), np.array(alone[i].moments))
         assert self_eigenvectors(alg) is sol
-    assert len(stacks) == 1  # the reads above solved nothing again
+    assert len(stacks) == 1 and len(planes) == 2  # the reads above solved nothing again
     assert len(newton) == 2
 
 
@@ -874,3 +920,39 @@ def test_candidates_of_a_far_single_dipole_match_the_near_one():
         assert scaled == pytest.approx([c.lambda_abs for c in near], rel=1e-12)
         for c in far:
             assert any(n.kind is c.kind and np.abs(n.moment - c.moment).max() <= 1e-12 for n in near)
+
+
+def _null_space_solve(alg):
+    """The null-space solve alone: the distinct moments Newton reaches from the real
+    eigenpoints, and whether self_eigenvectors_batch's certificate holds for them."""
+    t = alg.basis_images * (1.0 / alg.scale)
+    x, real, gap = algebra._eigenpoints(t[None])
+    moments, converged = _converge(np.repeat(t[None], real[0].sum(), axis=0), x[0, real[0]])
+    found = _distinct(moments[converged])
+    return found, gap[0] >= algebra._RANK_GAP and len(found) == real[0].sum()
+
+
+@pytest.mark.parametrize("corpus", ["six-pair", "singular", "nearly-zonal"])
+def test_the_planar_solve_matches_the_null_space_solve_where_it_certifies(corpus):
+    """On every operator with an invariant plane whose null-space solve is certified, the
+    planar solve is complete, with the same moments, up to sign at cosine 1e-8, and the
+    same lambda_bar to 1e-14: 447 of the six-pair corpus and both nearly zonal draws.  The
+    null-space solve certifies no singular eigenpoint; the dense multistart checks those."""
+    configs = {"six-pair": six_pair_corpus, "singular": _singular_eigenpoint_configs,
+               "nearly-zonal": _nearly_zonal_configs}[corpus]()
+    compared = 0
+    for cfg in configs:
+        alg = build_algebra(cfg)
+        reference, certified = _null_space_solve(alg)
+        solved = algebra._planar_solve([alg], (alg.basis_images * (1.0 / alg.scale))[None])[0]
+        if solved is None or not certified:
+            continue
+        sol = solved[0]
+        assert sol.complete
+        cosines = np.abs(np.array(reference) @ np.array(sol.moments).T)
+        assert cosines.shape[0] == cosines.shape[1]
+        assert cosines.max(axis=0).min() >= 1.0 - 1e-8 and cosines.max(axis=1).min() >= 1.0 - 1e-8
+        best = [max(abs(float(m @ alg.matrix(m) @ m)) for m in ms) for ms in (reference, sol.moments)]
+        assert best[1] == pytest.approx(best[0], rel=1e-14, abs=0.0)
+        compared += 1
+    assert compared == {"six-pair": 447, "singular": 0, "nearly-zonal": 2}[corpus]
