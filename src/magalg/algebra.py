@@ -308,21 +308,6 @@ def _on_circle(t, n, e1, e2, s):
     return u, (u * g).sum(-1), 3.0 * (v * g).sum(-1), (u * p).sum(-1), (v * p).sum(-1)
 
 
-def _in_plane_stationary(alg: MagneticAlgebra, plane) -> np.ndarray:
-    """Unit moments in the plane at which T(u, u, u) is stationary on its circle: the roots of C'.
-
-    Memoized on alg by the normal: the planar solve of self_eigenvectors
-    leaves them for the planes it solved through.
-    """
-    known = alg.memo.setdefault(("in_plane_stationary",), {})  # by n_hat.tobytes()
-    if plane.n_hat.tobytes() not in known:
-        e1, e2 = plane.frame()
-        t = (alg.basis_images * (1.0 / alg.scale))[None]
-        s = _trig_roots(_on_circle(t, plane.n_hat[None], e1[None], e2[None], _ANGLES[None])[2], 3)[0]
-        known[plane.n_hat.tobytes()] = np.cos(s)[:, None] * e1 + np.sin(s)[:, None] * e2
-    return known[plane.n_hat.tobytes()]
-
-
 def _through_planes(t, planes):
     """Candidate Z-eigenvectors of unit-scale tensors t[j] from their invariant planes planes[j].
 
@@ -337,8 +322,7 @@ def _through_planes(t, planes):
     Each candidate takes one Newton step on the full operator, which
     refines the roots and brings in what the plane's residual leaves out.
     Returns the candidates, the plane of each, whether its residual is
-    then at most _EIGEN_TOL, whether each plane is curved, and the roots
-    of C' of each plane, in it.
+    then at most _EIGEN_TOL, and whether each plane is curved.
     """
     n = np.array([p.n_hat for p in planes])
     e1, e2 = tangent_basis(n)  # not frame(): P_hat leaves a nearly invariant plane when P is about its residual
@@ -361,7 +345,7 @@ def _through_planes(t, planes):
     rows = np.concatenate([rows, rows[off], np.arange(len(t))])
     x = _newton_step(x, *_self_eigen_system(t[rows], x))
     accepted = np.linalg.norm(_self_eigen_system(t[rows], x)[0], axis=1) <= _EIGEN_TOL
-    return x, rows, accepted, curved, np.split(u[~off], np.cumsum(counts[:len(t)])[:-1])
+    return x, rows, accepted, curved
 
 
 def _planar_solve(algs, t):
@@ -390,9 +374,7 @@ def _planar_solve(algs, t):
     owner, reported = np.array(owner), np.array(reported)
     rho = np.array([p.residual / algs[i].scale for i, p in zip(owner, planes)])
     exact = np.sqrt(5.0) * rho <= _EIGEN_TOL
-    x, rows, accepted, curved, inside = _through_planes(t[owner], planes)
-    for i, p, x_in in zip(owner, planes, inside):
-        algs[i].memo.setdefault(("in_plane_stationary",), {})[p.n_hat.tobytes()] = x_in
+    x, rows, accepted, curved = _through_planes(t[owner], planes)
     for i in np.unique(owner).tolist():
         sure = np.flatnonzero((owner == i) & exact & curved)
         take = rows == sure[np.argmin(rho[sure])] if len(sure) else ((owner == i) & reported)[rows]

@@ -2,12 +2,12 @@
 
 The quantity of interest is the largest principal-eigenvalue magnitude of
 the moment-dependent gradient matrix over all unit moments (lambda_bar).
-It is attained at a Z-eigenvector of the symmetric operator tensor.  An
-operator with an invariant plane has them from two trigonometric
-polynomials of the plane, and any other from the null space of a
-Macaulay matrix; self_eigenvectors says when the set is certified
-complete, and lambda_bar is the best of them, exact to rounding.  The
-planar structure gives closed forms and a chain of bounds around it:
+It is attained at a Z-eigenvector of the symmetric operator tensor.
+They come from the null space of a Macaulay matrix or, through an
+invariant plane, from two trigonometric polynomials of the plane;
+self_eigenvectors says when the set is certified complete, and
+lambda_bar is the best of them, exact to rounding.  The planar
+structure gives closed forms and a chain of bounds around it:
 
     ||P|| <= |lambda_MF| <= lambda_P <= lambda_bar <= |lambda_MF| + ||P||/2
 
@@ -34,7 +34,6 @@ from .algebra import (
     GRAM_DEGENERACY_RTOL,
     PlanarStructure,
     _distinct,
-    _in_plane_stationary,
     gram_spectrum,
     self_eigenvectors,
     self_eigenvectors_batch,
@@ -180,12 +179,14 @@ def lambda_plane(alg: MagneticAlgebra, plane: PlanarStructure) -> PlaneMax:
     An in-plane moment M sends the normal to (P . M) n, so by Banach's
     theorem the maximum is max(||P||, max |tau|) over unit in-plane x,
     tau = x^T F_x x.  The objective is evaluated at theta = 0, where
-    |P . M| = ||P||, and at the stationary points of tau, which the planar
-    solve of self_eigenvectors leaves in _in_plane_stationary.  Not
+    |P . M| = ||P||, and at the stationary points of tau, read from the
+    solve: on an invariant plane they are the Z-eigenvectors in it, which
+    self_eigenvectors finds, and the angle of every Z-eigenvector's
+    projection is a candidate, as any angle is a valid moment.  Not
     memoized: bounds_report's report carries the result on.
     """
     e1, e2, a, b, c = _plane_quadratic(alg, plane)
-    x = _in_plane_stationary(alg, plane)
+    x = np.reshape(self_eigenvectors(alg).moments, (-1, 3))
     thetas = np.concatenate([[0.0], np.arctan2(x @ e2, x @ e1)])
     ct, st = np.cos(thetas), np.sin(thetas)
     vals = in_plane_abs(a * ct * ct + 2.0 * b * ct * st + c * st * st, plane.norm_P * ct)

@@ -401,10 +401,11 @@ def test_near_magnet_ring_of_a_pair_lies_in_the_weight_bracket():
     """610 field points 1e-4 to 1e-1 from a magnet of the pair at (+-1, 0, 0), solved as
     sweep solves them: each lambda_bar lies in 2 (2 w_max - sum w) <= lambda_bar <= 2 sum w,
     and every chain flag, at the top level and per plane, holds.  The plane of the two
-    magnets is invariant, so the planar solve is complete at every point 3e-3 or more from
-    its magnet, 377 of them in all.  Closer in, the far magnet weighs under 1e-11 of the
-    near one, and the off-plane polynomial is within its rounding bound of the vanishing
-    one of a zonal operator, whose cone of Z-eigenvectors is a continuum."""
+    magnets is invariant, so the planar solve is complete at each of the 302 points 3e-3
+    or more from its magnet (377 points in all are).  Within about 2.6e-3 the far magnet
+    weighs under 1e-11 of the near one, and the off-plane polynomial is within its
+    rounding bound of the vanishing one of a zonal operator, whose cone of Z-eigenvectors
+    is a continuum."""
     rng = np.random.default_rng(0)
     magnets = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     n = 610
@@ -422,9 +423,9 @@ def test_near_magnet_ring_of_a_pair_lies_in_the_weight_bracket():
         assert all(rec["chain_ok"].values())
         assert all(all(plane["chain_ok"].values()) for plane in rec["plane_reports"])
         complete.append(rec["lambda_bar"]["complete"])
-    distance = np.linalg.norm(points - near, axis=1)
-    assert all(np.array(complete)[distance >= 3e-3])
-    assert sum(complete) == 377
+    far = np.linalg.norm(points - near, axis=1) >= 3e-3
+    assert far.sum() == 302
+    assert all(np.array(complete)[far])
 
 
 def _flip_chain_flag(monkeypatch, which):

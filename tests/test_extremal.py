@@ -641,11 +641,12 @@ def test_a_far_magnet_fails_the_rank_gap_and_keeps_lambda_bar_in_the_weight_brac
 
 
 def _fold():
-    """A NONPLANAR operator where two real eigenpoints meet: A + s B, A and B drawn by
-    random_algebra, with s where the number of real eigenpoints changes, to rounding."""
+    """A NONPLANAR operator where two real eigenpoints nearly meet: A + s B, A and B drawn
+    by random_algebra, with s 1e-9 past the fold where two complex eigenpoints turn real.
+    From 1e-12 to 1e-8 past it the two converge to one moment, so the certificate fails."""
     rng = np.random.default_rng(2)
     a, b = random_algebra(rng), random_algebra(rng)
-    return MagneticAlgebra(a.basis_images + 0.4607236548570228 * b.basis_images)
+    return MagneticAlgebra(a.basis_images + 0.4607236558570228 * b.basis_images)
 
 
 def test_a_failed_certificate_starts_newton_from_the_gram_axes(monkeypatch):
