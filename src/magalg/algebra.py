@@ -68,21 +68,33 @@ class GramSpectrum:
 
 def gram_spectrum(alg: MagneticAlgebra) -> GramSpectrum:
     """The eigh of the Gram matrix, memoized on alg: callers share it and must not modify it."""
+    return gram_spectra([alg])[0]
+
+
+def gram_spectra(algs) -> list[GramSpectrum]:
+    """gram_spectrum of each algebra of algs, from one batched eigh of the Gram matrices not yet memoized."""
     key = ("gram_spectrum",)
-    if key not in alg.memo:
-        w, v = np.linalg.eigh(alg.gram)
-        lam = float(max(w[-1], 0.0))
-        mult = int(np.sum(w >= lam - GRAM_DEGENERACY_RTOL * max(lam, 1e-300)))
-        alg.memo[key] = GramSpectrum(lam, canonical_sign(v[:, -1]), w, v, mult)
-    return alg.memo[key]
+    todo = list(dict.fromkeys(a for a in algs if key not in a.memo))
+    if todo:
+        w, v = np.linalg.eigh(np.array([a.gram for a in todo]))
+        lam = np.maximum(w[:, -1], 0.0)
+        mult = (w >= (lam - GRAM_DEGENERACY_RTOL * np.maximum(lam, 1e-300))[:, None]).sum(axis=1)
+        for a, *spectrum in zip(todo, lam.tolist(), canonical_sign(v[:, :, -1]), w, v, mult.tolist()):
+            a.memo[key] = GramSpectrum(*spectrum)
+    return [a.memo[key] for a in algs]
 
 
-def plane_residual_batch(alg: MagneticAlgebra, ns) -> np.ndarray:
-    """Frobenius norm of [n] F_n [n] for each row n of ns, normalized first; zero exactly on invariant-plane normals."""
+def plane_residual_batch(alg, ns) -> np.ndarray:
+    """Frobenius norm of [n] F_n [n] for each row n of ns, normalized first; zero exactly on invariant-plane normals.
+
+    alg is a MagneticAlgebra, or an (n, 3, 3, 3) stack of basis images,
+    one per row of ns.
+    """
     ns = np.asarray(ns, dtype=float)
     ns = ns / np.linalg.norm(ns, axis=-1, keepdims=True)
     k = cross_matrices(ns)
-    f = alg.matrices(ns)
+    images = getattr(alg, "basis_images", alg)
+    f = np.einsum("nk,kab->nab" if images.ndim == 3 else "nk,nkab->nab", ns, images)
     r = np.einsum("nab,nbc,ncd->nad", k, f, k)
     return np.sqrt(np.einsum("nab,nab->n", r, r))
 
@@ -120,32 +132,35 @@ def planar_structure(alg: MagneticAlgebra, n_hat, degenerate=False) -> PlanarStr
     exceeds PLANARITY_TOL times the scale; by reciprocity, 1 + sqrt 2 times
     it bounds how far an in-plane unit e sends n from (e . P) n.
     """
-    scale = alg.scale
-    if scale == 0.0:
+    if alg.is_trivial():
         raise TrivialAlgebraError("trivial algebra")
-    n = unit(n_hat)
-    # from n_hat as given, as find_invariant_planes scored it
-    res = float(plane_residual_batch(alg, np.asarray(n_hat, dtype=float)[None])[0])
-    threshold = PLANARITY_TOL * scale
-    if res > threshold:
-        raise NotInvariantPlaneError(res, threshold)
-    P = alg.matrix(n) @ n
-    norm_p = float(np.linalg.norm(P))
-    if norm_p > _FRAME_TOL * scale:
-        p_hat = P / norm_p
-        q_hat = cross(n, p_hat)
-    else:
-        p_hat = q_hat = None
-    return PlanarStructure(
-        n_hat=canonical_sign(n),
-        P=P,
-        norm_P=norm_p,
-        P_hat=p_hat,
-        Q_hat=q_hat,
-        residual=res,
-        gram_eigenvalue=float(n @ alg.gram @ n),
-        degenerate=degenerate,
-    )
+    n = np.asarray(n_hat, dtype=float)[None]
+    res = plane_residual_batch(alg, n)  # from n_hat as given, as find_invariant_planes scores it
+    threshold = PLANARITY_TOL * alg.scale
+    if res[0] > threshold:
+        raise NotInvariantPlaneError(res[0], threshold)
+    return _planar_structures([alg], n, res, [degenerate])[0]
+
+
+def _planar_structures(algs, ns, res, degenerate) -> list[PlanarStructure]:
+    """planar_structure of each row of ns, a normal of algs[j] with residual res[j], as one pass over arrays.
+
+    Each product of vectors is a stacked matmul, which rounds as the
+    product of one plane's vectors does.
+    """
+    if not len(algs):
+        return []
+    n = unit(ns)
+    f = np.einsum("nk,nkab->nab", n, np.array([a.basis_images for a in algs]))
+    p = (f @ n[:, :, None])[:, :, 0]
+    norm_p = np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0, 0]
+    gram_eigenvalue = (n[:, None, :] @ np.array([a.gram for a in algs]) @ n[:, :, None])[:, 0, 0]
+    framed = (norm_p > _FRAME_TOL * np.array([a.scale for a in algs])).tolist()
+    p_hat = p / np.where(framed, norm_p, 1.0)[:, None]
+    q_hat = cross(n, p_hat)
+    return [PlanarStructure(*row, ph if fr else None, qh if fr else None, float(r), g, bool(d))
+            for *row, ph, qh, fr, r, g, d in zip(canonical_sign(n), p, norm_p.tolist(), p_hat, q_hat, framed,
+                                                 res, gram_eigenvalue.tolist(), degenerate)]
 
 
 def _group_eigenvalues(w, rtol):
@@ -217,15 +232,21 @@ def _converge(images, m):
     return m, converged
 
 
-def _distinct(m, cos_tol=1e-8) -> list[np.ndarray]:
-    """Sign-canonical, read-only copies of the rows of m, in order, dropping each whose cosine with a kept one is within cos_tol of +-1."""
-    x = np.array(m, dtype=float).reshape(-1, 3)
+def _distinct_rows(x, cos_tol=1e-8) -> list[int]:
+    """Indices of the rows of (m, 3) x, in order, that _distinct keeps."""
+    if len(x) < 2:
+        return list(range(len(x)))
     keep: list[int] = []
     for i, near in enumerate((np.abs(x @ x.T) >= 1.0 - cos_tol).tolist()):
         if not any(near[j] for j in keep):
             keep.append(i)
-    x = x[keep]
-    x *= np.where(x[np.arange(len(x)), np.abs(x).argmax(axis=1)] < 0.0, -1.0, 1.0)[:, None]  # canonical_sign per row
+    return keep
+
+
+def _distinct(m, cos_tol=1e-8) -> list[np.ndarray]:
+    """Sign-canonical, read-only copies of the rows of m, in order, dropping each whose cosine with a kept one is within cos_tol of +-1."""
+    x = np.array(m, dtype=float).reshape(-1, 3)
+    x = canonical_sign(x[_distinct_rows(x, cos_tol)])
     x.setflags(write=False)
     return list(x)
 
@@ -364,9 +385,11 @@ def _planar_solve(algs, t):
     only if one of them is exact: the null-space certificate may still
     prove the set of a nearly invariant plane complete.
     """
-    listed = [(i, p, k == 0) for i, a in enumerate(algs)
-              if len(_group_eigenvalues(gram_spectrum(a).eigenvalues, _PLANE_GROUP_RTOL)) > 1  # not 3-fold
-              for k, ps in enumerate((find_invariant_planes(a), a.memo[("family_lowest",)])) for p in ps]
+    searched = [i for i, gs in enumerate(gram_spectra(algs))
+                if len(_group_eigenvalues(gs.eigenvalues, _PLANE_GROUP_RTOL)) > 1]  # not 3-fold
+    found = find_invariant_planes_batch([algs[i] for i in searched])
+    listed = [(i, p, k == 0) for i, ps in zip(searched, found)
+              for k, qs in enumerate((ps, algs[i].memo[("family_lowest",)])) for p in qs]
     out = [None] * len(algs)
     if not listed:
         return out
@@ -549,50 +572,89 @@ def find_invariant_planes(alg: MagneticAlgebra) -> list[PlanarStructure]:
     circle orthogonal to the third eigenvector; in a 3-fold one every
     normal lies on the circle orthogonal to a self-eigenvector (the
     maximizer of x^T F_x x on the plane).  The circles of a group are
-    searched in one batch; their normals and the simple eigenvectors are
-    scored in one residual batch.  Families come back as representatives
+    searched in one batch.  Families come back as representatives
     flagged degenerate.  Gram eigenvalues that group at GRAM_DEGENERACY_RTOL
     tie, and the normal up to sign orders a tie, so the order (and
     plane_used in an analyze record) does not follow rounding.  Memoized
     on alg, as gram_spectrum: callers share the list and must not modify
     it.  A family's representatives sit at fixed angles on its circle; the
     plane at its lowest normal, invariant if any of them is, is memoized
-    too, for self_eigenvectors_batch to solve through.
+    too, for self_eigenvectors_batch to solve through.  This is
+    find_invariant_planes_batch of [alg].
+    """
+    return find_invariant_planes_batch([alg])[0]
+
+
+def find_invariant_planes_batch(algs) -> list[list[PlanarStructure]]:
+    """find_invariant_planes of each algebra of algs, in one pass over those not yet searched.
+
+    Their Gram spectra come from one batched eigh (gram_spectra).  The
+    candidates of all of them, every simple Gram eigenvector and each
+    circle's normals, family representatives and lowest normal, are
+    scored in one plane_residual_batch call, whose values the planes
+    keep, and the planes are built by one _planar_structures call.  Each
+    result is bitwise the one a search of its algebra alone gives.
     """
     key = ("find_invariant_planes",)
-    if key in alg.memo:
-        return alg.memo[key]
-    if alg.is_trivial():
+    todo = list(dict.fromkeys(a for a in algs if key not in a.memo))
+    if not todo:
+        return [a.memo[key] for a in algs]
+    if any(a.is_trivial() for a in todo):
         raise TrivialAlgebraError("trivial algebra")
-    threshold = PLANARITY_TOL * alg.scale
-    gs = gram_spectrum(alg)
-    v, groups = gs.eigenvectors, _group_eigenvalues(gs.eigenvalues, _PLANE_GROUP_RTOL)
-    found, family, lowest = [v[:, [g[0] for g in groups if len(g) == 1]].T], [], []
-    for group in [g for g in groups if len(g) > 1]:
-        if len(group) == 3:
-            # one more Newton step takes each axis from the 1e-11 acceptance to full precision
-            x = np.reshape(self_eigenvectors(alg).moments, (-1, 3))
-            normals, reps, lows = _circle_normals(alg, _newton_step(x, *_self_eigen_system(alg, x)), threshold)
-        else:
-            normals, reps, lows = _circle_normals(alg, v[:, [3 - sum(group)]].T, threshold)  # about the third eigenvector
-        found.append(normals)
-        family.extend(reps)
-        lowest.extend(lows)
-    # several circles can pass through one normal and locate it with
-    # different accuracy: the most accurate comes first, so dedupe keeps it;
-    # each is scored as planar_structure scores it, from the unit normal it gets
-    found = [unit(n) for n in np.concatenate(found)]
-    res = plane_residual_batch(alg, found)
-    out = [planar_structure(alg, n)
-           for n in _distinct([found[i] for i in np.argsort(res, kind="stable") if res[i] <= threshold], 1e-9)]
-    # the isolated normals lead and are all kept, so the family normals follow them
-    normals = _distinct([*(p.n_hat for p in out), *(unit(n) for n in family)], 1e-9)[len(out):] if family else []
-    out = sorted(out + [planar_structure(alg, n, degenerate=True) for n in normals],
-                 key=lambda p: p.gram_eigenvalue)
-    ties = _group_eigenvalues([p.gram_eigenvalue for p in out], GRAM_DEGENERACY_RTOL) if out else []
-    alg.memo[("family_lowest",)] = [planar_structure(alg, n) for n in lowest]
-    alg.memo[key] = [out[i] for tie in ties[::-1] for i in sorted(tie, key=lambda i: _sign_free_key(out[i].n_hat))]
-    return alg.memo[key]
+    threshold = [PLANARITY_TOL * a.scale for a in todo]
+    candidates, counts, owner = [], [], []
+    for i, (alg, gs, limit) in enumerate(zip(todo, gram_spectra(todo), threshold)):
+        v, groups = gs.eigenvectors, _group_eigenvalues(gs.eigenvalues.tolist(), _PLANE_GROUP_RTOL)
+        found, family, lowest = [v[:, [g[0] for g in groups if len(g) == 1]].T], [], []
+        for group in [g for g in groups if len(g) > 1]:
+            if len(group) == 3:
+                # one more Newton step takes each axis from the 1e-11 acceptance to full precision
+                x = np.reshape(self_eigenvectors(alg).moments, (-1, 3))
+                normals, reps, lows = _circle_normals(alg, _newton_step(x, *_self_eigen_system(alg, x)), limit)
+            else:
+                normals, reps, lows = _circle_normals(alg, v[:, [3 - sum(group)]].T, limit)  # about the third eigenvector
+            found.append(normals)
+            family.extend(reps)
+            lowest.extend(lows)
+        candidates += [*found, *(np.reshape(c, (-1, 3)) for c in (family, lowest) if c)]
+        counts.append((sum(map(len, found)), len(family), len(lowest), len(found) > 1))
+        owner += [i] * sum(counts[-1][:3])
+    raw = np.concatenate(candidates)
+    # several circles can pass through one normal and locate it with different accuracy: the most accurate
+    # comes first, so dedupe keeps it; each is scored as the unit normal its plane is built from, but a
+    # family's lowest normal as found
+    candidates, start, lowest = unit(raw), 0, []
+    for n_found, n_family, n_lowest, _ in counts:
+        start += n_found + n_family + n_lowest
+        lowest += range(start - n_lowest, start)
+    candidates[lowest] = raw[lowest]
+    res = plane_residual_batch(np.array([a.basis_images for a in todo])[owner], candidates)
+    values, rows, degenerate, sizes, start = res.tolist(), [], [], [], 0
+    for limit, (n_found, n_family, n_lowest, circled) in zip(threshold, counts):
+        found = sorted((i for i in range(start, start + n_found) if values[i] <= limit), key=values.__getitem__)
+        # the simple Gram eigenvectors are orthonormal: only circle normals can repeat
+        kept = [found[i] for i in _distinct_rows(candidates[found], 1e-9)] if circled else found
+        family, isolated = start + n_found, len(kept)
+        if n_family:  # the isolated normals lead and are all kept, so the family normals follow them
+            n_hat = canonical_sign(unit(canonical_sign(candidates[kept])))  # of their planes
+            normals = np.concatenate([n_hat, candidates[family:family + n_family]])
+            kept += [family + i - isolated for i in _distinct_rows(normals, 1e-9)[isolated:]]
+        start = family + n_family + n_lowest
+        rows += kept + list(range(family + n_family, start))
+        degenerate += [i >= family for i in kept] + [False] * n_lowest
+        sizes.append((len(kept), n_lowest))
+    bad = [i for i in rows if values[i] > threshold[owner[i]]]
+    if bad:
+        raise NotInvariantPlaneError(values[bad[0]], threshold[owner[bad[0]]])
+    planes = iter(_planar_structures([todo[owner[i]] for i in rows], canonical_sign(candidates[rows]), res[rows],
+                                     degenerate))
+    for alg, (n_planes, n_lowest) in zip(todo, sizes):
+        out = sorted(itertools.islice(planes, n_planes), key=lambda p: p.gram_eigenvalue)
+        alg.memo[("family_lowest",)] = list(itertools.islice(planes, n_lowest))
+        ties = _group_eigenvalues([p.gram_eigenvalue for p in out], GRAM_DEGENERACY_RTOL) if len(out) > 1 else [[0]] * len(out)
+        alg.memo[key] = [out[i] for tie in ties[::-1]
+                         for i in (sorted(tie, key=lambda i: _sign_free_key(out[i].n_hat)) if len(tie) > 1 else tie)]
+    return [a.memo[key] for a in algs]
 
 
 def _sign_free_key(n) -> tuple:

@@ -52,7 +52,7 @@ from .dipoles import (
     gen_pair,
     p_vector,
 )
-from .extremal import (  # lambda_bar_bruteforce and lambda_plane stay bound here for tracing
+from .extremal import (  # bounds_report, lambda_bar_bruteforce and lambda_plane stay bound here for tracing
     CHAIN_RTOL,
     IDENTITY_RTOL,
     _degenerate_report,
@@ -62,6 +62,8 @@ from .extremal import (  # lambda_bar_bruteforce and lambda_plane stay bound her
     lambda_bar_exact,
     lambda_plane,
     locate_candidates,
+    plane_reports,
+    plane_reports_batch,
     principal_abs,
     verify_theorems,
 )
@@ -207,8 +209,10 @@ def analyze_point(cfg: DipoleConfig, alg=None, candidates=False) -> dict:
     report and no bound chain; the planar branches take the chain of the
     primary plane.  With candidates set (only analyze sets it), the
     candidate search on that plane's report follows chain_ok; the SI
-    keys come last.  alg is cfg's algebra when already built (and
-    perhaps solved); otherwise it is built here.
+    keys come last.  alg is cfg's algebra when already built, and when
+    _solved gave it, its Gram spectrum, planes, worst case and plane
+    reports are in its memo, so the record only reads and formats them;
+    otherwise they are computed here, as a block of one point.
     """
     if alg is None:
         alg = build_algebra(cfg)
@@ -229,7 +233,7 @@ def analyze_point(cfg: DipoleConfig, alg=None, candidates=False) -> dict:
         gs = gram_spectrum(alg)
         planes = find_invariant_planes(alg)
         wc = lambda_bar_exact(alg)
-        reports = [bounds_report(alg, p) for p in planes]
+        reports = plane_reports(alg)
         used = _primary_plane(reports) if reports else None
         rep = None if used is None else reports[used]
         rec.update(
@@ -298,13 +302,17 @@ def _solved(cfgs, build):
     """(cfg, algebra) of each of cfgs in order; build gives the algebra of a cfg, or None for a skipped point.
 
     cfgs go in blocks of at most _SOLVE_BLOCK: every algebra of a block
-    is built first and the Z-eigenvectors of its nonzero operators are
-    solved as one stack.
+    is built first, the Z-eigenvectors of its nonzero operators are
+    solved as one stack, and one record pass (plane_reports_batch) fills
+    their memos with the Gram spectra, planes, worst cases and plane
+    reports that analyze_point reads.
     """
     for start in range(0, len(cfgs), _SOLVE_BLOCK):
         block = cfgs[start:start + _SOLVE_BLOCK]
         algs = [build(cfg) for cfg in block]
-        self_eigenvectors_batch([a for a in algs if a is not None and not a.is_trivial()])
+        nonzero = [a for a in algs if a is not None and not a.is_trivial()]
+        self_eigenvectors_batch(nonzero)
+        plane_reports_batch(nonzero)
         yield from zip(block, algs)
 
 

@@ -25,6 +25,7 @@ oracle for tests and reference runs; no command calls it.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,6 +35,7 @@ from .algebra import (
     GRAM_DEGENERACY_RTOL,
     PlanarStructure,
     _distinct,
+    find_invariant_planes_batch,
     gram_spectrum,
     self_eigenvectors,
     self_eigenvectors_batch,
@@ -92,10 +94,17 @@ class WorstCase(NamedTuple):
 
 def _worst_case(alg: MagneticAlgebra, x, complete=False) -> WorstCase:
     """The triple at moment x, with m_bar the principal eigenvector of F_x and value ||F_x m_bar||."""
+    return _worst_cases(alg.basis_images[None], np.asarray(x, dtype=float)[None], [complete])[0]
+
+
+def _worst_cases(images, x, complete) -> list[WorstCase]:
+    """_worst_case at each row x[j] of (n, 3) x, of basis images images[j], with complete[j], as one pass over arrays."""
     m_bar_moment = canonical_sign(x)
-    f = alg.matrix(m_bar_moment)
+    f = np.einsum("nk,nkab->nab", m_bar_moment, images)
     _, m_bar = principal_axis(f)
-    return WorstCase(float(np.linalg.norm(f @ m_bar)), m_bar_moment, m_bar, complete)
+    g = f @ m_bar[:, :, None]
+    value = np.sqrt(g.transpose(0, 2, 1) @ g)[:, 0, 0]  # as np.linalg.norm of one vector rounds it
+    return [WorstCase(*row) for row in zip(value.tolist(), m_bar_moment, m_bar, complete)]
 
 
 def lambda_bar_exact(alg: MagneticAlgebra) -> WorstCase:
@@ -108,17 +117,36 @@ def lambda_bar_exact(alg: MagneticAlgebra) -> WorstCase:
     operator's is not (its cone is a continuum), yet its axis, which
     beats the cone by a factor sqrt(5), gives lambda_bar exactly.  The
     triple is finished from the eigensolver, as in lambda_bar_bruteforce.
-    Memoized on alg: callers share it and must not modify it.
+    Memoized on alg: callers share it and must not modify it.  This is
+    lambda_bar_exact_batch of [alg].
     """
     if alg.is_trivial():
         return WorstCase(0.0, _Z.copy(), _Z.copy())
+    return lambda_bar_exact_batch([alg])[0]
+
+
+def lambda_bar_exact_batch(algs) -> list[WorstCase]:
+    """lambda_bar_exact of each nonzero operator of algs, in one pass over those not yet memoized.
+
+    Their Z-eigenvectors come from one self_eigenvectors_batch call; the
+    values x^T F_x x of all of them from one stacked product, and the
+    triples from one _worst_cases call.  Each result is bitwise the one
+    of its algebra alone.
+    """
     key = ("lambda_bar_exact",)
-    if key not in alg.memo:
-        sol = self_eigenvectors(alg)
-        m = np.array(sol.moments)
-        tau = (m[:, None, :] @ alg.matrices(m) @ m[:, :, None])[:, 0, 0]  # x^T F_x x, as x @ F_x @ x rounds it
-        alg.memo[key] = _worst_case(alg, sol.moments[int(np.argmax(np.abs(tau)))], sol.complete)
-    return alg.memo[key]
+    todo = list(dict.fromkeys(a for a in algs if key not in a.memo))
+    if todo:
+        sols = self_eigenvectors_batch(todo)
+        counts = [len(sol.moments) for sol in sols]
+        images = np.array([a.basis_images for a in todo])
+        m = np.concatenate([sol.moments for sol in sols])
+        f = np.einsum("nk,nkab->nab", m, np.repeat(images, counts, axis=0))
+        tau = np.abs(m[:, None, :] @ f @ m[:, :, None])[:, 0, 0].tolist()  # x^T F_x x, as x @ F_x @ x rounds it
+        ends = itertools.accumulate(counts)
+        best = [max(range(end - n, end), key=tau.__getitem__) for n, end in zip(counts, ends)]  # the first best
+        for a, wc in zip(todo, _worst_cases(images, m[best], [sol.complete for sol in sols])):
+            a.memo[key] = wc
+    return [a.memo[key] for a in algs]
 
 
 def lambda_bar_bruteforce(
@@ -154,11 +182,16 @@ class PlaneMax(NamedTuple):
     moment: np.ndarray
 
 
-def _plane_quadratic(alg, plane):
-    """Gram quadratic form restricted to the in-plane frame."""
-    e1, e2 = plane.frame()
-    g = alg.gram
-    return e1, e2, float(e1 @ g @ e1), float(e1 @ g @ e2), float(e2 @ g @ e2)
+def _plane_quadratics(algs, planes):
+    """(e1, e2, a, b, c): each plane's in-plane frame as rows, and the Gram form of algs[j] on that of planes[j].
+
+    a = e1 G e1, b = e1 G e2 and c = e2 G e2, each a stacked matmul that
+    rounds as the product of one plane's vectors does.
+    """
+    e1, e2 = (np.array(e) for e in zip(*(p.frame() for p in planes)))
+    g = np.array([alg.gram for alg in algs])
+    u, v = e1[:, None, :] @ g, e2[:, None, :] @ g
+    return e1, e2, *((w @ e[:, :, None])[:, 0, 0] for w, e in ((u, e1), (u, e2), (v, e2)))
 
 
 def in_plane_abs(tr2, pm):
@@ -182,17 +215,34 @@ def lambda_plane(alg: MagneticAlgebra, plane: PlanarStructure) -> PlaneMax:
     |P . M| = ||P||, and at the stationary points of tau, read from the
     solve: on an invariant plane they are the Z-eigenvectors in it, which
     self_eigenvectors finds, and the angle of every Z-eigenvector's
-    projection is a candidate, as any angle is a valid moment.  Not
-    memoized: bounds_report's report carries the result on.
+    projection is a candidate, as any angle is a valid moment.  This is
+    the pass of _plane_maxima on one plane; not memoized: bounds_report's
+    report carries the result on.
     """
-    e1, e2, a, b, c = _plane_quadratic(alg, plane)
-    x = np.reshape(self_eigenvectors(alg).moments, (-1, 3))
-    thetas = np.concatenate([[0.0], np.arctan2(x @ e2, x @ e1)])
-    ct, st = np.cos(thetas), np.sin(thetas)
-    vals = in_plane_abs(a * ct * ct + 2.0 * b * ct * st + c * st * st, plane.norm_P * ct)
-    i = int(np.argmax(vals))
-    moment = canonical_sign(ct[i] * e1 + st[i] * e2)
-    return PlaneMax(float(vals[i]), moment)
+    value, moment = _plane_maxima([alg], [plane], *_plane_quadratics([alg], [plane]))
+    return PlaneMax(float(value[0]), moment[0])
+
+
+def _plane_maxima(algs, planes, e1, e2, a, b, c):
+    """lambda_plane of each plane planes[j] of algs[j], as (values, moments), from _plane_quadratics.
+
+    Row j of one (planes, angles) array holds theta = 0 and the angles of
+    the Z-eigenvectors of algs[j], padded with theta = 0, which repeats
+    the first value; the first largest value of each row is taken.
+    """
+    moments = [self_eigenvectors(alg).moments for alg in algs]
+    counts = [len(m) for m in moments]
+    angle = np.zeros((len(planes), 1 + max(counts)))
+    for k in set(counts) - {0}:
+        # x @ e of the planes with k moments as one stacked matmul, which rounds as one plane's does
+        sel = [j for j, n in enumerate(counts) if n == k]
+        x = np.array([moments[j] for j in sel])
+        angle[sel, 1:k + 1] = np.arctan2(*((x @ e[sel, :, None])[..., 0] for e in (e2, e1)))
+    ct, st = np.cos(angle), np.sin(angle)
+    norm_p = np.array([[p.norm_P] for p in planes])
+    vals = in_plane_abs(a[:, None] * ct * ct + 2.0 * b[:, None] * ct * st + c[:, None] * st * st, norm_p * ct)
+    rows, i = np.arange(len(planes)), vals.argmax(axis=1)
+    return vals[rows, i], canonical_sign(ct[rows, i][:, None] * e1 + st[rows, i][:, None] * e2)
 
 
 def plane_gram_moment(alg: MagneticAlgebra, plane: PlanarStructure):
@@ -204,24 +254,31 @@ def plane_gram_moment(alg: MagneticAlgebra, plane: PlanarStructure):
     the top eigenvalue is degenerate.  An isotropic in-plane block gives
     the frame's second axis (Q_hat when P is nonzero), so the choice
     follows the geometry rather than rounding.  Returns (M_F, lambda_F);
-    the normal's eigenvalue is plane.gram_eigenvalue.  Not memoized, as
-    lambda_plane.
+    the normal's eigenvalue is plane.gram_eigenvalue.  This is the pass
+    of _gram_moments on one plane; not memoized, as lambda_plane.
     """
-    e1, e2, a, b, c = _plane_quadratic(alg, plane)
-    lam_n = plane.gram_eigenvalue
-    disc = float(np.hypot(0.5 * (a - c), b))  # squaring Gram entries underflows in the far field
+    m_f, lam_f = _gram_moments([plane], *_plane_quadratics([alg], [plane]))
+    return m_f[0], float(lam_f[0])
+
+
+def _gram_moments(planes, e1, e2, a, b, c):
+    """plane_gram_moment of each plane, as arrays (M_F rows, lambda_F), from _plane_quadratics."""
+    lam_n = np.array([p.gram_eigenvalue for p in planes])
+    disc = np.hypot(0.5 * (a - c), b)  # squaring Gram entries underflows in the far field
     mu = 0.5 * (a + c) + disc
-    if mu < lam_n:
-        return plane.n_hat, lam_n
-    if 2.0 * disc <= GRAM_DEGENERACY_RTOL * mu:
-        return canonical_sign(e2), mu
-    # eigenvector of [[a, b], [b, c]] for mu: pick the better-conditioned
-    # of the two cofactor forms; both vanish only when the block is mu*I
-    c1 = np.array([mu - c, b])
-    c2 = np.array([b, mu - a])
-    n1, n2 = np.hypot(*c1), np.hypot(*c2)
-    coeff = c1 / n1 if n1 >= n2 else c2 / n2
-    return canonical_sign(coeff[0] * e1 + coeff[1] * e2), mu
+    # eigenvector of [[a, b], [b, c]] for mu: pick the better-conditioned of the two cofactor
+    # forms (mu - c, b) and (b, mu - a); both vanish only when the block is mu*I, which takes e2
+    # (or the normal) instead, so a vanishing form's row is never taken
+    n1, n2 = np.hypot(mu - c, b), np.hypot(b, mu - a)
+    first = n1 >= n2
+    norm = np.where(first, n1, n2)
+    norm[norm == 0.0] = 1.0
+    coeff = np.where(first, mu - c, b) / norm, np.where(first, b, mu - a) / norm
+    in_plane = np.where((2.0 * disc <= GRAM_DEGENERACY_RTOL * mu)[:, None], e2,
+                        coeff[0][:, None] * e1 + coeff[1][:, None] * e2)
+    normal = mu < lam_n
+    m_f = np.where(normal[:, None], [p.n_hat for p in planes], canonical_sign(in_plane))
+    return m_f, np.where(normal, lam_n, mu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,79 +334,111 @@ def bounds_report(alg: MagneticAlgebra, plane: PlanarStructure | None) -> Extrem
     The branch compares lambda_P against 2||P|| with a small dead band;
     every inequality is recorded as a non-strict flag at tolerance
     CHAIN_RTOL times the value scale.  The planes of one algebra share its
-    memoized lambda_bar_exact.
+    memoized lambda_bar_exact.  This is the pass of _bounds_reports on
+    one plane; plane_reports gives those of every plane of an algebra.
     """
     if alg.is_trivial():
         return _degenerate_report()
     if plane is None:
         raise ValueError("invariant plane required for a bounds report")
+    return _bounds_reports([alg], [plane])[0]
 
-    wc = lambda_bar_exact(alg)
-    pm = lambda_plane(alg, plane)
-    m_f, lam_f = plane_gram_moment(alg, plane)
-    abs_mf = float(in_plane_abs(lam_f, abs(float(plane.P @ m_f))))
-    pn = plane.norm_P
 
-    scale = max(wc.lambda_bar, pm.value, abs_mf, pn, 1e-300)
+def plane_reports(alg: MagneticAlgebra) -> list[ExtremalReport]:
+    """bounds_report of each plane of find_invariant_planes(alg), in its order; plane_reports_batch of [alg].
+
+    Memoized on alg: callers share the list and must not modify it.
+    """
+    return plane_reports_batch([alg])[0]
+
+
+def plane_reports_batch(algs) -> list[list[ExtremalReport]]:
+    """plane_reports of each nonzero algebra of algs, as one record pass over those not yet memoized.
+
+    The pass fills each algebra's memo with its Gram spectrum and planes
+    (find_invariant_planes_batch), its worst case (lambda_bar_exact_batch)
+    and the reports of its planes, which one _bounds_reports call builds
+    for the planes of all of them.  Each result is bitwise the one its
+    algebra gives alone.
+    """
+    key = ("plane_reports",)
+    todo = list(dict.fromkeys(a for a in algs if key not in a.memo))
+    if not todo:
+        return [a.memo[key] for a in algs]
+    planes = find_invariant_planes_batch(todo)
+    lambda_bar_exact_batch(todo)
+    reports = iter(_bounds_reports([a for a, ps in zip(todo, planes) for _ in ps], [p for ps in planes for p in ps]))
+    for a, ps in zip(todo, planes):
+        a.memo[key] = list(itertools.islice(reports, len(ps)))
+    return [a.memo[key] for a in algs]
+
+
+def _bounds_reports(algs, planes) -> list[ExtremalReport]:
+    """bounds_report of each plane planes[j] of algs[j], its arithmetic on arrays over the planes."""
+    if not planes:
+        return []
+    wcs = lambda_bar_exact_batch(algs)
+    quadratics = _plane_quadratics(algs, planes)
+    lam_p, m_p = _plane_maxima(algs, planes, *quadratics)
+    m_f, lam_f = _gram_moments(planes, *quadratics)
+    abs_mf = in_plane_abs(lam_f, (np.array([p.P for p in planes])[:, None, :] @ m_f[:, :, None])[:, 0, 0])
+    pn = np.array([p.norm_P for p in planes])
+    lam_bar = np.array([wc.lambda_bar for wc in wcs])
+
+    scale = np.maximum(np.maximum(np.maximum(lam_bar, lam_p), np.maximum(abs_mf, pn)), 1e-300)
     tol = CHAIN_RTOL * scale
 
     chain_upper = abs_mf + 0.5 * pn
-    sqrt_23 = float(np.sqrt(2.0 * lam_f / 3.0))
-    plane_formula = 0.5 * (pn + float(np.sqrt(max(2.0 * lam_f - 3.0 * pn * pn, 0.0))))
+    sqrt_23 = np.sqrt(2.0 * lam_f / 3.0)
+    plane_formula = 0.5 * (pn + np.sqrt(np.maximum(2.0 * lam_f - 3.0 * pn * pn, 0.0)))
 
-    if pm.value >= 2.0 * pn - tol:
-        branch = Branch.PLANE_DOMINANT
-        gram_plus_third = None
-        plane_ratio = None
-        refined_upper = plane_formula
-        certified = pm.value
-        branch_ok = (
-            abs(wc.lambda_bar - pm.value) <= tol
-            and pm.value <= plane_formula + tol
-            and plane_formula <= sqrt_23 + tol
-        )
-    else:
-        branch = Branch.P_DOMINANT
-        gram_plus_third = abs_mf + pn / 3.0
-        plane_ratio = 2.0 * pn * float(np.sqrt(pn / (3.0 * pn - pm.value)))
-        refined_upper = min(gram_plus_third, plane_ratio)
-        certified = None
-        branch_ok = wc.lambda_bar <= refined_upper + tol
-
+    dominant = lam_p >= 2.0 * pn - tol  # PLANE_DOMINANT; else P_DOMINANT, where 3 ||P|| - lambda_P > ||P|| > 0
+    gram_plus_third = abs_mf + pn / 3.0
+    plane_ratio = 2.0 * pn * np.sqrt(pn / np.where(dominant, 1.0, 3.0 * pn - lam_p))  # taken on P_DOMINANT planes
+    refined_upper = np.where(dominant, plane_formula, np.minimum(gram_plus_third, plane_ratio))
+    branch_ok = np.where(
+        dominant,
+        (np.abs(lam_bar - lam_p) <= tol) & (lam_p <= plane_formula + tol) & (plane_formula <= sqrt_23 + tol),
+        lam_bar <= refined_upper + tol,
+    )
     chain_ok = {
         "norm_p_le_lambda_mf": pn <= abs_mf + tol,
-        "lambda_mf_le_lambda_p": abs_mf <= pm.value + tol,
-        "lambda_p_le_lambda_bar": pm.value <= wc.lambda_bar + tol,
-        "lambda_bar_le_chain_upper": wc.lambda_bar <= chain_upper + tol,
-        "squares_bracket": (
-            abs_mf ** 2 <= wc.lambda_bar ** 2 + tol * scale
-            and wc.lambda_bar ** 2 <= (2.0 / 3.0) * lam_f + tol * scale
-        ),
+        "lambda_mf_le_lambda_p": abs_mf <= lam_p + tol,
+        "lambda_p_le_lambda_bar": lam_p <= lam_bar + tol,
+        "lambda_bar_le_chain_upper": lam_bar <= chain_upper + tol,
+        "squares_bracket": (abs_mf ** 2 <= lam_bar ** 2 + tol * scale)
+        & (lam_bar ** 2 <= (2.0 / 3.0) * lam_f + tol * scale),
         "branch_bound": branch_ok,
     }
-
-    return ExtremalReport(
-        branch=branch,
-        lambda_bar=wc.lambda_bar,
-        M_bar=wc.M_bar,
-        m_bar=wc.m_bar,
-        norm_P=pn,
-        abs_lambda_MF=abs_mf,
-        lambda_P=pm.value,
-        M_P=pm.moment,
-        lambda_F=lam_f,
-        M_F=m_f,
-        lambda_bar_certified=certified,
-        bounds={
-            "chain_upper": chain_upper,
-            "refined_upper": refined_upper,
-            "gram_plus_third": gram_plus_third,
-            "plane_ratio": plane_ratio,
-            "plane_formula_upper": plane_formula,
-            "sqrt_two_thirds_lambda_F": sqrt_23,
-        },
-        chain_ok=chain_ok,
-    )
+    chain_ok = [dict(zip(chain_ok, flags)) for flags in zip(*(v.tolist() for v in chain_ok.values()))]
+    columns = (v.tolist() for v in (dominant, pn, abs_mf, lam_p, lam_f, chain_upper, refined_upper,
+                                     gram_plus_third, plane_ratio, plane_formula, sqrt_23))
+    return [
+        ExtremalReport(
+            branch=Branch.PLANE_DOMINANT if dom else Branch.P_DOMINANT,
+            lambda_bar=wc.lambda_bar,
+            M_bar=wc.M_bar,
+            m_bar=wc.m_bar,
+            norm_P=norm_p,
+            abs_lambda_MF=mf,
+            lambda_P=lp,
+            M_P=mp,
+            lambda_F=lf,
+            M_F=mfv,
+            lambda_bar_certified=lp if dom else None,
+            bounds={
+                "chain_upper": cu,
+                "refined_upper": ru,
+                "gram_plus_third": None if dom else gp,
+                "plane_ratio": None if dom else pr,
+                "plane_formula_upper": pf,
+                "sqrt_two_thirds_lambda_F": s23,
+            },
+            chain_ok=ok,
+        )
+        for wc, mp, mfv, ok, (dom, norm_p, mf, lp, lf, cu, ru, gp, pr, pf, s23)
+        in zip(wcs, m_p, m_f, chain_ok, zip(*columns))
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,8 +508,9 @@ def verify_theorems(
     their scale.  Returns name -> (residual, ok), each residual signed
     (negative means margin); that of (e) is relative to lambda_bar.  The
     rng draws the moments of (b) and then the algebra other of (d); the
-    Z-eigenvectors of alg, other and alg + other come from one
-    self_eigenvectors_batch call, which lambda_bar_exact reads back.
+    worst cases of alg, other and alg + other come from one
+    lambda_bar_exact_batch call, so their Z-eigenvectors from one
+    self_eigenvectors_batch call.
     """
     rng = np.random.default_rng(seed)
     checks = {}
@@ -431,9 +521,7 @@ def verify_theorems(
     # the draws keep their order; the three worst cases share one stacked solve
     ms = random_moments(rng, int(trials))
     other = random_algebra(rng)
-    both = alg + other
-    self_eigenvectors_batch([alg, other, both])
-    lam_bar = lambda_bar_exact(alg).lambda_bar
+    lam_bar, lam_1, lam_01 = (wc.lambda_bar for wc in lambda_bar_exact_batch([alg, other, alg + other]))
     gs = gram_spectrum(alg)
 
     if plane is not None:
@@ -458,8 +546,6 @@ def verify_theorems(
         res_c = max(plane.norm_P - abs_mf, abs_mf - pm.value)
         checks["plane_chain"] = _within(float(res_c), tol_c)
 
-    lam_1 = lambda_bar_exact(other).lambda_bar
-    lam_01 = lambda_bar_exact(both).lambda_bar
     res_d = lam_01 - lam_bar - lam_1
     checks["subadditive"] = _within(float(res_d), IDENTITY_RTOL * (lam_bar + lam_1))
 

@@ -22,23 +22,29 @@ Mat3 = np.ndarray
 
 
 def unit(v) -> Vec3:
-    """v / ||v||, rejecting the zero vector."""
+    """v / ||v||, or each row of (..., 3) v over its norm, rejecting the zero vector.
+
+    The norm is the square root of a matmul, which rounds as
+    np.linalg.norm of one vector does, row by row.
+    """
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
+    n = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    if not n.all():
         raise ValueError("cannot normalize a zero vector")
     return v / n
 
 
 def canonical_sign(v) -> Vec3:
-    """Flip v so its largest-magnitude component is positive.
+    """Flip v, or each row of (n, 3) v, so its largest-magnitude component (the first of tied ones) is positive.
 
     Gives a deterministic representative for quantities defined only up
     to sign (eigenvectors, plane normals).
     """
     v = np.asarray(v, dtype=float)
-    i = int(np.argmax(np.abs(v)))
-    return -v if v[i] < 0.0 else v
+    i = np.abs(v).argmax(axis=-1)
+    if v.ndim == 1:
+        return -v if v[i] < 0.0 else v
+    return np.where((v[np.arange(len(v)), i] < 0.0)[:, None], -v, v)
 
 
 def cross(a, b) -> np.ndarray:
@@ -120,12 +126,14 @@ def spread_ratio(lam, delta):
 
 
 def principal_axis(A):
-    """(principal eigenvalue, unit eigenvector) of a symmetric matrix.
+    """(principal eigenvalue, unit eigenvector) of a symmetric 3x3 matrix, or arrays of them for an (n, 3, 3) stack.
 
     Principal means largest magnitude; a tie resolves to the positive
     eigenvalue, and the eigenvector sign is canonical.
     """
-    A = np.asarray(A, dtype=float)
-    w, v = np.linalg.eigh(A)
-    i = 0 if -w[0] > w[-1] else len(w) - 1
-    return float(w[i]), canonical_sign(v[:, i])
+    w, v = np.linalg.eigh(np.asarray(A, dtype=float))
+    i = np.where(-w[..., 0] > w[..., -1], 0, 2)
+    if w.ndim == 1:
+        return float(w[i]), canonical_sign(v[:, i])
+    rows = np.arange(len(w))
+    return w[rows, i], canonical_sign(v[rows, :, i])

@@ -32,8 +32,7 @@ def fibonacci_sphere(n) -> np.ndarray:
 def tangent_basis(n):
     """Two unit vectors spanning the plane orthogonal to unit n; for the rows of (m, 3) n, two (m, 3) arrays."""
     n = np.asarray(n, dtype=float)
-    t1 = cross(n, np.eye(3)[np.argmin(np.abs(n), axis=-1)])
-    t1 = t1 / np.sqrt(t1[..., None, :] @ t1[..., :, None])[..., 0]  # as unit() divides by sqrt(t1 . t1)
+    t1 = unit(cross(n, np.eye(3)[np.argmin(np.abs(n), axis=-1)]))
     return t1, cross(n, t1)
 
 

@@ -429,14 +429,14 @@ def test_near_magnet_ring_of_a_pair_lies_in_the_weight_bracket():
 
 
 def _flip_chain_flag(monkeypatch, which):
-    """Make cli.bounds_report set branch_bound false on the reports that which(plane) picks."""
-    bounds_report = cli.bounds_report
+    """Make cli.plane_reports set branch_bound false on the reports of the planes that which(plane) picks."""
+    plane_reports = cli.plane_reports
 
-    def flipped(alg, plane):
-        rep = bounds_report(alg, plane)
-        return dataclasses.replace(rep, chain_ok={**rep.chain_ok, "branch_bound": False}) if which(plane) else rep
+    def flipped(alg):
+        return [dataclasses.replace(rep, chain_ok={**rep.chain_ok, "branch_bound": False}) if which(plane) else rep
+                for plane, rep in zip(cli.find_invariant_planes(alg), plane_reports(alg))]
 
-    monkeypatch.setattr(cli, "bounds_report", flipped)
+    monkeypatch.setattr(cli, "plane_reports", flipped)
 
 
 def test_analyze_exits_1_on_a_false_chain_flag_after_writing_the_report(tmp_path, single_dipole_json,
@@ -776,22 +776,69 @@ def test_multi_point_sweep_matches_per_point_analyze(tmp_path, capsys, monkeypat
         assert row["branch"] == rep["branch"]
 
 
+# A cube of magnets, and a regular tetrahedron 1e4 away, whose weights 1e-16 leave the cube's
+# centre a zero operator and perturb the cube's operators by about 1e-15 of their scale
+CUBE_AND_FAR_TETRA = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)] + [
+    [1e4 + 1, 1, 1], [1e4 + 1, -1, -1], [1e4 - 1, 1, -1], [1e4 - 1, -1, 1]]
+# its centre, the tetrahedron's centre (a 3-fold Gram spectrum), a point on a 4-fold axis of
+# the cube (zonal, a family of planes), a point on no mirror plane, and two on one
+EVERY_BRANCH = ([[0, 0, 0], [1e4, 0, 0], [0, 0, 0.3], [0.3, 0.2, 0.5], [0.3, 0.1, 0], [0.7, 0.7, 0.2]],
+                ["DEGENERATE", "P_DOMINANT", "PLANE_DOMINANT", "NONPLANAR", "P_DOMINANT", "PLANE_DOMINANT"])
+
+
 def test_analyze_of_several_points_matches_each_point_alone(tmp_path, monkeypatch):
-    """The field points of one config share one stacked solve, and each record is
-    byte-equal to that of analyzing its point alone."""
+    """The field points of one config share one stacked solve and one record pass, and
+    each record is byte-equal to that of analyzing its point alone.  The second config's
+    block holds every branch, and each plane search path: isolated planes, the circles
+    of a 3-fold Gram spectrum and a family."""
     from magalg import algebra
 
     magnets = [[1, 0, 0], [-1, 0, 0], [0.2, 0.9, -0.3]]
     points = [[0.3, 0.2, 0.5], [0.0, 0.0, 0.0], [1.7, 0.4, -0.2]]  # at the origin the pair cancels: zonal
-    alone = [run_analyze(tmp_path, write_config(tmp_path / "one.json", magnets, [p]))[1]["results"][0]
-             for p in points]
     eigenpoints = algebra._eigenpoints
     stacks = []
-    monkeypatch.setattr(algebra, "_eigenpoints", lambda t: stacks.append(len(t)) or eigenpoints(t))
-    code, rep = run_analyze(tmp_path, write_config(tmp_path / "all.json", magnets, points))
-    assert code == EXIT_OK
-    assert stacks == [2]  # the zonal operator takes its closed form
-    assert [json.dumps(r) for r in rep["results"]] == [json.dumps(r) for r in alone]
+    for magnets, points, want in ((magnets, points, None), (CUBE_AND_FAR_TETRA, *EVERY_BRANCH)):
+        alone = [run_analyze(tmp_path, write_config(tmp_path / "one.json", magnets, [p]))[1]["results"][0]
+                 for p in points]
+        monkeypatch.setattr(algebra, "_eigenpoints", lambda t: stacks.append(len(t)) or eigenpoints(t))
+        code, rep = run_analyze(tmp_path, write_config(tmp_path / "all.json", magnets, points))
+        monkeypatch.undo()
+        assert code == EXIT_OK
+        assert [json.dumps(r) for r in rep["results"]] == [json.dumps(r) for r in alone]
+        if want is not None:
+            assert [r["branch"] for r in rep["results"]] == want
+            assert rep["results"][1]["gram_multiplicity"] == 3 and len(rep["results"][1]["planes"]) == 6
+            assert [p["degenerate"] for p in rep["results"][2]["planes"]] == [True] * _FAMILY_SIZE
+    assert stacks[0] == 2  # the zonal operator takes its closed form
+
+
+def _record_draw(rng):
+    """A coplanar, mirror, generic, single-dipole or tetrahedral-centre config, one field point."""
+    from magalg.corpus import random_config, random_coplanar_config
+    from test_algebra import tetrahedral_centre
+
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return random_coplanar_config(rng)[0]
+    if kind == 1:
+        return random_mirror_config(rng)[0]
+    if kind == 2:
+        return random_config(rng)
+    if kind == 3:
+        return DipoleConfig([rng.uniform(-1.0, 1.0, 3)], rng.uniform(-1.0, 1.0, 3))
+    return tetrahedral_centre(rng, int(rng.integers(1, 3)))[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_block_of_records_matches_each_point_alone(seed):
+    """A block of 1 to 39 random points, in shuffled order, shares one solve and one
+    record pass (cli._solved); each analyze record, candidates included, is exactly the
+    one its point gives alone."""
+    rng = np.random.default_rng([20261020, seed])
+    cfgs = [_record_draw(rng) for _ in range(int(rng.integers(1, 40)))]
+    cfgs = [cfgs[i] for i in rng.permutation(len(cfgs))]
+    block = [json.dumps(cli.analyze_point(cfg, alg, candidates=True)) for cfg, alg in cli._solved(cfgs, build_algebra)]
+    assert block == [json.dumps(cli.analyze_point(cfg, candidates=True)) for cfg in cfgs]
 
 
 def test_analyze_builds_the_record_of_every_branch_with_analyze_point(tmp_path, monkeypatch):
@@ -931,16 +978,15 @@ def test_verify_negative_seed(single_dipole_json, capsys):
 
 def _miss_the_maximizer(monkeypatch):
     """Make the solve that extremal reads drop every moment at the top |x^T F_x x|."""
-    solve = extremal.self_eigenvectors
+    solve = extremal.self_eigenvectors_batch
 
-    def missing_best(alg, *args, **kwargs):
+    def missing_best(sol, alg):
         # mirror images of the maximizer tie with it: drop every moment at the top value
-        sol = solve(alg, *args, **kwargs)
         tau = [abs(float(m @ alg.matrix(m) @ m)) for m in sol.moments]
         kept = tuple(m for m, t in zip(sol.moments, tau) if t < max(tau) * (1.0 - 1e-9))
         return sol._replace(moments=kept)
 
-    monkeypatch.setattr(extremal, "self_eigenvectors", missing_best)
+    monkeypatch.setattr(extremal, "self_eigenvectors_batch", lambda algs: list(map(missing_best, solve(algs), algs)))
 
 
 def test_lattice_cross_check_catches_a_missed_maximizer(tmp_path, monkeypatch, capsys):
