@@ -162,10 +162,8 @@ def build_algebra(cfg: DipoleConfig) -> MagneticAlgebra:
     ident = np.eye(3)
     # third-moment tensor sum_i w_i u_i (x) u_i (x) u_i, first slot indexed by k
     t3 = np.einsum("i,ik,ia,ib->kab", w, u, u, u)
-    basis = np.empty((3, 3, 3))
-    for k in range(3):
-        e = ident[k]
-        basis[k] = np.outer(P, e) + np.outer(e, P) + P[k] * ident - 5.0 * t3[k]
+    # basis[k] = P e_k^T + e_k P^T + P_k I - 5 t3[k]
+    basis = P[:, None] * ident[:, None, :] + ident[:, :, None] * P + P[:, None, None] * ident - 5.0 * t3
     # symmetric configurations (inversion-symmetric sets in particular)
     # cancel term by term; entries below the rounding floor of that
     # cancellation carry no significant digits, so snap them to an exact
