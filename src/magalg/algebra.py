@@ -23,7 +23,7 @@ from .linalg3 import canonical_sign, cross, cross_matrices, unit
 from .sphere import sphere_descent, tangent_basis
 
 PLANARITY_TOL = 1e-8  # relative to the largest basis-image Frobenius norm
-_FRAME_TOL = 1e-12  # below this (relative), the coupling vector is treated as zero
+_FRAME_TOL = 1e-12  # below this (relative), the in-plane part of the coupling vector is treated as zero
 GRAM_DEGENERACY_RTOL = 1e-9  # Gram eigenvalues this close (relative to the top one) count as equal
 # Gram eigenvalues this close (relative to the top one) share one great circle of candidate plane
 # normals in find_invariant_planes.  Kept apart from GRAM_DEGENERACY_RTOL: grouping at 1e-9 changes
@@ -103,10 +103,11 @@ def plane_residual_batch(alg, ns) -> np.ndarray:
 class PlanarStructure:
     """Frame data of one invariant plane.
 
-    n_hat is the unit normal, P = F_n n the coupling vector (always
-    perpendicular to n_hat), and when P is nonzero (P_hat, Q_hat)
-    complete n_hat to an orthonormal frame with Q_hat spanning the kernel
-    of F_n.  degenerate marks members of a continuous family of planes.
+    n_hat is the unit normal, P = F_n n the coupling vector (perpendicular
+    to n_hat on an exactly invariant plane), and when the in-plane part
+    of P is nonzero (P_hat, Q_hat) complete n_hat to an orthonormal frame,
+    P_hat along that part and Q_hat spanning the kernel of F_n.
+    degenerate marks members of a continuous family of planes.
     """
 
     n_hat: np.ndarray
@@ -119,7 +120,7 @@ class PlanarStructure:
     degenerate: bool = False
 
     def frame(self):
-        """In-plane orthonormal pair, synthesized when P vanishes."""
+        """In-plane orthonormal pair, synthesized when the in-plane part of P vanishes."""
         if self.P_hat is not None:
             return self.P_hat, self.Q_hat
         return tangent_basis(self.n_hat)
@@ -146,7 +147,10 @@ def _planar_structures(algs, ns, res, degenerate) -> list[PlanarStructure]:
     """planar_structure of each row of ns, a normal of algs[j] with residual res[j], as one pass over arrays.
 
     Each product of vectors is a stacked matmul, which rounds as the
-    product of one plane's vectors does.
+    product of one plane's vectors does.  P_hat is the direction of the
+    in-plane part of P: on a nearly invariant plane the normal part n . P
+    is up to sqrt2 times its residual, and with ||P|| about as small it
+    would tilt the frame out of the plane.
     """
     if not len(algs):
         return []
@@ -155,8 +159,10 @@ def _planar_structures(algs, ns, res, degenerate) -> list[PlanarStructure]:
     p = (f @ n[:, :, None])[:, :, 0]
     norm_p = np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0, 0]
     gram_eigenvalue = (n[:, None, :] @ np.array([a.gram for a in algs]) @ n[:, :, None])[:, 0, 0]
-    framed = (norm_p > _FRAME_TOL * np.array([a.scale for a in algs])).tolist()
-    p_hat = p / np.where(framed, norm_p, 1.0)[:, None]
+    in_plane = p - (n[:, None, :] @ p[:, :, None])[:, 0] * n
+    norm_in = np.sqrt(in_plane[:, None, :] @ in_plane[:, :, None])[:, 0, 0]
+    framed = (norm_in > _FRAME_TOL * np.array([a.scale for a in algs])).tolist()
+    p_hat = in_plane / np.where(framed, norm_in, 1.0)[:, None]
     q_hat = cross(n, p_hat)
     return [PlanarStructure(*row, ph if fr else None, qh if fr else None, float(r), g, bool(d))
             for *row, ph, qh, fr, r, g, d in zip(canonical_sign(n), p, norm_p.tolist(), p_hat, q_hat, framed,
@@ -346,7 +352,7 @@ def _through_planes(t, planes):
     then at most _EIGEN_TOL, and whether each plane is curved.
     """
     n = np.array([p.n_hat for p in planes])
-    e1, e2 = tangent_basis(n)  # not frame(): P_hat leaves a nearly invariant plane when P is about its residual
+    e1, e2 = tangent_basis(n)  # any orthonormal pair of the plane serves
     _, c, dc, l, dl = _on_circle(t, n, e1, e2, np.tile(_ANGLES, (len(t), 1)))
     q = l * dc + 6.0 * l * dl - 3.0 * c * dl
     curved = np.abs(q).max(axis=1) > _CURVE_ROUNDING * np.einsum("jkab,jkab->j", t, t)
@@ -627,7 +633,8 @@ def find_invariant_planes_batch(algs) -> list[list[PlanarStructure]]:
     for n_found, n_family, n_lowest, _ in counts:
         start += n_found + n_family + n_lowest
         lowest += range(start - n_lowest, start)
-    candidates[lowest] = raw[lowest]
+    if lowest:
+        candidates[lowest] = raw[lowest]
     res = plane_residual_batch(np.array([a.basis_images for a in todo])[owner], candidates)
     values, rows, degenerate, sizes, start = res.tolist(), [], [], [], 0
     for limit, (n_found, n_family, n_lowest, circled) in zip(threshold, counts):

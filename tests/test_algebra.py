@@ -418,6 +418,29 @@ def test_plane_frame_invariants(rng):
             assert np.linalg.norm(alg.matrix(m) @ p.n_hat - float(p.P @ m) * p.n_hat) <= 1e-10 * scale
 
 
+def test_the_frame_of_a_nearly_invariant_plane_stays_in_it():
+    """A sectoral operator, Re (x . (e_x + i e_y))^3, plus a 1e-11 perturbation: its
+    null-axis plane has ||P|| 6.0e-12 and residual 2.4e-13 of the scale, and the
+    normal part n . P, up to sqrt2 times the residual, is a tenth of P.  P_hat and
+    Q_hat are built from the in-plane part of P, so the frame, and the in-plane
+    maximizer M_P read off it, stay in the plane."""
+    from magalg.extremal import bounds_report, lambda_plane
+    from test_extremal import _harmonic
+
+    c = np.array([1.0, 1j, 0.0])
+    t = np.einsum("i,j,k->ijk", c, c, c).real
+    pert = _harmonic(np.random.default_rng(1).standard_normal((3, 3, 3)))
+    alg = MagneticAlgebra(t / np.linalg.norm(t) + 1e-11 * pert / np.linalg.norm(pert))
+    [p] = [p for p in find_invariant_planes(alg) if abs(p.n_hat[2]) > 0.99]
+    assert p.norm_P == pytest.approx(6.0e-12 * alg.scale, rel=0.01)
+    assert p.residual == pytest.approx(2.4e-13 * alg.scale, rel=0.01)
+    assert abs(p.P @ p.n_hat) > 0.05 * p.norm_P  # the record's P keeps its normal part
+    assert p.P_hat is not None
+    for e in (p.P_hat, p.Q_hat, lambda_plane(alg, p).moment, bounds_report(alg, p).M_P):
+        assert abs(e @ p.n_hat) <= 1e-15
+    assert np.linalg.norm(np.cross(p.P_hat, p.P - (p.P @ p.n_hat) * p.n_hat)) <= 1e-15 * p.norm_P
+
+
 def test_mirror_symmetry_theorem(rng):
     """Mirror-symmetric arrays with in-plane field point are planar."""
     worst = 0.0
