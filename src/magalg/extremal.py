@@ -34,7 +34,9 @@ import numpy as np
 from .algebra import (
     GRAM_DEGENERACY_RTOL,
     PlanarStructure,
+    _EIGEN_TOL,
     _distinct,
+    _sign_free_key,
     find_invariant_planes_batch,
     gram_spectrum,
     self_eigenvectors,
@@ -227,8 +229,15 @@ def _plane_maxima(algs, planes, e1, e2, a, b, c):
     """lambda_plane of each plane planes[j] of algs[j], as (values, moments), from _plane_quadratics.
 
     Row j of one (planes, angles) array holds theta = 0 and the angles of
-    the Z-eigenvectors of algs[j], padded with theta = 0, which repeats
-    the first value; the first largest value of each row is taken.
+    the Z-eigenvectors of algs[j], padded with theta = 0.  The value is
+    the largest of a row; the moment, among the angles whose values are
+    within _EIGEN_TOL of it, the first by _sign_free_key, as tied planes
+    are ordered.  So maxima that symmetry makes equal give one moment on
+    an operator within _EIGEN_TOL of the symmetric one, whose
+    Z-eigenvectors the solve does not tell apart from its own; a 1e-12
+    shift of a tetrahedral centre splits them by 3.5e-12.  CHAIN_RTOL
+    would be too wide: distinct in-plane maxima lie 5.5e-10 apart on one
+    mirror draw of the tests.
     """
     moments = [self_eigenvectors(alg).moments for alg in algs]
     counts = [len(m) for m in moments]
@@ -242,7 +251,13 @@ def _plane_maxima(algs, planes, e1, e2, a, b, c):
     norm_p = np.array([[p.norm_P] for p in planes])
     vals = in_plane_abs(a[:, None] * ct * ct + 2.0 * b[:, None] * ct * st + c[:, None] * st * st, norm_p * ct)
     rows, i = np.arange(len(planes)), vals.argmax(axis=1)
-    return vals[rows, i], canonical_sign(ct[rows, i][:, None] * e1 + st[rows, i][:, None] * e2)
+    best = vals[rows, i]
+    moment = canonical_sign(ct[rows, i][:, None] * e1 + st[rows, i][:, None] * e2)
+    tied = (vals >= best[:, None] * (1.0 - _EIGEN_TOL)) & (np.arange(angle.shape[1]) <= np.array(counts)[:, None])
+    for j in np.flatnonzero(tied.sum(axis=1) > 1).tolist():
+        k = np.flatnonzero(tied[j])
+        moment[j] = min(canonical_sign(ct[j, k, None] * e1[j] + st[j, k, None] * e2[j]), key=_sign_free_key)
+    return best, moment
 
 
 def plane_gram_moment(alg: MagneticAlgebra, plane: PlanarStructure):
@@ -269,13 +284,13 @@ def _gram_moments(planes, e1, e2, a, b, c):
     # eigenvector of [[a, b], [b, c]] for mu: pick the better-conditioned of the two cofactor
     # forms (mu - c, b) and (b, mu - a); both vanish only when the block is mu*I, which takes e2
     # (or the normal) instead, so a vanishing form's row is never taken
-    n1, n2 = np.hypot(mu - c, b), np.hypot(b, mu - a)
+    mc, ma = mu - c, mu - a
+    n1, n2 = np.hypot(mc, b), np.hypot(b, ma)
     first = n1 >= n2
-    norm = np.where(first, n1, n2)
+    norm = np.maximum(n1, n2)
     norm[norm == 0.0] = 1.0
-    coeff = np.where(first, mu - c, b) / norm, np.where(first, b, mu - a) / norm
     in_plane = np.where((2.0 * disc <= GRAM_DEGENERACY_RTOL * mu)[:, None], e2,
-                        coeff[0][:, None] * e1 + coeff[1][:, None] * e2)
+                        (np.where(first, mc, b) / norm)[:, None] * e1 + (np.where(first, b, ma) / norm)[:, None] * e2)
     normal = mu < lam_n
     m_f = np.where(normal[:, None], [p.n_hat for p in planes], canonical_sign(in_plane))
     return m_f, np.where(normal, lam_n, mu)

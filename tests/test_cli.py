@@ -551,6 +551,25 @@ def test_primary_plane_of_symmetric_planes_does_not_follow_rounding():
             assert bounds[key] == pytest.approx(value, rel=1e-9)
 
 
+def test_in_plane_maximizer_of_symmetric_planes_does_not_follow_rounding():
+    """The concentric tetrahedra above: each mirror plane's in-plane maximum is
+    attained at symmetric moments whose values tie to rounding, and a 1e-12 shift of
+    the field point must not change which of them is M_P, up to sign, on any plane."""
+    from magalg.dipoles import DipoleConfig
+    from magalg.extremal import bounds_report
+    from test_algebra import TETRA
+
+    fp = np.array([0.2, -0.1, 0.3])
+    magnets = np.concatenate([fp + r * TETRA for r in (0.6, 1.3)])
+    picked = []
+    for shift in (0.0, 1e-12, -1e-12):
+        for direction in np.eye(3):
+            alg = build_algebra(DipoleConfig(magnets, fp + shift * direction))
+            picked.append(np.array([bounds_report(alg, p).M_P for p in cli.find_invariant_planes(alg)]))
+    for m_p in picked[1:]:
+        assert np.abs(np.einsum("na,na->n", m_p, picked[0])) == pytest.approx(np.ones(6), abs=1e-9)
+
+
 def _metamorphic_case(name):
     """A tetrahedral centre (3-fold Gram spectrum), a single dipole (a plane family) or a
     pair seen from its bisector plane (two isolated planes), rescaled so that the
