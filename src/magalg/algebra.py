@@ -664,11 +664,16 @@ def find_invariant_planes_batch(algs) -> list[list[PlanarStructure]]:
     return [a.memo[key] for a in algs]
 
 
+def _sign_free_keys(ns) -> np.ndarray:
+    """Each row n of (m, 3) ns rounded to 9 decimals, signed so its first nonzero component is positive; the same for -n."""
+    r = np.round(ns, 9)
+    lead = r[np.arange(len(r)), (r != 0.0).argmax(axis=1)]
+    return np.where((lead < 0.0)[:, None], -r, r)
+
+
 def _sign_free_key(n) -> tuple:
-    """n rounded to 9 decimals, signed so its first nonzero component is positive; the same for -n."""
-    r = np.round(n, 9)
-    nonzero = np.flatnonzero(r)
-    return tuple(-r if nonzero.size and r[nonzero[0]] < 0.0 else r)
+    """The _sign_free_keys row of one vector n, as a tuple."""
+    return tuple(_sign_free_keys(np.reshape(n, (1, 3)))[0].tolist())
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,7 +36,7 @@ from .algebra import (
     PlanarStructure,
     _EIGEN_TOL,
     _distinct,
-    _sign_free_key,
+    _sign_free_keys,
     find_invariant_planes_batch,
     gram_spectrum,
     self_eigenvectors,
@@ -231,7 +231,7 @@ def _plane_maxima(algs, planes, e1, e2, a, b, c):
     Row j of one (planes, angles) array holds theta = 0 and the angles of
     the Z-eigenvectors of algs[j], padded with theta = 0.  The value is
     the largest of a row; the moment, among the angles whose values are
-    within _EIGEN_TOL of it, the first by _sign_free_key, as tied planes
+    within _EIGEN_TOL of it, the first by _sign_free_keys, as tied planes
     are ordered.  So maxima that symmetry makes equal give one moment on
     an operator within _EIGEN_TOL of the symmetric one, whose
     Z-eigenvectors the solve does not tell apart from its own; a 1e-12
@@ -250,14 +250,12 @@ def _plane_maxima(algs, planes, e1, e2, a, b, c):
     ct, st = np.cos(angle), np.sin(angle)
     norm_p = np.array([[p.norm_P] for p in planes])
     vals = in_plane_abs(a[:, None] * ct * ct + 2.0 * b[:, None] * ct * st + c[:, None] * st * st, norm_p * ct)
-    rows, i = np.arange(len(planes)), vals.argmax(axis=1)
-    best = vals[rows, i]
-    moment = canonical_sign(ct[rows, i][:, None] * e1 + st[rows, i][:, None] * e2)
-    tied = (vals >= best[:, None] * (1.0 - _EIGEN_TOL)) & (np.arange(angle.shape[1]) <= np.array(counts)[:, None])
-    for j in np.flatnonzero(tied.sum(axis=1) > 1).tolist():
-        k = np.flatnonzero(tied[j])
-        moment[j] = min(canonical_sign(ct[j, k, None] * e1[j] + st[j, k, None] * e2[j]), key=_sign_free_key)
-    return best, moment
+    best = vals.max(axis=1)
+    j, k = np.nonzero((vals >= best[:, None] * (1.0 - _EIGEN_TOL)) & (np.arange(angle.shape[1]) <= np.c_[counts]))
+    moments = canonical_sign(ct[j, k, None] * e1[j] + st[j, k, None] * e2[j])
+    key = _sign_free_keys(moments)
+    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0], j))  # stable: the first of equal keys leads
+    return best, moments[order[np.flatnonzero(np.diff(j[order], prepend=-1))]]
 
 
 def plane_gram_moment(alg: MagneticAlgebra, plane: PlanarStructure):
