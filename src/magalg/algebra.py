@@ -91,7 +91,7 @@ def plane_residual_batch(alg, ns) -> np.ndarray:
     one per row of ns.
     """
     ns = np.asarray(ns, dtype=float)
-    ns = ns / np.linalg.norm(ns, axis=-1, keepdims=True)
+    ns = ns / np.sqrt(np.add.reduce(ns * ns, axis=-1, keepdims=True))  # np.linalg.norm's arithmetic
     k = cross_matrices(ns)
     images = getattr(alg, "basis_images", alg)
     f = np.einsum("nk,kab->nab" if images.ndim == 3 else "nk,nkab->nab", ns, images)
@@ -105,8 +105,9 @@ class PlanarStructure:
 
     n_hat is the unit normal, P = F_n n the coupling vector (perpendicular
     to n_hat on an exactly invariant plane), and when the in-plane part
-    of P is nonzero (P_hat, Q_hat) complete n_hat to an orthonormal frame,
-    P_hat along that part and Q_hat spanning the kernel of F_n.
+    of P is nonzero (P_hat, Q_hat) complete n_hat to a right-handed
+    orthonormal frame, P_hat along that part and Q_hat = n_hat x P_hat
+    spanning the kernel of F_n.
     degenerate marks members of a continuous family of planes.
     """
 
@@ -154,7 +155,7 @@ def _planar_structures(algs, ns, res, degenerate) -> list[PlanarStructure]:
     """
     if not len(algs):
         return []
-    n = unit(ns)
+    n = canonical_sign(unit(ns))
     f = np.einsum("nk,nkab->nab", n, np.array([a.basis_images for a in algs]))
     p = (f @ n[:, :, None])[:, :, 0]
     norm_p = np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0, 0]
@@ -165,7 +166,7 @@ def _planar_structures(algs, ns, res, degenerate) -> list[PlanarStructure]:
     p_hat = in_plane / np.where(framed, norm_in, 1.0)[:, None]
     q_hat = cross(n, p_hat)
     return [PlanarStructure(*row, ph if fr else None, qh if fr else None, float(r), g, bool(d))
-            for *row, ph, qh, fr, r, g, d in zip(canonical_sign(n), p, norm_p.tolist(), p_hat, q_hat, framed,
+            for *row, ph, qh, fr, r, g, d in zip(n, p, norm_p.tolist(), p_hat, q_hat, framed,
                                                  res, gram_eigenvalue.tolist(), degenerate)]
 
 
@@ -643,7 +644,7 @@ def find_invariant_planes_batch(algs) -> list[list[PlanarStructure]]:
         kept = [found[i] for i in _distinct_rows(candidates[found], 1e-9)] if circled else found
         family, isolated = start + n_found, len(kept)
         if n_family:  # the isolated normals lead and are all kept, so the family normals follow them
-            n_hat = canonical_sign(unit(canonical_sign(candidates[kept])))  # of their planes
+            n_hat = canonical_sign(unit(candidates[kept]))  # of their planes
             normals = np.concatenate([n_hat, candidates[family:family + n_family]])
             kept += [family + i - isolated for i in _distinct_rows(normals, 1e-9)[isolated:]]
         start = family + n_family + n_lowest
@@ -653,8 +654,7 @@ def find_invariant_planes_batch(algs) -> list[list[PlanarStructure]]:
     bad = [i for i in rows if values[i] > threshold[owner[i]]]
     if bad:
         raise NotInvariantPlaneError(values[bad[0]], threshold[owner[bad[0]]])
-    planes = iter(_planar_structures([todo[owner[i]] for i in rows], canonical_sign(candidates[rows]), res[rows],
-                                     degenerate))
+    planes = iter(_planar_structures([todo[owner[i]] for i in rows], candidates[rows], res[rows], degenerate))
     for alg, (n_planes, n_lowest) in zip(todo, sizes):
         out = sorted(itertools.islice(planes, n_planes), key=lambda p: p.gram_eigenvalue)
         alg.memo[("family_lowest",)] = list(itertools.islice(planes, n_lowest))

@@ -96,17 +96,16 @@ class WorstCase(NamedTuple):
 
 def _worst_case(alg: MagneticAlgebra, x, complete=False) -> WorstCase:
     """The triple at moment x, with m_bar the principal eigenvector of F_x and value ||F_x m_bar||."""
-    return _worst_cases(alg.basis_images[None], np.asarray(x, dtype=float)[None], [complete])[0]
+    return _worst_cases(alg.basis_images[None], canonical_sign(x)[None], [complete])[0]
 
 
 def _worst_cases(images, x, complete) -> list[WorstCase]:
-    """_worst_case at each row x[j] of (n, 3) x, of basis images images[j], with complete[j], as one pass over arrays."""
-    m_bar_moment = canonical_sign(x)
-    f = np.einsum("nk,nkab->nab", m_bar_moment, images)
+    """_worst_case at each sign-canonical row x[j] of (n, 3) x, of basis images images[j], with complete[j], as arrays."""
+    f = np.einsum("nk,nkab->nab", x, images)
     _, m_bar = principal_axis(f)
     g = f @ m_bar[:, :, None]
     value = np.sqrt(g.transpose(0, 2, 1) @ g)[:, 0, 0]  # as np.linalg.norm of one vector rounds it
-    return [WorstCase(*row) for row in zip(value.tolist(), m_bar_moment, m_bar, complete)]
+    return [WorstCase(*row) for row in zip(value.tolist(), x, m_bar, complete)]
 
 
 def lambda_bar_exact(alg: MagneticAlgebra) -> WorstCase:
@@ -146,7 +145,7 @@ def lambda_bar_exact_batch(algs) -> list[WorstCase]:
         tau = np.abs(m[:, None, :] @ f @ m[:, :, None])[:, 0, 0].tolist()  # x^T F_x x, as x @ F_x @ x rounds it
         ends = itertools.accumulate(counts)
         best = [max(range(end - n, end), key=tau.__getitem__) for n, end in zip(counts, ends)]  # the first best
-        for a, wc in zip(todo, _worst_cases(images, m[best], [sol.complete for sol in sols])):
+        for a, wc in zip(todo, _worst_cases(images, m[best], [sol.complete for sol in sols])):  # moments are sign-canonical
             a.memo[key] = wc
     return [a.memo[key] for a in algs]
 
@@ -246,16 +245,23 @@ def _plane_maxima(algs, planes, e1, e2, a, b, c):
         # x @ e of the planes with k moments as one stacked matmul, which rounds as one plane's does
         sel = [j for j, n in enumerate(counts) if n == k]
         x = np.array([moments[j] for j in sel])
+        if len(sel) == len(planes):
+            sel = slice(None)  # a view, not a gather
         angle[sel, 1:k + 1] = np.arctan2(*((x @ e[sel, :, None])[..., 0] for e in (e2, e1)))
     ct, st = np.cos(angle), np.sin(angle)
     norm_p = np.array([[p.norm_P] for p in planes])
     vals = in_plane_abs(a[:, None] * ct * ct + 2.0 * b[:, None] * ct * st + c[:, None] * st * st, norm_p * ct)
     best = vals.max(axis=1)
-    j, k = np.nonzero((vals >= best[:, None] * (1.0 - _EIGEN_TOL)) & (np.arange(angle.shape[1]) <= np.c_[counts]))
-    moments = canonical_sign(ct[j, k, None] * e1[j] + st[j, k, None] * e2[j])
-    key = _sign_free_keys(moments)
+    j, k = np.nonzero((vals >= best[:, None] * (1.0 - _EIGEN_TOL)) & (np.arange(angle.shape[1]) <= np.array(counts)[:, None]))
+    tied = canonical_sign(ct[j, k, None] * e1[j] + st[j, k, None] * e2[j])
+    if len(j) == len(planes):  # one moment a plane
+        return best, tied
+    key = _sign_free_keys(tied)
     order = np.lexsort((key[:, 2], key[:, 1], key[:, 0], j))  # stable: the first of equal keys leads
-    return best, moments[order[np.flatnonzero(np.diff(j[order], prepend=-1))]]
+    j = j[order]
+    first = np.ones(len(j), dtype=bool)
+    first[1:] = j[1:] != j[:-1]
+    return best, tied[order[first]]
 
 
 def plane_gram_moment(alg: MagneticAlgebra, plane: PlanarStructure):

@@ -47,10 +47,13 @@ def canonical_sign(v) -> Vec3:
     return np.where((v[np.arange(len(v)), i] < 0.0)[:, None], -v, v)
 
 
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # component i + 1 and i - 1, cyclically
+
+
 def cross(a, b) -> np.ndarray:
     """Cross product of 3-vectors or of the rows of (..., 3) arrays, with np.cross's arithmetic and less overhead."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 def cross_matrices(ns) -> np.ndarray:
