@@ -609,7 +609,9 @@ def find_invariant_planes_batch(algs) -> list[list[PlanarStructure]]:
     if any(a.is_trivial() for a in todo):
         raise TrivialAlgebraError("trivial algebra")
     threshold = [PLANARITY_TOL * a.scale for a in todo]
-    candidates, counts, owner = [], [], []
+    # the rows of each algebra: its simple Gram eigenvectors and circle normals, then the family
+    # representatives of its circles, then each family's lowest normal
+    candidates, counts, owner, circled = [], [], [], []
     for i, (alg, gs, limit) in enumerate(zip(todo, gram_spectra(todo), threshold)):
         v, groups = gs.eigenvectors, _group_eigenvalues(gs.eigenvalues.tolist(), _PLANE_GROUP_RTOL)
         found, family, lowest = [v[:, [g[0] for g in groups if len(g) == 1]].T], [], []
@@ -624,31 +626,30 @@ def find_invariant_planes_batch(algs) -> list[list[PlanarStructure]]:
             family.extend(reps)
             lowest.extend(lows)
         candidates += [*found, *(np.reshape(c, (-1, 3)) for c in (family, lowest) if c)]
-        counts.append((sum(map(len, found)), len(family), len(lowest), len(found) > 1))
-        owner += [i] * sum(counts[-1][:3])
-    raw = np.concatenate(candidates)
+        counts.append((sum(map(len, found)), len(family), len(lowest)))
+        owner += [i] * sum(counts[-1])
+        circled.append(len(found) > 1)
     # several circles can pass through one normal and locate it with different accuracy: the most accurate
     # comes first, so dedupe keeps it; each is scored as the unit normal its plane is built from, but a
     # family's lowest normal as found
-    candidates, start, lowest = unit(raw), 0, []
-    for n_found, n_family, n_lowest, _ in counts:
-        start += n_found + n_family + n_lowest
-        lowest += range(start - n_lowest, start)
+    raw = np.concatenate(candidates)
+    ends = list(itertools.accumulate(map(sum, counts)))
+    lowest = [i for (*_, n_lowest), end in zip(counts, ends) for i in range(end - n_lowest, end)]
+    candidates = unit(raw)
     if lowest:
         candidates[lowest] = raw[lowest]
     res = plane_residual_batch(np.array([a.basis_images for a in todo])[owner], candidates)
-    values, rows, degenerate, sizes, start = res.tolist(), [], [], [], 0
-    for limit, (n_found, n_family, n_lowest, circled) in zip(threshold, counts):
-        found = sorted((i for i in range(start, start + n_found) if values[i] <= limit), key=values.__getitem__)
-        # the simple Gram eigenvectors are orthonormal: only circle normals can repeat
-        kept = [found[i] for i in _distinct_rows(candidates[found], 1e-9)] if circled else found
-        family, isolated = start + n_found, len(kept)
+    values, rows, degenerate, sizes = res.tolist(), [], [], []
+    for limit, (n_found, n_family, n_lowest), end, circles in zip(threshold, counts, ends, circled):
+        start, family = end - n_found - n_family - n_lowest, end - n_family - n_lowest
+        kept = sorted((i for i in range(start, family) if values[i] <= limit), key=values.__getitem__)
+        if circles:  # the simple Gram eigenvectors alone are orthonormal
+            kept = [kept[i] for i in _distinct_rows(candidates[kept], 1e-9)]
         if n_family:  # the isolated normals lead and are all kept, so the family normals follow them
-            n_hat = canonical_sign(unit(candidates[kept]))  # of their planes
-            normals = np.concatenate([n_hat, candidates[family:family + n_family]])
+            isolated = len(kept)
+            normals = np.concatenate([canonical_sign(unit(candidates[kept])), candidates[family:family + n_family]])
             kept += [family + i - isolated for i in _distinct_rows(normals, 1e-9)[isolated:]]
-        start = family + n_family + n_lowest
-        rows += kept + list(range(family + n_family, start))
+        rows += kept + list(range(end - n_lowest, end))
         degenerate += [i >= family for i in kept] + [False] * n_lowest
         sizes.append((len(kept), n_lowest))
     bad = [i for i in rows if values[i] > threshold[owner[i]]]
@@ -658,9 +659,9 @@ def find_invariant_planes_batch(algs) -> list[list[PlanarStructure]]:
     for alg, (n_planes, n_lowest) in zip(todo, sizes):
         out = sorted(itertools.islice(planes, n_planes), key=lambda p: p.gram_eigenvalue)
         alg.memo[("family_lowest",)] = list(itertools.islice(planes, n_lowest))
-        ties = _group_eigenvalues([p.gram_eigenvalue for p in out], GRAM_DEGENERACY_RTOL) if len(out) > 1 else [[0]] * len(out)
+        ties = _group_eigenvalues([p.gram_eigenvalue for p in out], GRAM_DEGENERACY_RTOL) if out else []
         alg.memo[key] = [out[i] for tie in ties[::-1]
-                         for i in (sorted(tie, key=lambda i: _sign_free_key(out[i].n_hat)) if len(tie) > 1 else tie)]
+                         for i in (tie if len(tie) == 1 else sorted(tie, key=lambda i: _sign_free_key(out[i].n_hat)))]
     return [a.memo[key] for a in algs]
 
 
