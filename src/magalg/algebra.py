@@ -666,7 +666,7 @@ def find_invariant_planes_batch(algs) -> list[list[PlanarStructure]]:
 
 
 def _sign_free_keys(ns) -> np.ndarray:
-    """Each row n of (m, 3) ns rounded to 9 decimals, signed so its first nonzero component is positive; the same for -n."""
+    """Each row n of (m, 3) ns rounded to 9 decimals, signed so its first nonzero component is positive: -n has the same."""
     r = np.round(ns, 9)
     lead = r[np.arange(len(r)), (r != 0.0).argmax(axis=1)]
     return np.where((lead < 0.0)[:, None], -r, r)

@@ -180,11 +180,11 @@ def config_positions(data) -> np.ndarray:
 
 
 def _vec(v):
-    return [float(x) + 0.0 for x in np.asarray(v).ravel()]  # +0.0 drops -0.0
+    return [x + 0.0 for x in np.asarray(v, dtype=float).ravel().tolist()]  # +0.0 drops -0.0
 
 
 def _mat(m):
-    return [[float(x) for x in row] for row in np.asarray(m)]
+    return np.asarray(m, dtype=float).tolist()
 
 
 def _primary_plane(reports) -> int:

@@ -100,7 +100,7 @@ def _worst_case(alg: MagneticAlgebra, x, complete=False) -> WorstCase:
 
 
 def _worst_cases(images, x, complete) -> list[WorstCase]:
-    """_worst_case at each sign-canonical row x[j] of (n, 3) x, of basis images images[j], with complete[j], as arrays."""
+    """_worst_case at each sign-canonical row x[j] of (n, 3) x, of basis images images[j], with complete[j]."""
     f = np.einsum("nk,nkab->nab", x, images)
     _, m_bar = principal_axis(f)
     g = f @ m_bar[:, :, None]
@@ -145,7 +145,8 @@ def lambda_bar_exact_batch(algs) -> list[WorstCase]:
         tau = np.abs(m[:, None, :] @ f @ m[:, :, None])[:, 0, 0].tolist()  # x^T F_x x, as x @ F_x @ x rounds it
         ends = itertools.accumulate(counts)
         best = [max(range(end - n, end), key=tau.__getitem__) for n, end in zip(counts, ends)]  # the first best
-        for a, wc in zip(todo, _worst_cases(images, m[best], [sol.complete for sol in sols])):  # moments are sign-canonical
+        # the moments are sign-canonical
+        for a, wc in zip(todo, _worst_cases(images, m[best], [sol.complete for sol in sols])):
             a.memo[key] = wc
     return [a.memo[key] for a in algs]
 
@@ -252,7 +253,8 @@ def _plane_maxima(algs, planes, e1, e2, a, b, c):
     norm_p = np.array([[p.norm_P] for p in planes])
     vals = in_plane_abs(a[:, None] * ct * ct + 2.0 * b[:, None] * ct * st + c[:, None] * st * st, norm_p * ct)
     best = vals.max(axis=1)
-    j, k = np.nonzero((vals >= best[:, None] * (1.0 - _EIGEN_TOL)) & (np.arange(angle.shape[1]) <= np.array(counts)[:, None]))
+    real = np.arange(angle.shape[1]) <= np.array(counts)[:, None]  # theta = 0 and the Z-eigenvectors' angles
+    j, k = np.nonzero((vals >= best[:, None] * (1.0 - _EIGEN_TOL)) & real)
     tied = canonical_sign(ct[j, k, None] * e1[j] + st[j, k, None] * e2[j])
     if len(j) == len(planes):  # one moment a plane
         return best, tied
