@@ -815,20 +815,21 @@ def test_analyze_of_several_points_matches_each_point_alone(tmp_path, monkeypatc
     magnets = [[1, 0, 0], [-1, 0, 0], [0.2, 0.9, -0.3]]
     points = [[0.3, 0.2, 0.5], [0.0, 0.0, 0.0], [1.7, 0.4, -0.2]]  # at the origin the pair cancels: zonal
     eigenpoints = algebra._eigenpoints
-    stacks = []
     for magnets, points, want in ((magnets, points, None), (CUBE_AND_FAR_TETRA, *EVERY_BRANCH)):
         alone = [run_analyze(tmp_path, write_config(tmp_path / "one.json", magnets, [p]))[1]["results"][0]
                  for p in points]
+        stacks = []
         monkeypatch.setattr(algebra, "_eigenpoints", lambda t: stacks.append(len(t)) or eigenpoints(t))
         code, rep = run_analyze(tmp_path, write_config(tmp_path / "all.json", magnets, points))
         monkeypatch.undo()
         assert code == EXIT_OK
         assert [json.dumps(r) for r in rep["results"]] == [json.dumps(r) for r in alone]
-        if want is not None:
+        if want is None:
+            assert stacks == [2]  # the zonal operator is solved through its planes
+        else:
             assert [r["branch"] for r in rep["results"]] == want
             assert rep["results"][1]["gram_multiplicity"] == 3 and len(rep["results"][1]["planes"]) == 6
             assert [p["degenerate"] for p in rep["results"][2]["planes"]] == [True] * _FAMILY_SIZE
-    assert stacks[0] == 2  # the zonal operator takes its closed form
 
 
 def _record_draw(rng):
