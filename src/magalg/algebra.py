@@ -12,7 +12,6 @@ everything into the plane.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,8 +48,7 @@ class NotInvariantPlaneError(ValueError):
         self.threshold = float(threshold)
 
 
-@dataclass(frozen=True, eq=False)
-class GramSpectrum:
+class GramSpectrum(NamedTuple):
     """Full eigendecomposition of the Gram matrix of the basis images (alg.gram).
 
     lambda_F is the largest eigenvalue (max of tr F_M^2 over unit M) and
@@ -99,8 +97,7 @@ def plane_residual_batch(alg, ns) -> np.ndarray:
     return np.sqrt(np.einsum("nab,nab->n", r, r))
 
 
-@dataclass(frozen=True, eq=False)
-class PlanarStructure:
+class PlanarStructure(NamedTuple):
     """Frame data of one invariant plane.
 
     n_hat is the unit normal, P = F_n n the coupling vector (perpendicular
@@ -677,8 +674,7 @@ def _sign_free_key(n) -> tuple:
     return tuple(_sign_free_keys(np.reshape(n, (1, 3)))[0].tolist())
 
 
-@dataclass(frozen=True, eq=False)
-class Decomposition:
+class Decomposition(NamedTuple):
     """One member of the family of splits F = E - Pi attached to a plane.
 
     E is equivariant under rotations fixing the coupling vector P and is

@@ -26,8 +26,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,8 +86,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(NamedTuple):
     x: tuple  # (start, stop, count)
     y: tuple
     z: tuple

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -302,8 +301,7 @@ def _gram_moments(planes, e1, e2, a, b, c):
     return m_f, np.where(normal, lam_n, mu)
 
 
-@dataclass(frozen=True, eq=False)
-class ExtremalReport:
+class ExtremalReport(NamedTuple):
     branch: Branch
     lambda_bar: float
     M_bar: np.ndarray
@@ -462,8 +460,7 @@ def _bounds_reports(algs, planes) -> list[ExtremalReport]:
     ]
 
 
-@dataclass(frozen=True, eq=False)
-class Candidate:
+class Candidate(NamedTuple):
     moment: np.ndarray
     kind: CandidateKind
     lambda_abs: float

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import os
 import subprocess
@@ -358,7 +357,7 @@ def test_verify_catches_a_kernel_direction_off_by_1e_11_rad(tmp_path, monkeypatc
 
     def tilted(alg, n_hat):
         plane = exact(alg, n_hat)
-        return dataclasses.replace(plane, Q_hat=plane.Q_hat + 1e-11 * plane.P_hat)  # cos(1e-11) is 1.0
+        return plane._replace(Q_hat=plane.Q_hat + 1e-11 * plane.P_hat)  # cos(1e-11) is 1.0
 
     monkeypatch.setattr(cli, "planar_structure", tilted)
     path = write_config(tmp_path / "pair.json", [[1, 0, 0], [-1, 0, 0]], [[0.3, 0.2, 0.5]])
@@ -433,7 +432,7 @@ def _flip_chain_flag(monkeypatch, which):
     plane_reports = cli.plane_reports
 
     def flipped(alg):
-        return [dataclasses.replace(rep, chain_ok={**rep.chain_ok, "branch_bound": False}) if which(plane) else rep
+        return [rep._replace(chain_ok={**rep.chain_ok, "branch_bound": False}) if which(plane) else rep
                 for plane, rep in zip(cli.find_invariant_planes(alg), plane_reports(alg))]
 
     monkeypatch.setattr(cli, "plane_reports", flipped)
