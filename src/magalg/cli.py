@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import re
@@ -37,11 +38,12 @@ from .algebra import (
     NotInvariantPlaneError,
     decompose,
     find_invariant_planes,
+    find_invariant_planes_batch,
     gram_spectrum,
     planar_structure,
     self_eigenvectors_batch,
 )
-from .corpus import random_coplanar_config, random_mirror_config, random_moments
+from .corpus import random_coplanar_config, random_frame, random_mirror_config, random_moments
 from .dipoles import (
     FORCE_PREFACTOR,
     DipoleConfig,
@@ -60,21 +62,24 @@ from .extremal import (  # bounds_report, lambda_bar_bruteforce and lambda_plane
     bounds_report,
     lambda_bar_bruteforce,
     lambda_bar_exact,
+    lambda_bar_exact_batch,
     lambda_plane,
     locate_candidates,
     plane_reports,
     plane_reports_batch,
     principal_abs,
+    theorem_draws,
     verify_theorems,
 )
 from .linalg3 import rot_about
+from .sphere import fibonacci_sphere
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_SINGULAR = 3
 
-_SOLVE_BLOCK = 1024  # at most this many field points share one stacked Z-eigenvector solve
+_SOLVE_BLOCK = 1024  # at most this many field points, or verify trials, share one stacked Z-eigenvector solve
 
 SWEEP_COLUMNS = [
     "x", "y", "z", "norm_P", "abs_lambda_MF", "lambda_P",
@@ -414,13 +419,8 @@ def _parse_vec(text: str) -> np.ndarray:
         raise ConfigError(f"expected numeric 'x,y,z', got '{text}'") from None
 
 
-_AXES = {"x": np.eye(3)[0], "y": np.eye(3)[1], "z": np.eye(3)[2]}
-
-
 def _parse_axis(text: str) -> np.ndarray:
-    if text in _AXES:
-        return _AXES[text].copy()
-    return _parse_vec(text)
+    return np.eye(3)["xyz".index(text)] if text in ("x", "y", "z") else _parse_vec(text)
 
 
 def _config_json(cfg: DipoleConfig) -> dict:
@@ -463,12 +463,13 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _verify_trial(alg, n_hat, seed) -> dict:
+def _verify_trial(alg, n_hat, seed, draws, sphere) -> dict:
     """name -> (residual, ok) of the check battery on one configuration.
 
     With n_hat None (no invariant plane) only its plane-free part runs:
-    the algebra identities and verify_theorems without a plane.  The
-    identities are exact; each allows IDENTITY_RTOL of its scale.
+    the exact algebra identities, each allowed IDENTITY_RTOL of its scale,
+    and verify_theorems on draws (theorem_draws) and on the lattice sphere
+    turned to a frame that seed draws.
     """
     scale = alg.scale
     out = {
@@ -483,7 +484,8 @@ def _verify_trial(alg, n_hat, seed) -> dict:
         except NotInvariantPlaneError as e:
             return {**out, "planarity_residual": (e.residual, False)}
         out.update(_plane_checks(alg, plane, seed))
-    out.update(verify_theorems(alg, plane, trials=200, seed=seed, n_samples=1500))  # the lattice cross-check
+    lattice = sphere @ random_frame(np.random.default_rng(seed)).T  # the lattice cross-check
+    out.update(verify_theorems(alg, plane, *draws, lattice))
     return out
 
 
@@ -563,26 +565,33 @@ def _verify_draws(args):
 
 
 def cmd_verify(args) -> int:
-    """Run the battery and the weight bracket on each trial; the replay config is the first trial with a failed check."""
+    """Run the battery and the weight bracket on each trial; the replay config is the first trial with a failed check.
+
+    Per block of at most _SOLVE_BLOCK trials, drawn first: one stacked solve of every trial's three
+    operators (its own, the random other and their sum), one plane search of the --config points, then the checks.
+    """
     if args.trials < 1:
         raise ConfigError("trials must be at least 1")
     if args.seed < 0:
         raise ConfigError("seed must be a non-negative integer")
-    accum: dict = {}
-    replay = None
-    for cfg, n_hat, seed in _verify_draws(args):
-        alg = build_algebra(cfg)
-        if alg.is_trivial():
-            continue
-        if n_hat is None:
-            planes = find_invariant_planes(alg)
-            n_hat = planes[0].n_hat if planes else None
-        checks = {**_verify_trial(alg, n_hat, seed), "weight_bracket": _weight_bracket(cfg, alg)}
-        for name, (residual, ok) in checks.items():
-            worst, held = accum.get(name, (-np.inf, True))
-            accum[name] = (max(worst, residual), held and ok)
-        if replay is None and not all(ok for _, ok in checks.values()):
-            replay = _config_json(cfg)
+    accum, replay = {}, None
+    sphere = fibonacci_sphere(1500)  # every trial's lattice, each in its own frame
+    draws = _verify_draws(args)
+    while block := list(itertools.islice(draws, _SOLVE_BLOCK)):
+        trials = [(cfg, alg, n_hat, seed, theorem_draws(alg, seed, 200))
+                  for cfg, n_hat, seed in block if not (alg := build_algebra(cfg)).is_trivial()]
+        lambda_bar_exact_batch([a for _, alg, _, _, (_, other, both) in trials for a in (alg, other, both)])
+        find_invariant_planes_batch([alg for _, alg, n_hat, *_ in trials if n_hat is None])
+        for cfg, alg, n_hat, seed, drawn in trials:
+            if n_hat is None:
+                planes = find_invariant_planes(alg)
+                n_hat = planes[0].n_hat if planes else None
+            checks = {**_verify_trial(alg, n_hat, seed, drawn, sphere), "weight_bracket": _weight_bracket(cfg, alg)}
+            for name, (residual, ok) in checks.items():
+                worst, held = accum.get(name, (-np.inf, True))
+                accum[name] = (max(worst, residual), held and ok)
+            if replay is None and not all(ok for _, ok in checks.values()):
+                replay = _config_json(cfg)
     if not accum:
         raise ConfigError("no field point of the config has a nonzero operator; nothing to verify")
     all_ok = all(ok for _, ok in accum.values())

@@ -265,24 +265,16 @@ def _plane_maxima(algs, planes, e1, e2, a, b, c):
     return best, tied[order[first]]
 
 
-def plane_gram_moment(alg: MagneticAlgebra, plane: PlanarStructure):
-    """Top Gram eigenpair restricted to the normal and the plane.
-
-    The normal is always a Gram eigenvector, so the top eigenvector can
-    be taken either as the normal itself or from the plane; restricting
-    the choice this way keeps the closed form below applicable even when
-    the top eigenvalue is degenerate.  An isotropic in-plane block gives
-    the frame's second axis (Q_hat when P is nonzero), so the choice
-    follows the geometry rather than rounding.  Returns (M_F, lambda_F);
-    the normal's eigenvalue is plane.gram_eigenvalue.  This is the pass
-    of _gram_moments on one plane; not memoized, as lambda_plane.
-    """
-    m_f, lam_f = _gram_moments([plane], *_plane_quadratics([alg], [plane]))
-    return m_f[0], float(lam_f[0])
-
-
 def _gram_moments(planes, e1, e2, a, b, c):
-    """plane_gram_moment of each plane, as arrays (M_F rows, lambda_F), from _plane_quadratics."""
+    """Each plane's top Gram eigenpair restricted to the normal and the plane, as (M_F rows, lambda_F).
+
+    The normal is always a Gram eigenvector, of eigenvalue
+    plane.gram_eigenvalue, so the top eigenvector can be taken either as
+    the normal or from the plane, whose block (a, b, c) _plane_quadratics
+    gives; this keeps the closed form applicable when the top eigenvalue
+    is degenerate.  An isotropic in-plane block gives the frame's second
+    axis (Q_hat when P is nonzero): the geometry chooses, not rounding.
+    """
     lam_n = np.array([p.gram_eigenvalue for p in planes])
     disc = np.hypot(0.5 * (a - c), b)  # squaring Gram entries underflows in the far field
     mu = 0.5 * (a + c) + disc
@@ -504,47 +496,43 @@ def _within(residual, bound):
     return residual, residual <= bound
 
 
-def verify_theorems(
-    alg: MagneticAlgebra,
-    plane: PlanarStructure | None,
-    trials=1000,
-    seed=0,
-    n_samples=2000,
-) -> dict:
+def theorem_draws(alg: MagneticAlgebra, seed, trials):
+    """(ms, other, alg + other) for verify_theorems: default_rng(seed) draws trials unit moments, then other."""
+    rng = np.random.default_rng(seed)
+    ms, other = random_moments(rng, int(trials)), random_algebra(rng)
+    return ms, other, alg + other
+
+
+def verify_theorems(alg: MagneticAlgebra, plane: PlanarStructure | None, ms, other, both, lattice) -> dict:
     """Numerical spot checks of the structural guarantees, on exact worst cases.
 
     (a) the squared chain lambda_MF^2 <= lambda_bar^2 <= (2/3) lambda_F;
-    (b) no sampled moment beats the top Gram moment in magnitude while
+    (b) no moment of ms beats the top Gram moment in magnitude while
     exceeding its spread ratio; (c) ||P|| <= |lambda_MF| <= lambda_P,
-    only with a plane; (d) the worst-case magnitude is subadditive across
-    algebra sums; (e) no moment of the seeded n_samples-point Fibonacci
-    lattice beats lambda_bar.  lambda_bar is lambda_bar_exact throughout,
-    so (a) and (d) need no sampling slack.  Every sample is a lower bound
-    on the true worst case, so (e) holds at rounding unless the
-    Z-eigenvector solve missed the maximizer.  (a) and (c) allow
-    CHAIN_RTOL, as the chain flags do, and the others IDENTITY_RTOL of
-    their scale.  Returns name -> (residual, ok), each residual signed
-    (negative means margin); that of (e) is relative to lambda_bar.  The
-    rng draws the moments of (b) and then the algebra other of (d); the
-    worst cases of alg, other and alg + other come from one
-    lambda_bar_exact_batch call, so their Z-eigenvectors from one
-    self_eigenvectors_batch call.
+    only with a plane; (d) lambda_bar is subadditive: both = alg + other;
+    (e) no unit moment of lattice beats lambda_bar.  lambda_bar is
+    lambda_bar_exact throughout, so (a) and (d) need no sampling slack,
+    and (e) holds at rounding unless the Z-eigenvector solve missed the
+    maximizer.  (a) and (c) allow CHAIN_RTOL, as the chain flags do, and
+    the others IDENTITY_RTOL of their scale.  Returns name -> (residual,
+    ok), each residual signed (negative means margin); that of (e) is
+    relative to lambda_bar.  The worst cases of alg, other and both come
+    from one lambda_bar_exact_batch call (a memo read once the caller
+    solved them), and the plane's Gram moment and lambda_P from one
+    _plane_quadratics call.
     """
-    rng = np.random.default_rng(seed)
-    checks = {}
     if alg.is_trivial():
         zero = (0.0, True)  # vacuous on the zero operator
         return {k: zero for k in ("squares_bracket", "spread_ordering", "subadditive", "exact_above_lattice")}
 
-    # the draws keep their order; the three worst cases share one stacked solve
-    ms = random_moments(rng, int(trials))
-    other = random_algebra(rng)
-    lam_bar, lam_1, lam_01 = (wc.lambda_bar for wc in lambda_bar_exact_batch([alg, other, alg + other]))
-    gs = gram_spectrum(alg)
-
+    checks = {}
+    lam_bar, lam_1, lam_01 = (wc.lambda_bar for wc in lambda_bar_exact_batch([alg, other, both]))
     if plane is not None:
-        m_f, lam_f = plane_gram_moment(alg, plane)
+        quadratics = _plane_quadratics([alg], [plane])
+        m_f, lam_f = _gram_moments([plane], *quadratics)
+        m_f, lam_f = m_f[0], float(lam_f[0])
     else:
+        gs = gram_spectrum(alg)
         m_f, lam_f = gs.M_F, gs.lambda_F
     lam_mf, delta_mf, r_mf = (float(x[0]) for x in principal_split_batch(alg, m_f[None, :]))
     abs_mf = abs(lam_mf)
@@ -559,15 +547,13 @@ def verify_theorems(
     checks["spread_ordering"] = _within(res_b, IDENTITY_RTOL)  # spread ratios lie in [0, 1]
 
     if plane is not None:
-        pm = lambda_plane(alg, plane)
-        tol_c = CHAIN_RTOL * max(pm.value, 1e-300)
-        res_c = max(plane.norm_P - abs_mf, abs_mf - pm.value)
-        checks["plane_chain"] = _within(float(res_c), tol_c)
+        lam_p = float(_plane_maxima([alg], [plane], *quadratics)[0][0])
+        res_c = max(plane.norm_P - abs_mf, abs_mf - lam_p)
+        checks["plane_chain"] = _within(float(res_c), CHAIN_RTOL * max(lam_p, 1e-300))
 
     res_d = lam_01 - lam_bar - lam_1
     checks["subadditive"] = _within(float(res_d), IDENTITY_RTOL * (lam_bar + lam_1))
 
-    lattice = fibonacci_sphere(n_samples) @ random_frame(np.random.default_rng(seed)).T
     res_e = float(np.abs(principal_split_batch(alg, lattice)[0]).max()) / lam_bar - 1.0
     checks["exact_above_lattice"] = _within(res_e, IDENTITY_RTOL)
     return checks

@@ -27,7 +27,6 @@ from magalg.extremal import (
     bounds_report,
     lambda_bar_bruteforce,
     lambda_bar_exact,
-    plane_gram_moment,
     principal_abs,
     principal_split_batch,
 )
@@ -254,9 +253,9 @@ def test_criterion_7_gram_moment_closed_form():
         cfg, n_hat = random_coplanar_config(rng)
         alg = build_algebra(cfg)
         plane = planar_structure(alg, n_hat)
-        m_f, _ = plane_gram_moment(alg, plane)
-        closed = bounds_report(alg, plane).abs_lambda_MF
-        direct = principal_abs(alg, m_f)
+        rep = bounds_report(alg, plane)  # its M_F is the top Gram moment restricted to the normal and the plane
+        closed = rep.abs_lambda_MF
+        direct = principal_abs(alg, rep.M_F)
         worst = max(worst, abs(closed - direct) / alg.scale)
     ok = worst <= 1e-9
     report(7, ok, f"500 planar configs: closed form vs direct {worst:.1e} (rel to scale)")
@@ -283,7 +282,8 @@ def test_criterion_8_subadditivity_and_spread_ordering():
         cfg, n_hat = random_coplanar_config(rng, n_min=2)
         alg = build_algebra(cfg)
         plane = planar_structure(alg, n_hat)
-        m_f, lam_f = plane_gram_moment(alg, plane)
+        rep = bounds_report(alg, plane)
+        m_f, lam_f = rep.M_F, rep.lambda_F
         lam_mf, _, r_mf = (float(x[0]) for x in principal_split_batch(alg, m_f[None, :]))
         ms = random_moments(rng, 100)
         lam, _, r = principal_split_batch(alg, ms)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from magalg import cli, extremal
-from magalg.algebra import _FAMILY_SIZE, planar_structure
+from magalg.algebra import _FAMILY_SIZE, find_invariant_planes, planar_structure
 from magalg.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -22,6 +22,7 @@ from magalg.cli import (
 )
 from magalg.corpus import random_mirror_config
 from magalg.dipoles import DipoleConfig, build_algebra
+from magalg.sphere import fibonacci_sphere
 
 
 # five coplanar magnets; at (0.24, 1.2, 0) a 2000-sample oracle falls short by 3e-8 relative
@@ -381,7 +382,7 @@ def test_verify_decomposition_checks_allow_rounding_of_the_operator_not_of_gamma
     alg = build_algebra(cfg)
     assert alg.scale == pytest.approx(2.0e4, rel=0.05)
     assert planar_structure(alg, n_hat).norm_P == pytest.approx(9.5e3, rel=0.05)
-    checks = cli._verify_trial(alg, n_hat, 38)
+    checks = cli._verify_trial(alg, n_hat, 38, extremal.theorem_draws(alg, 38, 200), fibonacci_sphere(1500))
     assert all(ok for _, ok in checks.values())
     exact = algebra.Decomposition.equivariant_part
 
@@ -390,7 +391,7 @@ def test_verify_decomposition_checks_allow_rounding_of_the_operator_not_of_gamma
         return exact(self, M) + 1e-10 * self.algebra.scale * np.outer(n, n)
 
     monkeypatch.setattr(algebra.Decomposition, "equivariant_part", shifted)
-    checks = cli._verify_trial(alg, n_hat, 38)
+    checks = cli._verify_trial(alg, n_hat, 38, extremal.theorem_draws(alg, 38, 200), fibonacci_sphere(1500))
     # n n^T also leaves the plane, as n^T Pi(M)
     assert [name for name, (_, ok) in checks.items() if not ok] == ["decomposition_into_plane",
                                                                     "decomposition_equivariance"]
@@ -1010,10 +1011,12 @@ def _miss_the_maximizer(monkeypatch):
 
 def test_lattice_cross_check_catches_a_missed_maximizer(tmp_path, monkeypatch, capsys):
     """A solve that misses the maximizing Z-eigenvectors fails verify, and the config is printed for replay."""
+    from test_extremal import theorems
+
     _miss_the_maximizer(monkeypatch)
     cfg, n_hat = random_mirror_config(np.random.default_rng(4))  # second-best Z-eigenvalue at 0.91 of the best
     alg = build_algebra(cfg)
-    checks = extremal.verify_theorems(alg, planar_structure(alg, n_hat), trials=200, seed=0, n_samples=1500)
+    checks = theorems(alg, planar_structure(alg, n_hat), 200, 0, 1500)
     residual, ok = checks["exact_above_lattice"]
     assert not ok
     assert residual > 0.05
@@ -1039,6 +1042,71 @@ def test_weight_bracket_catches_a_missed_maximizer_at_the_far_magnet(tmp_path, m
     out = capsys.readouterr().out
     assert "weight_bracket: VIOLATION" in out
     assert "verify: FAIL" in out
+
+
+def _verify_trials_alone(argv):
+    """(cfg, name -> (residual, ok)) of each nonzero trial of verify argv, in draw order, each solved alone."""
+    sphere = fibonacci_sphere(1500)
+    out = []
+    for cfg, n_hat, seed in cli._verify_draws(cli._parser().parse_args(["verify", *argv])):
+        alg = build_algebra(cfg)
+        if alg.is_trivial():
+            continue
+        if n_hat is None:
+            planes = find_invariant_planes(alg)
+            n_hat = planes[0].n_hat if planes else None
+        draws = extremal.theorem_draws(alg, seed, 200)
+        out.append((cfg, {**cli._verify_trial(alg, n_hat, seed, draws, sphere),
+                          "weight_bracket": cli._weight_bracket(cfg, alg)}))
+    return out
+
+
+# a cube of magnets, a regular tetrahedron 1e4 away and a pair 1e4 away the other way; the field
+# points are the cube's centre (a zero operator), the tetrahedron's centre (a 3-fold Gram spectrum),
+# a point off the pair's axis, a point on no mirror plane and two on one
+SEVERAL_KINDS = (CUBE_AND_FAR_TETRA + [[-1e4 - 1, 0, 0], [-1e4 + 1, 0, 0]],
+                 [[0, 0, 0], [1e4, 0, 0], [-1e4, 0.5, 0.3], [0.3, 0.2, 0.5], [0.3, 0.1, 0], [0.7, 0.7, 0.2]])
+
+
+@pytest.mark.parametrize("config", [False, True])
+def test_a_stacked_verify_run_prints_what_its_trials_give_alone(tmp_path, monkeypatch, capsys, config):
+    """verify solves a block of trials as one stack, one _eigenpoints call a block, and
+    prints, bitwise, the worst residual over its trials of each check as solved alone."""
+    from magalg import algebra
+
+    if config:
+        argv = ["--config", str(write_config(tmp_path / "several.json", *SEVERAL_KINDS))]
+        n = len(SEVERAL_KINDS[1])
+        assert [cli.analyze_point(DipoleConfig(SEVERAL_KINDS[0], p))["branch"] for p in SEVERAL_KINDS[1]] == [
+            "DEGENERATE", "P_DOMINANT", "PLANE_DOMINANT", "NONPLANAR", "P_DOMINANT", "PLANE_DOMINANT"]
+    else:
+        argv, n = ["--trials", "7", "--seed", "12"], 7
+    worst = {}
+    for _, checks in _verify_trials_alone(argv):
+        for name, (residual, ok) in checks.items():
+            assert ok
+            worst[name] = max(worst.get(name, -np.inf), residual)
+    assert "plane_chain" in worst
+    want = [f"{name}: ok worst_residual={worst[name]!r}" for name in sorted(worst)] + ["verify: PASS"]
+    eigenpoints = algebra._eigenpoints
+    for block, blocks in ((cli._SOLVE_BLOCK, 1), (2, -(-n // 2))):
+        stacks = []
+        monkeypatch.setattr(cli, "_SOLVE_BLOCK", block)
+        monkeypatch.setattr(algebra, "_eigenpoints", lambda t: stacks.append(len(t)) or eigenpoints(t))
+        assert main(["verify", *argv]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == want
+        assert len(stacks) == blocks
+
+
+def test_verify_replays_the_first_failing_trial_in_draw_order(monkeypatch, capsys):
+    """With the maximizer missed, the replay config on stderr is that of the first trial
+    that fails, in the order of the draws, whatever order the stacked solve takes."""
+    _miss_the_maximizer(monkeypatch)
+    trials = _verify_trials_alone(["--trials", "4"])
+    first = next(cfg for cfg, checks in trials if not all(ok for _, ok in checks.values()))
+    assert main(["verify", "--trials", "4"]) == EXIT_VIOLATION
+    err = capsys.readouterr().err.splitlines()
+    assert err[-2:] == ["offending config for replay:", json.dumps(cli._config_json(first))]
 
 
 def test_verify_with_config(tmp_path, single_dipole_json, capsys):

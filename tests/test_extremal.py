@@ -35,9 +35,9 @@ from magalg.extremal import (
     lambda_bar_exact,
     lambda_plane,
     locate_candidates,
-    plane_gram_moment,
     principal_abs,
     principal_split_batch,
+    theorem_draws,
     verify_theorems,
 )
 from magalg.linalg3 import det3, principal_split, rot_about
@@ -49,6 +49,13 @@ SQRT2 = np.sqrt(2.0)
 @pytest.fixture
 def dipole_plane(single_dipole_algebra):
     return planar_structure(single_dipole_algebra, [0.0, 1.0, 0.0])
+
+
+def theorems(alg, plane, trials, seed, n_samples):
+    """verify_theorems of alg on the draws of seed, as verify makes them: trials moments, the
+    other algebra, and the n_samples-point Fibonacci lattice in the frame that seed draws."""
+    lattice = fibonacci_sphere(n_samples) @ random_frame(np.random.default_rng(seed)).T
+    return verify_theorems(alg, plane, *theorem_draws(alg, seed, trials), lattice)
 
 
 def closed_form_dipole_abs(cos_theta):
@@ -241,8 +248,9 @@ def test_lambda_plane_degenerate_frame(rng):
 
 def test_closed_form_lambda_mf_single_dipole(single_dipole_algebra, dipole_plane):
     # (|P.M_F| + sqrt(2 tr F^2 - 3 |P.M_F|^2)) / 2 = (1 + 3) / 2
-    assert bounds_report(single_dipole_algebra, dipole_plane).abs_lambda_MF == pytest.approx(2.0, abs=1e-13)
-    m_f, lam_f = plane_gram_moment(single_dipole_algebra, dipole_plane)
+    rep = bounds_report(single_dipole_algebra, dipole_plane)
+    assert rep.abs_lambda_MF == pytest.approx(2.0, abs=1e-13)
+    m_f, lam_f = rep.M_F, rep.lambda_F
     assert lam_f == pytest.approx(6.0, abs=1e-13)
     assert np.allclose(np.abs(m_f), [0, 0, 1.0], atol=1e-12)
 
@@ -255,7 +263,7 @@ def test_closed_form_normal_case_returns_norm_p():
     cfg = gen_mirror_symmetric([([0.6, 0.0, 0.0], 1.5)], [], [0, 0, 1.0])
     alg = build_algebra(cfg)
     plane = planar_structure(alg, [0, 0, 1.0])
-    m_f, lam_f = plane_gram_moment(alg, plane)
+    m_f = bounds_report(alg, plane).M_F  # the top Gram moment restricted to the normal and the plane
     if abs(float(m_f @ plane.n_hat)) > 0.99:  # normal-dominant geometry
         assert bounds_report(alg, plane).abs_lambda_MF == pytest.approx(plane.norm_P, rel=1e-12)
 
@@ -265,9 +273,9 @@ def test_closed_form_matches_direct_on_random_planar(rng):
         cfg, n_hat = random_coplanar_config(rng)
         alg = build_algebra(cfg)
         plane = planar_structure(alg, n_hat)
-        m_f, _ = plane_gram_moment(alg, plane)
-        closed = bounds_report(alg, plane).abs_lambda_MF
-        direct = principal_abs(alg, m_f)
+        rep = bounds_report(alg, plane)
+        closed = rep.abs_lambda_MF
+        direct = principal_abs(alg, rep.M_F)
         assert abs(closed - direct) <= 1e-9 * alg.scale
 
 
@@ -790,9 +798,9 @@ def test_verify_theorems_solves_its_three_operators_as_one_stack(monkeypatch):
     monkeypatch.setattr(algebra, "_eigenpoints", lambda t: solves.append(len(t)) or eigenpoints(t))
     cfg, n_hat = random_mirror_config(np.random.default_rng(4))
     alg = build_algebra(cfg)
-    verify_theorems(alg, planar_structure(alg, n_hat), trials=50, seed=3, n_samples=500)
-    [(first, other, both)] = stacks
-    assert first is alg
+    ms, other, both = theorem_draws(alg, 3, 50)
+    verify_theorems(alg, planar_structure(alg, n_hat), ms, other, both, fibonacci_sphere(500))
+    assert stacks == [[alg, other, both]]
     assert np.array_equal(both.basis_images, alg.basis_images + other.basis_images)
     assert solves == [3]  # the three worst cases read that one solve
 
@@ -853,14 +861,14 @@ def test_detzero_candidates_have_sqrt_half_energy(rng):
 
 
 def test_verify_theorems_single_dipole(single_dipole_algebra, dipole_plane):
-    checks = verify_theorems(single_dipole_algebra, dipole_plane, trials=500, seed=0, n_samples=2000)
+    checks = theorems(single_dipole_algebra, dipole_plane, 500, 0, 2000)
     assert all(ok for _, ok in checks.values()), {k: v for k, v in checks.items() if not v[1]}
     # the dipole sits exactly on the chain boundary: zero residual
     assert checks["plane_chain"][0] <= 1e-12
 
 
 def test_verify_theorems_trivial(antipodal_config):
-    checks = verify_theorems(build_algebra(antipodal_config), None)
+    checks = theorems(build_algebra(antipodal_config), None, 1000, 0, 2000)
     assert all(ok for _, ok in checks.values())
 
 
@@ -869,7 +877,7 @@ def test_verify_theorems_random_planar(rng):
         cfg, n_hat = random_mirror_config(rng)
         alg = build_algebra(cfg)
         plane = planar_structure(alg, n_hat)
-        checks = verify_theorems(alg, plane, trials=300, seed=5, n_samples=1500)
+        checks = theorems(alg, plane, 300, 5, 1500)
         assert all(ok for _, ok in checks.values()), {k: v for k, v in checks.items() if not v[1]}
 
 
@@ -897,7 +905,8 @@ def test_r_ordering(rng):
         cfg, n_hat = random_coplanar_config(rng, n_min=2)
         alg = build_algebra(cfg)
         plane = planar_structure(alg, n_hat)
-        m_f, lam_f = plane_gram_moment(alg, plane)
+        rep = bounds_report(alg, plane)
+        m_f, lam_f = rep.M_F, rep.lambda_F
         lam_mf, _, r_mf = (float(x[0]) for x in principal_split_batch(alg, m_f[None, :]))
         ms = random_moments(rng, 500)
         lam, _, r = principal_split_batch(alg, ms)
