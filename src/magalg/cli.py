@@ -567,8 +567,10 @@ def _verify_draws(args):
 def cmd_verify(args) -> int:
     """Run the battery and the weight bracket on each trial; the replay config is the first trial with a failed check.
 
-    Per block of at most _SOLVE_BLOCK trials, drawn first: one stacked solve of every trial's three
-    operators (its own, the random other and their sum), one plane search of the --config points, then the checks.
+    The trials go in blocks of at most _SOLVE_BLOCK, each drawn first:
+    one stacked solve covers every trial's three operators (its own, the
+    random other and their sum), one search the planes of the --config
+    points, and then the checks run in draw order and read the memos.
     """
     if args.trials < 1:
         raise ConfigError("trials must be at least 1")

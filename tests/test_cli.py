@@ -1068,7 +1068,7 @@ SEVERAL_KINDS = (CUBE_AND_FAR_TETRA + [[-1e4 - 1, 0, 0], [-1e4 + 1, 0, 0]],
                  [[0, 0, 0], [1e4, 0, 0], [-1e4, 0.5, 0.3], [0.3, 0.2, 0.5], [0.3, 0.1, 0], [0.7, 0.7, 0.2]])
 
 
-@pytest.mark.parametrize("config", [False, True])
+@pytest.mark.parametrize("config", [False, True], ids=["trials", "config"])
 def test_a_stacked_verify_run_prints_what_its_trials_give_alone(tmp_path, monkeypatch, capsys, config):
     """verify solves a block of trials as one stack, one _eigenpoints call a block, and
     prints, bitwise, the worst residual over its trials of each check as solved alone."""
