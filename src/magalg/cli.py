@@ -33,14 +33,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .algebra import (
+from .algebra import (  # decompose and planar_structure stay bound here for tracing
     PLANARITY_TOL,
-    NotInvariantPlaneError,
+    _planar_structures,
     decompose,
     find_invariant_planes,
     find_invariant_planes_batch,
     gram_spectrum,
     planar_structure,
+    plane_residual_batch,
     self_eigenvectors_batch,
 )
 from .corpus import random_coplanar_config, random_frame, random_mirror_config, random_moments
@@ -71,7 +72,7 @@ from .extremal import (  # bounds_report, lambda_bar_bruteforce and lambda_plane
     theorem_draws,
     verify_theorems,
 )
-from .linalg3 import rot_about
+from .linalg3 import cross_matrices, det3
 from .sphere import fibonacci_sphere
 
 EXIT_OK = 0
@@ -79,7 +80,7 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_SINGULAR = 3
 
-_SOLVE_BLOCK = 1024  # at most this many field points, or verify trials, share one stacked Z-eigenvector solve
+_SOLVE_BLOCK = 1024  # at most this many operators (of field points, or 3 a verify trial) share one stacked solve
 
 SWEEP_COLUMNS = [
     "x", "y", "z", "norm_P", "abs_lambda_MF", "lambda_P",
@@ -335,9 +336,10 @@ def cmd_analyze(args) -> int:
         "planarity_tol": PLANARITY_TOL,
         "si": data["si_prefactor"],
     }
-    report = {"tool": tool, "config": data, "results": results}
-    report.update(results[0])  # hoist the first record for convenience
-    out = json.dumps(report)  # indent would bypass the C encoder
+    # {"tool", "config", "results"}, then the keys of the first record, hoisted for convenience (no key is
+    # shared); each record is encoded once, by the C encoder (indent would bypass it)
+    records = [json.dumps(rec) for rec in results]
+    out = f'{json.dumps({"tool": tool, "config": data})[:-1]}, "results": [{", ".join(records)}], {records[0][1:]}'
     if args.out == "-":
         print(out)
     else:
@@ -463,32 +465,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _verify_trial(alg, n_hat, seed, draws, sphere) -> dict:
-    """name -> (residual, ok) of the check battery on one configuration.
-
-    With n_hat None (no invariant plane) only its plane-free part runs:
-    the exact algebra identities, each allowed IDENTITY_RTOL of its scale,
-    and verify_theorems on draws (theorem_draws) and on the lattice sphere
-    turned to a frame that seed draws.
-    """
-    scale = alg.scale
-    out = {
-        "reciprocity": _within(alg.reciprocity_residual(), IDENTITY_RTOL * scale),
-        "trace": _within(alg.trace_residual(), IDENTITY_RTOL * scale),
-        "det_identity": _within(alg.det_residual(), IDENTITY_RTOL * scale ** 3),
-    }
-    plane = None
-    if n_hat is not None:
-        try:
-            plane = planar_structure(alg, n_hat)
-        except NotInvariantPlaneError as e:
-            return {**out, "planarity_residual": (e.residual, False)}
-        out.update(_plane_checks(alg, plane, seed))
-    lattice = sphere @ random_frame(np.random.default_rng(seed)).T  # the lattice cross-check
-    out.update(verify_theorems(alg, plane, *draws, lattice))
-    return out
-
-
 def _weight_bracket(cfg, alg):
     """(residual, ok) of 2 (2 w_max - sum w) <= lambda_bar <= 2 sum w, with w = d^-4 the magnet weights.
 
@@ -503,45 +479,109 @@ def _weight_bracket(cfg, alg):
     return _within(float(max(lower - lam, lam - upper) / upper), IDENTITY_RTOL)
 
 
-def _plane_checks(alg, plane, seed) -> dict:
-    """The checks of the battery that need an invariant plane.
+@functools.cache
+def _lattice() -> np.ndarray:
+    """The 1500 unit moments of verify's lattice cross-check, built on the first call; read-only, each trial turns it."""
+    sphere = fibonacci_sphere(1500)
+    sphere.setflags(write=False)
+    return sphere
+
+
+def _verify_block(trials) -> list[dict]:
+    """name -> (residual, ok) of the check battery on each trial (alg, n_hat, seed, draws) of a block.
+
+    The exact algebra identities each allow IDENTITY_RTOL of their scale.
+    A trial with a normal n_hat (None: no invariant plane) checks that
+    its plane is invariant and stops there if it is not; the plane
+    checks run on the planes that are.  verify_theorems then runs on each
+    trial that did not stop, on its draws (theorem_draws) and on the
+    lattice turned to a frame that its seed draws.  Each step is one pass
+    over the block, but for the lattice check, one trial at a time.
+    """
+    if not trials:
+        return []
+    algs, normals, seeds, draws = zip(*trials)
+    images, scale = np.array([a.basis_images for a in algs]), [a.scale for a in algs]
+    # MagneticAlgebra's reciprocity, trace and det residuals, over the stack
+    recip = np.abs(images - images.transpose(0, 3, 2, 1)).max(axis=(1, 2, 3)).tolist()
+    trace = np.abs(np.trace(images, axis1=2, axis2=3)).max(axis=1).tolist()
+    det = np.abs(det3(images) - np.einsum("tkab,tkbc,tkca->tk", images, images, images) / 3.0).max(axis=1).tolist()
+    out = [{"reciprocity": _within(r, IDENTITY_RTOL * s), "trace": _within(t, IDENTITY_RTOL * s),
+            "det_identity": _within(d, IDENTITY_RTOL * s ** 3)} for r, t, d, s in zip(recip, trace, det, scale)]
+    given = [j for j, n in enumerate(normals) if n is not None]
+    ns = np.array([normals[j] for j in given], dtype=float).reshape(-1, 3)
+    res = plane_residual_batch(images[given], ns)  # from n_hat as given, as planar_structure scores it
+    invariant = ~(res > PLANARITY_TOL * np.array(scale)[given])  # as planar_structure decides
+    for j, r in zip(np.array(given, dtype=int)[~invariant].tolist(), res[~invariant].tolist()):
+        out[j]["planarity_residual"] = (r, False)
+    flat = [j for j, ok in zip(given, invariant) if ok]
+    planes = dict(zip(flat, _planar_structures([algs[j] for j in flat], ns[invariant], res[invariant], [False] * len(flat))))
+    for j, checks in zip(flat, _plane_checks([algs[j] for j in flat], images[flat], list(planes.values()),
+                                             [seeds[j] for j in flat])):
+        out[j].update(checks)
+    live = [j for j, n in enumerate(normals) if n is None or j in planes]  # those that did not stop
+    lattices = (_lattice() @ random_frame(np.random.default_rng(seeds[j])).T for j in live)
+    for j, checks in zip(live, verify_theorems([algs[j] for j in live], [planes.get(j) for j in live],
+                                               [draws[j] for j in live], lattices)):
+        out[j].update(checks)
+    return out
+
+
+def _equivariant_parts(m, p, gamma):
+    """Decomposition.equivariant_part of each moment m[j, i], on the plane j of coupling vector p[j] and parameter gamma[j]."""
+    return (p[:, None, :, None] * m[..., None, :] + m[..., :, None] * p[:, None, None, :]
+            + (m @ p[:, :, None])[..., None] * np.eye(3) - gamma[:, None, None, None] * (p[:, :, None] * p[:, None, :])[:, None])
+
+
+def _plane_checks(algs, images, planes, seeds) -> list[dict]:
+    """The checks of the battery that need an invariant plane, on each plane planes[j] of algs[j], of basis images images[j].
 
     Each identity is exact on an exactly invariant plane.  On the plane
     given, rho = ||[n] F_n [n]||_F = ||B||_F, with B the in-plane block of
     F_n, bounds its error: with p the in-plane part of P and
     d = n . P = -tr B, |d| <= sqrt2 rho.  Each check allows that bound
-    plus IDENTITY_RTOL of its scale, for rounding.
+    plus IDENTITY_RTOL of its scale, for rounding.  The decomposition
+    checks take 8 moments and angles that default_rng(seeds[j]) draws.
+    Each product is stacked over the planes, as one plane's rounds.
     """
-    scale, rho, pn, n = alg.scale, plane.residual, plane.norm_P, plane.n_hat
-    scale_sq = max(scale ** 2, 1e-300)
-    fn = alg.matrix(n)
-    out = {"planarity_residual": (rho, True)}
-    # G n - 2||P||^2 n = 2Bp + dp - d^2 n + <T, B>, and |<T, B>| <= sqrt3 scale rho
-    eig_res = float(np.linalg.norm(alg.gram @ n - 2.0 * pn ** 2 * n))
-    eig_bound = ((2.0 + math.sqrt(2.0)) * pn + math.sqrt(3.0) * scale + 2.0 * rho) * rho
-    out["gram_eigenvector"] = _within(eig_res, eig_bound + IDENTITY_RTOL * scale_sq)
-    # ||F_n||^2 - 2||P||^2 = ||B||^2 - d^2, with ||B||^2 = rho^2 and d^2 <= 2 rho^2
-    fro_res = abs(float(np.einsum("ab,ab->", fn, fn)) - 2.0 * pn ** 2)
-    out["frame_energy"] = _within(fro_res, 2.0 * rho ** 2 + IDENTITY_RTOL * scale_sq)
-    if plane.Q_hat is not None:
-        # Q is in-plane and orthogonal to p, so F_n Q = (p . Q) n + B Q = B Q
-        out["kernel_direction"] = _within(float(np.linalg.norm(fn @ plane.Q_hat)), rho + IDENTITY_RTOL * scale)
-
-    dec = decompose(alg, plane, gamma=0.7 / scale)  # gamma P P^T scales as the operator
-    rng = np.random.default_rng(seed)
-    ms = random_moments(rng, 8)
-    worst_plane = float(np.abs(n @ dec.plane_part(ms)).max())
-    worst_equi = 0.0
-    if pn > 0:
-        c = rot_about(plane.P, rng.uniform(0.0, 2.0 * np.pi, size=len(ms)))  # one rotation per moment
-        rotated = dec.equivariant_part((c @ ms[:, :, None])[..., 0])
-        worst_equi = float(np.abs(rotated - c @ dec.equivariant_part(ms) @ c.transpose(0, 2, 1)).max())
-    dec_scale = max(scale, abs(dec.gamma) * pn ** 2, 1e-300)
-    # n^T Pi(M) = d M^T + d (n.M) n^T - gamma d P^T - (BM)^T for unit M
-    into_bound = (1.0 + math.sqrt(2.0) * (2.0 + abs(dec.gamma) * pn)) * rho
-    out["decomposition_into_plane"] = _within(worst_plane, into_bound + IDENTITY_RTOL * dec_scale)
-    # E depends on P alone and a rotation about P fixes P: exact on any plane
-    out["decomposition_equivariance"] = _within(worst_equi, IDENTITY_RTOL * dec_scale)
+    if not planes:
+        return []
+    n, p, norm_p = (np.array(x) for x in zip(*((q.n_hat, q.P, q.norm_P) for q in planes)))
+    fn = np.einsum("tk,tkab->tab", n, images)
+    g = (np.array([a.gram for a in algs]) @ n[:, :, None])[..., 0] - np.array([2.0 * q.norm_P ** 2 for q in planes])[:, None] * n
+    eig_res = np.sqrt(g[:, None, :] @ g[:, :, None])[:, 0, 0].tolist()  # as np.linalg.norm of one vector rounds it
+    fro = np.einsum("tab,tab->t", fn, fn).tolist()
+    framed = [j for j, q in enumerate(planes) if q.Q_hat is not None]
+    fq = fn[framed] @ np.array([planes[j].Q_hat for j in framed]).reshape(-1, 3, 1)
+    kernel = dict(zip(framed, np.sqrt(fq.transpose(0, 2, 1) @ fq)[:, 0, 0].tolist()))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    ms = np.array([random_moments(rng, 8) for rng in rngs])
+    angle = np.array([rng.uniform(0.0, 2.0 * np.pi, size=8) for rng in rngs])  # one rotation about P per moment
+    gammas = [0.7 / a.scale for a in algs]  # gamma P P^T scales as the operator
+    e = _equivariant_parts(ms, p, np.array(gammas))
+    into = np.abs(n[:, None, None, :] @ (e - np.einsum("tmk,tkab->tmab", ms, images))).max(axis=(1, 2, 3)).tolist()
+    k = cross_matrices(p / np.where(norm_p > 0.0, norm_p, 1.0)[:, None])  # rot_about's rotations
+    c = np.eye(3) + np.sin(angle)[..., None, None] * k[:, None] + (1.0 - np.cos(angle))[..., None, None] * (k @ k)[:, None]
+    rotated = _equivariant_parts((c @ ms[..., None])[..., 0], p, np.array(gammas))
+    equi = np.where(norm_p > 0.0, np.abs(rotated - c @ e @ c.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3)), 0.0).tolist()
+    out = []
+    for j, (alg, plane, gamma) in enumerate(zip(algs, planes, gammas)):
+        scale, rho, pn = alg.scale, plane.residual, plane.norm_P
+        scale_sq, dec_scale = max(scale ** 2, 1e-300), max(scale, abs(gamma) * pn ** 2, 1e-300)
+        checks = {"planarity_residual": (rho, True)}
+        # G n - 2||P||^2 n = 2Bp + dp - d^2 n + <T, B>, and |<T, B>| <= sqrt3 scale rho
+        eig_bound = ((2.0 + math.sqrt(2.0)) * pn + math.sqrt(3.0) * scale + 2.0 * rho) * rho
+        checks["gram_eigenvector"] = _within(eig_res[j], eig_bound + IDENTITY_RTOL * scale_sq)
+        # ||F_n||^2 - 2||P||^2 = ||B||^2 - d^2, with ||B||^2 = rho^2 and d^2 <= 2 rho^2
+        checks["frame_energy"] = _within(abs(fro[j] - 2.0 * pn ** 2), 2.0 * rho ** 2 + IDENTITY_RTOL * scale_sq)
+        if j in kernel:  # Q is in-plane and orthogonal to p, so F_n Q = (p . Q) n + B Q = B Q
+            checks["kernel_direction"] = _within(kernel[j], rho + IDENTITY_RTOL * scale)
+        # n^T Pi(M) = d M^T + d (n.M) n^T - gamma d P^T - (BM)^T for unit M
+        into_bound = (1.0 + math.sqrt(2.0) * (2.0 + abs(gamma) * pn)) * rho
+        checks["decomposition_into_plane"] = _within(into[j], into_bound + IDENTITY_RTOL * dec_scale)
+        # E depends on P alone and a rotation about P fixes P: exact on any plane
+        checks["decomposition_equivariance"] = _within(equi[j], IDENTITY_RTOL * dec_scale)
+        out.append(checks)
     return out
 
 
@@ -567,28 +607,26 @@ def _verify_draws(args):
 def cmd_verify(args) -> int:
     """Run the battery and the weight bracket on each trial; the replay config is the first trial with a failed check.
 
-    The trials go in blocks of at most _SOLVE_BLOCK, each drawn first:
-    one stacked solve covers every trial's three operators (its own, the
-    random other and their sum), one search the planes of the --config
-    points, and then the checks run in draw order and read the memos.
+    A block of trials, drawn first, holds at most _SOLVE_BLOCK operators:
+    each trial's own, the random other and their sum.  One stacked solve
+    covers them, one search the planes of its --config points and one
+    pass (_verify_block) its battery; the results are read in draw order.
     """
     if args.trials < 1:
         raise ConfigError("trials must be at least 1")
     if args.seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     accum, replay = {}, None
-    sphere = fibonacci_sphere(1500)  # every trial's lattice, each in its own frame
     draws = _verify_draws(args)
-    while block := list(itertools.islice(draws, _SOLVE_BLOCK)):
+    while block := list(itertools.islice(draws, _SOLVE_BLOCK // 3)):
         trials = [(cfg, alg, n_hat, seed, theorem_draws(alg, seed, 200))
                   for cfg, n_hat, seed in block if not (alg := build_algebra(cfg)).is_trivial()]
         lambda_bar_exact_batch([a for _, alg, _, _, (_, other, both) in trials for a in (alg, other, both)])
-        find_invariant_planes_batch([alg for _, alg, n_hat, *_ in trials if n_hat is None])
-        for cfg, alg, n_hat, seed, drawn in trials:
-            if n_hat is None:
-                planes = find_invariant_planes(alg)
-                n_hat = planes[0].n_hat if planes else None
-            checks = {**_verify_trial(alg, n_hat, seed, drawn, sphere), "weight_bracket": _weight_bracket(cfg, alg)}
+        found = iter(find_invariant_planes_batch([alg for _, alg, n_hat, *_ in trials if n_hat is None]))
+        battery = _verify_block([(alg, n_hat if n_hat is not None else (ps[0].n_hat if (ps := next(found)) else None),
+                                  seed, drawn) for _, alg, n_hat, seed, drawn in trials])
+        for (cfg, alg, *_), checks in zip(trials, battery):
+            checks["weight_bracket"] = _weight_bracket(cfg, alg)
             for name, (residual, ok) in checks.items():
                 worst, held = accum.get(name, (-np.inf, True))
                 accum[name] = (max(worst, residual), held and ok)

@@ -503,57 +503,69 @@ def theorem_draws(alg: MagneticAlgebra, seed, trials):
     return ms, other, alg + other
 
 
-def verify_theorems(alg: MagneticAlgebra, plane: PlanarStructure | None, ms, other, both, lattice) -> dict:
-    """Numerical spot checks of the structural guarantees, on exact worst cases.
+def verify_theorems(algs, planes, draws, lattices) -> list[dict]:
+    """Numerical spot checks of the structural guarantees, on exact worst cases, for each trial of a block.
 
-    (a) the squared chain lambda_MF^2 <= lambda_bar^2 <= (2/3) lambda_F;
-    (b) no moment of ms beats the top Gram moment in magnitude while
-    exceeding its spread ratio; (c) ||P|| <= |lambda_MF| <= lambda_P,
-    only with a plane; (d) lambda_bar is subadditive: both = alg + other;
-    (e) no unit moment of lattice beats lambda_bar.  lambda_bar is
+    Trial j is algs[j], its invariant plane planes[j] or None, draws[j] =
+    (ms, other, both) from theorem_draws (one count of ms a block) and the
+    j-th unit moments of lattices, read one trial at a time.  (a) the
+    squared chain lambda_MF^2 <= lambda_bar^2 <= (2/3) lambda_F; (b) no
+    moment of ms beats the top Gram moment in magnitude while exceeding
+    its spread ratio; (c) ||P|| <= |lambda_MF| <= lambda_P, only with a
+    plane; (d) lambda_bar is subadditive: both = alg + other; (e) no
+    moment of the lattice beats lambda_bar.  lambda_bar is
     lambda_bar_exact throughout, so (a) and (d) need no sampling slack,
     and (e) holds at rounding unless the Z-eigenvector solve missed the
     maximizer.  (a) and (c) allow CHAIN_RTOL, as the chain flags do, and
     the others IDENTITY_RTOL of their scale.  Returns name -> (residual,
-    ok), each residual signed (negative means margin); that of (e) is
-    relative to lambda_bar.  The worst cases of alg, other and both come
-    from one lambda_bar_exact_batch call (a memo read once the caller
-    solved them), and the plane's Gram moment and lambda_P from one
-    _plane_quadratics call.
+    ok) of each trial, each residual signed (negative means margin); that
+    of (e) is relative to lambda_bar.  One call over the block gives the
+    worst cases (lambda_bar_exact_batch, a memo read once the caller
+    solved them), one the planes' Gram moments and lambda_P, and one the
+    principal splits at every Gram moment and ms; only (e) runs a trial
+    at a time.
     """
-    if alg.is_trivial():
-        zero = (0.0, True)  # vacuous on the zero operator
-        return {k: zero for k in ("squares_bracket", "spread_ordering", "subadditive", "exact_above_lattice")}
+    if any(a.is_trivial() for a in algs):  # vacuous on the zero operator
+        live = [j for j, a in enumerate(algs) if not a.is_trivial()]
+        checks = iter(verify_theorems(*([x[j] for j in live] for x in (algs, planes, draws, list(lattices)))))
+        zero = dict.fromkeys(("squares_bracket", "spread_ordering", "subadditive", "exact_above_lattice"), (0.0, True))
+        return [dict(zero) if a.is_trivial() else next(checks) for a in algs]
+    if not algs:
+        return []
+    bars = [wc.lambda_bar for wc in lambda_bar_exact_batch([a for alg, d in zip(algs, draws) for a in (alg, *d[1:])])]
+    spectra = [gram_spectrum(a) if p is None else None for a, p in zip(algs, planes)]  # only without a plane
+    m_f = np.array([_Z if gs is None else gs.M_F for gs in spectra])
+    lam_f, lam_p = np.array([0.0 if gs is None else gs.lambda_F for gs in spectra]), {}
+    planar = [j for j, p in enumerate(planes) if p is not None]
+    if planar:
+        quadratics = _plane_quadratics([algs[j] for j in planar], [planes[j] for j in planar])
+        m_f[planar], lam_f[planar] = _gram_moments([planes[j] for j in planar], *quadratics)
+        lam_p = dict(zip(planar, _plane_maxima([algs[j] for j in planar], [planes[j] for j in planar], *quadratics)[0].tolist()))
+    # principal_split_batch at each trial's Gram moment and its ms, over the stack
+    s = np.array([a.scale for a in algs])[:, None]
+    moments = np.concatenate([m_f[:, None], np.array([ms for ms, _, _ in draws])], axis=1)
+    f = np.einsum("tnk,tkab->tnab", moments, np.array([a.basis_images for a in algs]))
+    f /= s[..., None, None]
+    lam, delta = principal_split(0.5 * np.einsum("tnab,tnab->tn", f, f), det3(f))
+    r, lam = spread_ratio(lam, delta), lam * s
+    abs_mf, lam_f = [abs(x) for x in lam[:, 0].tolist()], lam_f.tolist()
+    tol_sq = [CHAIN_RTOL * max(x, 1e-300) for x in lam_f]
+    beats = lam[:, 1:] ** 2 > np.array([m ** 2 + t for m, t in zip(abs_mf, tol_sq)])[:, None]
+    res_b = np.where(beats.any(axis=1), np.where(beats, r[:, 1:] - r[:, :1], -np.inf).max(axis=1), -1.0).tolist()
 
-    checks = {}
-    lam_bar, lam_1, lam_01 = (wc.lambda_bar for wc in lambda_bar_exact_batch([alg, other, both]))
-    if plane is not None:
-        quadratics = _plane_quadratics([alg], [plane])
-        m_f, lam_f = _gram_moments([plane], *quadratics)
-        m_f, lam_f = m_f[0], float(lam_f[0])
-    else:
-        gs = gram_spectrum(alg)
-        m_f, lam_f = gs.M_F, gs.lambda_F
-    lam_mf, delta_mf, r_mf = (float(x[0]) for x in principal_split_batch(alg, m_f[None, :]))
-    abs_mf = abs(lam_mf)
-
-    tol_sq = CHAIN_RTOL * max(lam_f, 1e-300)
-    res_a = max(abs_mf ** 2 - lam_bar ** 2, lam_bar ** 2 - (2.0 / 3.0) * lam_f)
-    checks["squares_bracket"] = _within(float(res_a), tol_sq)
-
-    lam, delta, r = principal_split_batch(alg, ms)
-    beats = lam ** 2 > abs_mf ** 2 + tol_sq
-    res_b = float((r[beats] - r_mf).max()) if beats.any() else -1.0
-    checks["spread_ordering"] = _within(res_b, IDENTITY_RTOL)  # spread ratios lie in [0, 1]
-
-    if plane is not None:
-        lam_p = float(_plane_maxima([alg], [plane], *quadratics)[0][0])
-        res_c = max(plane.norm_P - abs_mf, abs_mf - lam_p)
-        checks["plane_chain"] = _within(float(res_c), CHAIN_RTOL * max(lam_p, 1e-300))
-
-    res_d = lam_01 - lam_bar - lam_1
-    checks["subadditive"] = _within(float(res_d), IDENTITY_RTOL * (lam_bar + lam_1))
-
-    res_e = float(np.abs(principal_split_batch(alg, lattice)[0]).max()) / lam_bar - 1.0
-    checks["exact_above_lattice"] = _within(res_e, IDENTITY_RTOL)
-    return checks
+    out = []
+    for j, (alg, plane, lattice) in enumerate(zip(algs, planes, lattices)):
+        lam_bar, lam_1, lam_01 = bars[3 * j:3 * j + 3]
+        checks = {}
+        res_a = max(abs_mf[j] ** 2 - lam_bar ** 2, lam_bar ** 2 - (2.0 / 3.0) * lam_f[j])
+        checks["squares_bracket"] = _within(float(res_a), tol_sq[j])
+        checks["spread_ordering"] = _within(res_b[j], IDENTITY_RTOL)  # spread ratios lie in [0, 1]
+        if plane is not None:
+            res_c = max(plane.norm_P - abs_mf[j], abs_mf[j] - lam_p[j])
+            checks["plane_chain"] = _within(float(res_c), CHAIN_RTOL * max(lam_p[j], 1e-300))
+        res_d = lam_01 - lam_bar - lam_1
+        checks["subadditive"] = _within(float(res_d), IDENTITY_RTOL * (lam_bar + lam_1))
+        res_e = float(np.abs(principal_split_batch(alg, lattice)[0]).max()) / lam_bar - 1.0
+        checks["exact_above_lattice"] = _within(res_e, IDENTITY_RTOL)
+        out.append(checks)
+    return out

@@ -21,8 +21,7 @@ from magalg.cli import (
     parse_grid,
 )
 from magalg.corpus import random_mirror_config
-from magalg.dipoles import DipoleConfig, build_algebra
-from magalg.sphere import fibonacci_sphere
+from magalg.dipoles import DipoleConfig, MagneticAlgebra, build_algebra
 
 
 # five coplanar magnets; at (0.24, 1.2, 0) a 2000-sample oracle falls short by 3e-8 relative
@@ -330,6 +329,21 @@ def test_analyze_far_magnet_reports_lambda_bar_in_the_weight_bracket(tmp_path):
     assert all(all(plane["chain_ok"].values()) for plane in rep["plane_reports"])
 
 
+@pytest.mark.parametrize("points, si", [([[0, 0, 1]], False), ([[0, 0, 1], [0.3, 0.2, 0.5], [0.7, 0.1, 0]], False),
+                                       ([[0.3, 0.2, 0.5], [0, 0, 1]], True)], ids=["single", "several", "si"])
+def test_analyze_writes_the_bytes_of_json_dumps_of_the_report_dict(tmp_path, points, si):
+    """analyze encodes each record once and joins the strings; the bytes are those of json.dumps
+    of {"tool", "config", "results"} updated with the first record, whose keys follow."""
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--config", str(write_config(tmp_path / "c.json", [[1, 0, 0], [-1, 0, 0.2]], points, si)),
+                 "--out", str(out)]) == EXIT_OK
+    rep = json.loads(out.read_text(encoding="utf-8"))  # floats read back as written: repr round-trips
+    report = {"tool": rep["tool"], "config": rep["config"], "results": rep["results"]}
+    report.update(rep["results"][0])
+    assert len(rep["results"]) == len(points) and rep["tool"]["si"] is si
+    assert out.read_bytes() == (json.dumps(report) + "\n").encode()
+
+
 def test_verify_far_magnet_passes(tmp_path, capsys):
     assert main(["verify", "--config", str(write_config(tmp_path / "far.json", *FAR_MAGNET))]) == EXIT_OK
     assert "verify: PASS" in capsys.readouterr().out
@@ -354,13 +368,13 @@ def test_verify_passes_on_nearly_invariant_planes_of_a_nearly_zonal_pair(tmp_pat
 def test_verify_catches_a_kernel_direction_off_by_1e_11_rad(tmp_path, monkeypatch, capsys):
     """On a plane invariant to rounding, Q_hat turned about n_hat by 1e-11 rad leaves
     F_n Q_hat at about 1e-11 ||P||, four times the rounding that kernel_direction allows."""
-    exact = cli.planar_structure
+    exact = cli._planar_structures
 
-    def tilted(alg, n_hat):
-        plane = exact(alg, n_hat)
-        return plane._replace(Q_hat=plane.Q_hat + 1e-11 * plane.P_hat)  # cos(1e-11) is 1.0
+    def tilted(*args):
+        # cos(1e-11) is 1.0
+        return [plane._replace(Q_hat=plane.Q_hat + 1e-11 * plane.P_hat) for plane in exact(*args)]
 
-    monkeypatch.setattr(cli, "planar_structure", tilted)
+    monkeypatch.setattr(cli, "_planar_structures", tilted)  # the planes verify's battery builds
     path = write_config(tmp_path / "pair.json", [[1, 0, 0], [-1, 0, 0]], [[0.3, 0.2, 0.5]])
     assert main(["verify", "--config", str(path)]) == EXIT_VIOLATION
     captured = capsys.readouterr()
@@ -375,23 +389,22 @@ def test_verify_decomposition_checks_allow_rounding_of_the_operator_not_of_gamma
     rotation about P does not fix, breaks decomposition_equivariance; at gamma 0.7 the
     decomposition checks allowed 1e-12 * 0.7 ||P||^2, about 3000 times 1e-12 scale, and
     missed it."""
-    from magalg import algebra
     from magalg.corpus import random_coplanar_config
 
     cfg, n_hat = random_coplanar_config(np.random.default_rng([0, 38]))
     alg = build_algebra(cfg)
     assert alg.scale == pytest.approx(2.0e4, rel=0.05)
     assert planar_structure(alg, n_hat).norm_P == pytest.approx(9.5e3, rel=0.05)
-    checks = cli._verify_trial(alg, n_hat, 38, extremal.theorem_draws(alg, 38, 200), fibonacci_sphere(1500))
+    trial = [(alg, n_hat, 38, extremal.theorem_draws(alg, 38, 200))]
+    checks = cli._verify_block(trial)[0]
     assert all(ok for _, ok in checks.values())
-    exact = algebra.Decomposition.equivariant_part
+    exact, n = cli._equivariant_parts, planar_structure(alg, n_hat).n_hat
 
-    def shifted(self, M):
-        n = self.plane.n_hat
-        return exact(self, M) + 1e-10 * self.algebra.scale * np.outer(n, n)
+    def shifted(m, p, gamma):  # Decomposition.equivariant_part of the battery's planes
+        return exact(m, p, gamma) + 1e-10 * alg.scale * np.outer(n, n)
 
-    monkeypatch.setattr(algebra.Decomposition, "equivariant_part", shifted)
-    checks = cli._verify_trial(alg, n_hat, 38, extremal.theorem_draws(alg, 38, 200), fibonacci_sphere(1500))
+    monkeypatch.setattr(cli, "_equivariant_parts", shifted)
+    checks = cli._verify_block(trial)[0]
     # n n^T also leaves the plane, as n^T Pi(M)
     assert [name for name, (_, ok) in checks.items() if not ok] == ["decomposition_into_plane",
                                                                     "decomposition_equivariance"]
@@ -1046,7 +1059,6 @@ def test_weight_bracket_catches_a_missed_maximizer_at_the_far_magnet(tmp_path, m
 
 def _verify_trials_alone(argv):
     """(cfg, name -> (residual, ok)) of each nonzero trial of verify argv, in draw order, each solved alone."""
-    sphere = fibonacci_sphere(1500)
     out = []
     for cfg, n_hat, seed in cli._verify_draws(cli._parser().parse_args(["verify", *argv])):
         alg = build_algebra(cfg)
@@ -1056,7 +1068,7 @@ def _verify_trials_alone(argv):
             planes = find_invariant_planes(alg)
             n_hat = planes[0].n_hat if planes else None
         draws = extremal.theorem_draws(alg, seed, 200)
-        out.append((cfg, {**cli._verify_trial(alg, n_hat, seed, draws, sphere),
+        out.append((cfg, {**cli._verify_block([(alg, n_hat, seed, draws)])[0],
                           "weight_bracket": cli._weight_bracket(cfg, alg)}))
     return out
 
@@ -1070,8 +1082,10 @@ SEVERAL_KINDS = (CUBE_AND_FAR_TETRA + [[-1e4 - 1, 0, 0], [-1e4 + 1, 0, 0]],
 
 @pytest.mark.parametrize("config", [False, True], ids=["trials", "config"])
 def test_a_stacked_verify_run_prints_what_its_trials_give_alone(tmp_path, monkeypatch, capsys, config):
-    """verify solves a block of trials as one stack, one _eigenpoints call a block, and
-    prints, bitwise, the worst residual over its trials of each check as solved alone."""
+    """verify solves a block of trials as one stack, one _eigenpoints call a block, runs its
+    battery as one verify_theorems call a block, and prints, bitwise, the worst residual over
+    its trials of each check as solved alone.  A block holds _SOLVE_BLOCK // 3 trials, each of
+    three operators."""
     from magalg import algebra
 
     if config:
@@ -1088,14 +1102,15 @@ def test_a_stacked_verify_run_prints_what_its_trials_give_alone(tmp_path, monkey
             worst[name] = max(worst.get(name, -np.inf), residual)
     assert "plane_chain" in worst
     want = [f"{name}: ok worst_residual={worst[name]!r}" for name in sorted(worst)] + ["verify: PASS"]
-    eigenpoints = algebra._eigenpoints
-    for block, blocks in ((cli._SOLVE_BLOCK, 1), (2, -(-n // 2))):
-        stacks = []
+    eigenpoints, theorems = algebra._eigenpoints, cli.verify_theorems
+    for block, blocks in ((cli._SOLVE_BLOCK, 1), (6, -(-n // 2))):
+        stacks, batteries = [], []
         monkeypatch.setattr(cli, "_SOLVE_BLOCK", block)
         monkeypatch.setattr(algebra, "_eigenpoints", lambda t: stacks.append(len(t)) or eigenpoints(t))
+        monkeypatch.setattr(cli, "verify_theorems", lambda algs, *rest: batteries.append(len(algs)) or theorems(algs, *rest))
         assert main(["verify", *argv]) == EXIT_OK
         assert capsys.readouterr().out.splitlines() == want
-        assert len(stacks) == blocks
+        assert len(stacks) == len(batteries) == blocks
 
 
 def test_verify_replays_the_first_failing_trial_in_draw_order(monkeypatch, capsys):
@@ -1107,6 +1122,52 @@ def test_verify_replays_the_first_failing_trial_in_draw_order(monkeypatch, capsy
     assert main(["verify", "--trials", "4"]) == EXIT_VIOLATION
     err = capsys.readouterr().err.splitlines()
     assert err[-2:] == ["offending config for replay:", json.dumps(cli._config_json(first))]
+
+
+def _sectoral():
+    """The algebra of the sectoral cubic x^3 - 3 x y^2: the plane z = 0 is invariant, with P = F_z z exactly 0."""
+    t = np.zeros((3, 3, 3))
+    t[0, 0, 0] = 1.0
+    t[0, 1, 1] = t[1, 0, 1] = t[1, 1, 0] = -1.0
+    return MagneticAlgebra(t)
+
+
+def test_a_verify_block_of_mixed_trials_checks_each_as_a_block_of_one(monkeypatch, capsys):
+    """One block holds a random planar draw, a draw given a normal that is not invariant, the
+    plane of a triangle of magnets at its centre (P zero to rounding, so no kernel direction),
+    a NONPLANAR point and the exact sectoral plane (P = 0, so no rotation); each trial's checks
+    are, bitwise, those of its block of one, and the replay is the first failing trial."""
+    from magalg.corpus import random_coplanar_config
+    from magalg.linalg3 import unit
+
+    planar, n_hat = random_coplanar_config(np.random.default_rng([5, 0]))
+    tilted, normal = random_mirror_config(np.random.default_rng([5, 1]))
+    triangle = DipoleConfig([[1, 0, 0], [-0.5, 0.8660254037844386, 0], [-0.5, -0.8660254037844386, 0]], [0, 0, 0])
+    draws = [(planar, n_hat, 5), (tilted, unit(normal + [0.3, 0.2, 0.1]), 6), (triangle, [0.0, 0.0, 1.0], 7),
+             (DipoleConfig(NONPLANAR_FIVE, [0.05, -0.02, 0.03]), None, 8)]
+    trials = [(build_algebra(cfg), n, seed) for cfg, n, seed in draws] + [(_sectoral(), [0.0, 0.0, 1.0], 9)]
+    trials = [(alg, n, seed, extremal.theorem_draws(alg, seed, 200)) for alg, n, seed in trials]
+    alone = [cli._verify_block([trial])[0] for trial in trials]
+    assert repr(cli._verify_block(trials)) == repr(alone)
+    assert [checks["planarity_residual"][1] for checks in alone[:3]] == [True, False, True]
+    assert list(alone[1]) == ["reciprocity", "trace", "det_identity", "planarity_residual"]
+    assert "planarity_residual" not in alone[3] and "plane_chain" not in alone[3]
+    assert "kernel_direction" in alone[0] and "kernel_direction" not in alone[2]
+    assert alone[4]["decomposition_equivariance"] == (0.0, True) and "kernel_direction" not in alone[4]
+
+    worst = {}
+    for (cfg, *_), (alg, *_), checks in zip(draws, trials, alone):
+        for name, (residual, ok) in {**checks, "weight_bracket": cli._weight_bracket(cfg, alg)}.items():
+            before, held = worst.get(name, (-np.inf, True))
+            worst[name] = (max(before, residual), held and ok)
+    want = [f"{name}: {'ok' if ok else 'VIOLATION'} worst_residual={w!r}" for name, (w, ok) in sorted(worst.items())]
+    for block in (cli._SOLVE_BLOCK, 6):
+        monkeypatch.setattr(cli, "_SOLVE_BLOCK", block)
+        monkeypatch.setattr(cli, "_verify_draws", lambda args: iter(draws))
+        assert main(["verify"]) == EXIT_VIOLATION
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == want + ["verify: FAIL"]
+        assert captured.err.splitlines()[-1] == json.dumps(cli._config_json(tilted))
 
 
 def test_verify_with_config(tmp_path, single_dipole_json, capsys):

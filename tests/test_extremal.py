@@ -52,10 +52,10 @@ def dipole_plane(single_dipole_algebra):
 
 
 def theorems(alg, plane, trials, seed, n_samples):
-    """verify_theorems of alg on the draws of seed, as verify makes them: trials moments, the
-    other algebra, and the n_samples-point Fibonacci lattice in the frame that seed draws."""
+    """verify_theorems of alg, as a block of one, on the draws of seed, as verify makes them: trials
+    moments, the other algebra, and the n_samples-point Fibonacci lattice in the frame that seed draws."""
     lattice = fibonacci_sphere(n_samples) @ random_frame(np.random.default_rng(seed)).T
-    return verify_theorems(alg, plane, *theorem_draws(alg, seed, trials), lattice)
+    return verify_theorems([alg], [plane], [theorem_draws(alg, seed, trials)], [lattice])[0]
 
 
 def closed_form_dipole_abs(cos_theta):
@@ -799,7 +799,7 @@ def test_verify_theorems_solves_its_three_operators_as_one_stack(monkeypatch):
     cfg, n_hat = random_mirror_config(np.random.default_rng(4))
     alg = build_algebra(cfg)
     ms, other, both = theorem_draws(alg, 3, 50)
-    verify_theorems(alg, planar_structure(alg, n_hat), ms, other, both, fibonacci_sphere(500))
+    verify_theorems([alg], [planar_structure(alg, n_hat)], [(ms, other, both)], [fibonacci_sphere(500)])
     assert stacks == [[alg, other, both]]
     assert np.array_equal(both.basis_images, alg.basis_images + other.basis_images)
     assert solves == [3]  # the three worst cases read that one solve
