@@ -543,8 +543,8 @@ def verify_theorems(algs, planes, draws, lattices) -> list[dict]:
         lam_p = dict(zip(planar, _plane_maxima([algs[j] for j in planar], [planes[j] for j in planar], *quadratics)[0].tolist()))
     # principal_split_batch at each trial's Gram moment and its ms, over the stack
     s = np.array([a.scale for a in algs])[:, None]
-    moments = np.concatenate([m_f[:, None], np.array([ms for ms, _, _ in draws])], axis=1)
-    f = np.einsum("tnk,tkab->tnab", moments, np.array([a.basis_images for a in algs]))
+    f = np.einsum("tnk,tkab->tnab", np.concatenate([m_f[:, None], np.array([ms for ms, _, _ in draws])], axis=1),
+                  np.array([a.basis_images for a in algs]))  # the moments are freed before the split
     f /= s[..., None, None]
     lam, delta = principal_split(0.5 * np.einsum("tnab,tnab->tn", f, f), det3(f))
     r, lam = spread_ratio(lam, delta), lam * s
