@@ -688,19 +688,28 @@ class Decomposition(NamedTuple):
 
     def equivariant_part(self, M) -> np.ndarray:
         """E(M) for one moment, or for each row of an (n, 3) array."""
-        M = np.asarray(M, dtype=float)
-        P = self.plane.P
-        return (
-            P[:, None] * M[..., None, :]
-            + M[..., :, None] * P
-            + (M @ P)[..., None, None] * np.eye(3)
-            - self.gamma * np.outer(P, P)
-        )
+        return equivariant_parts(M, self.plane.P, self.gamma)
 
     def plane_part(self, M) -> np.ndarray:
         """Pi(M) = E(M) - F_M, shaped as equivariant_part."""
-        M = np.asarray(M, dtype=float)
-        return self.equivariant_part(M) - np.einsum("...k,kab->...ab", M, self.algebra.basis_images)
+        return plane_parts(M, self.plane.P, self.gamma, self.algebra.basis_images)
+
+
+def equivariant_parts(M, P, gamma) -> np.ndarray:
+    """E(M) of one moment M (3,), or of each row of moments M (..., n, 3) on the split of P[...] and gamma[...]."""
+    M, P, gamma = (np.asarray(x, dtype=float) for x in (M, P, gamma))
+    dot = (M @ P[..., :, None])[..., None]  # a stacked matvec, which rounds as one row's does
+    if M.ndim > 1:
+        P, gamma = P[..., None, :], gamma[..., None]
+    return (P[..., :, None] * M[..., None, :] + M[..., :, None] * P[..., None, :] + dot * np.eye(3)
+            - gamma[..., None, None] * (P[..., :, None] * P[..., None, :]))
+
+
+def plane_parts(M, P, gamma, images) -> np.ndarray:
+    """Pi(M) = E(M) - F_M, shaped as equivariant_parts, with images (..., 3, 3, 3) the basis images of each row's F."""
+    M = np.asarray(M, dtype=float)
+    f = np.einsum("...k,...kab->...ab", M, images if M.ndim == 1 else np.expand_dims(images, -4))
+    return equivariant_parts(M, P, gamma) - f
 
 
 def decompose(alg: MagneticAlgebra, plane: PlanarStructure, gamma=0.0) -> Decomposition:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, algebra
 from .algebra import (  # decompose and planar_structure stay bound here for tracing
     PLANARITY_TOL,
     _planar_structures,
@@ -41,7 +41,6 @@ from .algebra import (  # decompose and planar_structure stay bound here for tra
     find_invariant_planes_batch,
     gram_spectrum,
     planar_structure,
-    plane_residual_batch,
     self_eigenvectors_batch,
 )
 from .corpus import random_coplanar_config, random_frame, random_mirror_config, random_moments
@@ -53,6 +52,7 @@ from .dipoles import (
     gen_cubic_lattice,
     gen_mirror_symmetric,
     gen_pair,
+    identity_residuals,
     p_vector,
 )
 from .extremal import (  # bounds_report, lambda_bar_bruteforce and lambda_plane stay bound here for tracing
@@ -72,7 +72,7 @@ from .extremal import (  # bounds_report, lambda_bar_bruteforce and lambda_plane
     theorem_draws,
     verify_theorems,
 )
-from .linalg3 import cross_matrices, det3
+from .linalg3 import rot_about
 from .sphere import fibonacci_sphere
 
 EXIT_OK = 0
@@ -336,10 +336,10 @@ def cmd_analyze(args) -> int:
         "planarity_tol": PLANARITY_TOL,
         "si": data["si_prefactor"],
     }
-    # {"tool", "config", "results"}, then the keys of the first record, hoisted for convenience (no key is
-    # shared); each record is encoded once, by the C encoder (indent would bypass it)
-    records = [json.dumps(rec) for rec in results]
-    out = f'{json.dumps({"tool": tool, "config": data})[:-1]}, "results": [{", ".join(records)}], {records[0][1:]}'
+    records = [json.dumps(rec) for rec in results]  # each encoded once, by the C encoder (indent would bypass it)
+    head = json.dumps({"tool": tool, "config": data})[:-1]
+    # {"tool", "config", "results"}, then the keys of the first record, hoisted for convenience (no key is shared)
+    out = f'{head}, "results": [{", ".join(records)}], {records[0][1:]}'
     if args.out == "-":
         print(out)
     else:
@@ -481,7 +481,7 @@ def _weight_bracket(cfg, alg):
 
 @functools.cache
 def _lattice() -> np.ndarray:
-    """The 1500 unit moments of verify's lattice cross-check, built on the first call; read-only, each trial turns it."""
+    """The 1500 unit moments of verify's lattice cross-check, built once; read-only, as each trial turns it."""
     sphere = fibonacci_sphere(1500)
     sphere.setflags(write=False)
     return sphere
@@ -501,40 +501,37 @@ def _verify_block(trials) -> list[dict]:
     if not trials:
         return []
     algs, normals, seeds, draws = zip(*trials)
-    images, scale = np.array([a.basis_images for a in algs]), [a.scale for a in algs]
-    # MagneticAlgebra's reciprocity, trace and det residuals, over the stack
-    recip = np.abs(images - images.transpose(0, 3, 2, 1)).max(axis=(1, 2, 3)).tolist()
-    trace = np.abs(np.trace(images, axis1=2, axis2=3)).max(axis=1).tolist()
-    det = np.abs(det3(images) - np.einsum("tkab,tkbc,tkca->tk", images, images, images) / 3.0).max(axis=1).tolist()
-    out = [{"reciprocity": _within(r, IDENTITY_RTOL * s), "trace": _within(t, IDENTITY_RTOL * s),
-            "det_identity": _within(d, IDENTITY_RTOL * s ** 3)} for r, t, d, s in zip(recip, trace, det, scale)]
+    images = np.array([a.basis_images for a in algs])
+    out = []
+    residuals = (r.tolist() for r in identity_residuals(images))
+    for alg, recip, trace, det in zip(algs, *residuals):
+        tol = IDENTITY_RTOL * alg.scale
+        out.append({"reciprocity": _within(recip, tol), "trace": _within(trace, tol),
+                    "det_identity": _within(det, IDENTITY_RTOL * alg.scale ** 3)})
     given = [j for j, n in enumerate(normals) if n is not None]
     ns = np.array([normals[j] for j in given], dtype=float).reshape(-1, 3)
-    res = plane_residual_batch(images[given], ns)  # from n_hat as given, as planar_structure scores it
-    invariant = ~(res > PLANARITY_TOL * np.array(scale)[given])  # as planar_structure decides
-    for j, r in zip(np.array(given, dtype=int)[~invariant].tolist(), res[~invariant].tolist()):
-        out[j]["planarity_residual"] = (r, False)
+    res = algebra.plane_residual_batch(images[given], ns)  # from n_hat as given, as planar_structure scores it
+    invariant = [not r > PLANARITY_TOL * algs[j].scale for j, r in zip(given, res.tolist())]  # as it decides
+    for j, r, ok in zip(given, res.tolist(), invariant):
+        if not ok:
+            out[j]["planarity_residual"] = (r, False)
     flat = [j for j, ok in zip(given, invariant) if ok]
-    planes = dict(zip(flat, _planar_structures([algs[j] for j in flat], ns[invariant], res[invariant], [False] * len(flat))))
-    for j, checks in zip(flat, _plane_checks([algs[j] for j in flat], images[flat], list(planes.values()),
-                                             [seeds[j] for j in flat])):
+    planes = _planar_structures([algs[j] for j in flat], ns[invariant], res[invariant], [False] * len(flat))
+    plane_checks = _plane_checks([algs[j] for j in flat], images[flat], planes, [seeds[j] for j in flat])
+    for j, checks in zip(flat, plane_checks):
         out[j].update(checks)
+    planes = dict(zip(flat, planes))
     live = [j for j, n in enumerate(normals) if n is None or j in planes]  # those that did not stop
     lattices = (_lattice() @ random_frame(np.random.default_rng(seeds[j])).T for j in live)
-    for j, checks in zip(live, verify_theorems([algs[j] for j in live], [planes.get(j) for j in live],
-                                               [draws[j] for j in live], lattices)):
+    theorems = verify_theorems([algs[j] for j in live], [planes.get(j) for j in live], [draws[j] for j in live],
+                               lattices)
+    for j, checks in zip(live, theorems):
         out[j].update(checks)
     return out
 
 
-def _equivariant_parts(m, p, gamma):
-    """Decomposition.equivariant_part of each moment m[j, i], on the plane j of coupling vector p[j] and parameter gamma[j]."""
-    return (p[:, None, :, None] * m[..., None, :] + m[..., :, None] * p[:, None, None, :]
-            + (m @ p[:, :, None])[..., None] * np.eye(3) - gamma[:, None, None, None] * (p[:, :, None] * p[:, None, :])[:, None])
-
-
 def _plane_checks(algs, images, planes, seeds) -> list[dict]:
-    """The checks of the battery that need an invariant plane, on each plane planes[j] of algs[j], of basis images images[j].
+    """The checks of the battery that need an invariant plane, on each plane planes[j] of algs[j], of images images[j].
 
     Each identity is exact on an exactly invariant plane.  On the plane
     given, rho = ||[n] F_n [n]||_F = ||B||_F, with B the in-plane block of
@@ -548,22 +545,25 @@ def _plane_checks(algs, images, planes, seeds) -> list[dict]:
         return []
     n, p, norm_p = (np.array(x) for x in zip(*((q.n_hat, q.P, q.norm_P) for q in planes)))
     fn = np.einsum("tk,tkab->tab", n, images)
-    g = (np.array([a.gram for a in algs]) @ n[:, :, None])[..., 0] - np.array([2.0 * q.norm_P ** 2 for q in planes])[:, None] * n
+    g = (np.array([a.gram for a in algs]) @ n[:, :, None])[..., 0]
+    g -= np.array([2.0 * q.norm_P ** 2 for q in planes])[:, None] * n
     eig_res = np.sqrt(g[:, None, :] @ g[:, :, None])[:, 0, 0].tolist()  # as np.linalg.norm of one vector rounds it
     fro = np.einsum("tab,tab->t", fn, fn).tolist()
     framed = [j for j, q in enumerate(planes) if q.Q_hat is not None]
     fq = fn[framed] @ np.array([planes[j].Q_hat for j in framed]).reshape(-1, 3, 1)
     kernel = dict(zip(framed, np.sqrt(fq.transpose(0, 2, 1) @ fq)[:, 0, 0].tolist()))
+
     rngs = [np.random.default_rng(seed) for seed in seeds]
     ms = np.array([random_moments(rng, 8) for rng in rngs])
     angle = np.array([rng.uniform(0.0, 2.0 * np.pi, size=8) for rng in rngs])  # one rotation about P per moment
     gammas = [0.7 / a.scale for a in algs]  # gamma P P^T scales as the operator
-    e = _equivariant_parts(ms, p, np.array(gammas))
-    into = np.abs(n[:, None, None, :] @ (e - np.einsum("tmk,tkab->tmab", ms, images))).max(axis=(1, 2, 3)).tolist()
-    k = cross_matrices(p / np.where(norm_p > 0.0, norm_p, 1.0)[:, None])  # rot_about's rotations
-    c = np.eye(3) + np.sin(angle)[..., None, None] * k[:, None] + (1.0 - np.cos(angle))[..., None, None] * (k @ k)[:, None]
-    rotated = _equivariant_parts((c @ ms[..., None])[..., 0], p, np.array(gammas))
-    equi = np.where(norm_p > 0.0, np.abs(rotated - c @ e @ c.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3)), 0.0).tolist()
+    split = (p, np.array(gammas))  # decompose(alg, plane, gamma) of each plane
+    into = np.abs(n[:, None, None, :] @ algebra.plane_parts(ms, *split, images)).max(axis=(1, 2, 3)).tolist()
+    moving = norm_p > 0.0  # a plane with P = 0 has no rotation about P to check
+    c = rot_about(np.where(moving[:, None], p, n)[:, None], angle)
+    rotated = algebra.equivariant_parts((c @ ms[..., None])[..., 0], *split)
+    equi = np.abs(rotated - c @ algebra.equivariant_parts(ms, *split) @ c.transpose(0, 1, 3, 2))
+    equi = np.where(moving, equi.max(axis=(1, 2, 3)), 0.0).tolist()
     out = []
     for j, (alg, plane, gamma) in enumerate(zip(algs, planes, gammas)):
         scale, rho, pn = alg.scale, plane.residual, plane.norm_P
@@ -622,9 +622,14 @@ def cmd_verify(args) -> int:
         trials = [(cfg, alg, n_hat, seed, theorem_draws(alg, seed, 200))
                   for cfg, n_hat, seed in block if not (alg := build_algebra(cfg)).is_trivial()]
         lambda_bar_exact_batch([a for _, alg, _, _, (_, other, both) in trials for a in (alg, other, both)])
-        found = iter(find_invariant_planes_batch([alg for _, alg, n_hat, *_ in trials if n_hat is None]))
-        battery = _verify_block([(alg, n_hat if n_hat is not None else (ps[0].n_hat if (ps := next(found)) else None),
-                                  seed, drawn) for _, alg, n_hat, seed, drawn in trials])
+        find_invariant_planes_batch([alg for _, alg, n_hat, *_ in trials if n_hat is None])
+        battery = []
+        for _, alg, n_hat, seed, drawn in trials:
+            if n_hat is None:  # a --config point: the first of its planes, if it has one
+                planes = find_invariant_planes(alg)
+                n_hat = planes[0].n_hat if planes else None
+            battery.append((alg, n_hat, seed, drawn))
+        battery = _verify_block(battery)
         for (cfg, alg, *_), checks in zip(trials, battery):
             checks["weight_bracket"] = _weight_bracket(cfg, alg)
             for name, (residual, ok) in checks.items():

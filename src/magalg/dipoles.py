@@ -125,20 +125,21 @@ class MagneticAlgebra:
     def is_trivial(self) -> bool:
         return self.scale == 0.0
 
-    def reciprocity_residual(self) -> float:
-        b = self.basis_images
-        return float(np.abs(b - b.transpose(2, 1, 0)).max())
-
-    def trace_residual(self) -> float:
-        return float(np.abs(np.trace(self.basis_images, axis1=1, axis2=2)).max())
-
-    def det_residual(self) -> float:
-        b = self.basis_images
-        tr3 = np.einsum("kab,kbc,kca->k", b, b, b)
-        return float(np.abs(det3(b) - tr3 / 3.0).max())
-
     def __add__(self, other) -> "MagneticAlgebra":
         return MagneticAlgebra(self.basis_images + other.basis_images)
+
+
+def identity_residuals(images):
+    """Reciprocity, trace and det residuals of basis images (3, 3, 3), or of each in an (..., 3, 3, 3) stack.
+
+    Exact images make each zero: images[i] @ e_j == images[j] @ e_i,
+    tr F == 0 and, for traceless F, det F == tr(F^3) / 3.
+    """
+    b = np.asarray(images, dtype=float)
+    tr3 = np.einsum("...kab,...kbc,...kca->...k", b, b, b)
+    return (np.abs(b - np.swapaxes(b, -3, -1)).max(axis=(-3, -2, -1)),
+            np.abs(np.trace(b, axis1=-2, axis2=-1)).max(axis=-1),
+            np.abs(det3(b) - tr3 / 3.0).max(axis=-1))
 
 
 def p_vector(cfg: DipoleConfig) -> np.ndarray:

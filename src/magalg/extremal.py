@@ -64,14 +64,18 @@ class CandidateKind(enum.Enum):
     DETZERO = "DETZERO"
 
 
-def principal_split_batch(alg: MagneticAlgebra, Ms):
-    """(lam, delta, r) arrays for a batch of moments, from the invariants of F over the scale.
+def principal_split_batch(alg, Ms):
+    """(lam, delta, r) arrays for moments Ms (n, 3) of alg, or Ms (t, n, 3) of t algebras, from the invariants of F.
 
     Unscaled, det F is a cube of the scale and underflows in the far field.
     """
-    s = alg.scale or 1.0
-    f = alg.matrices(Ms) / s
-    lam, delta = principal_split(0.5 * np.einsum("nab,nab->n", f, f), det3(f))
+    if isinstance(alg, MagneticAlgebra):
+        s, f = alg.scale or 1.0, alg.matrices(Ms)
+    else:
+        s = np.array([a.scale or 1.0 for a in alg])[:, None]
+        f = np.einsum("tnk,tkab->tnab", Ms, np.array([a.basis_images for a in alg]))
+    f /= np.asarray(s)[..., None, None]
+    lam, delta = principal_split(0.5 * np.einsum("...ab,...ab->...", f, f), det3(f))
     return lam * s, delta * s, spread_ratio(lam, delta)
 
 
@@ -504,54 +508,48 @@ def theorem_draws(alg: MagneticAlgebra, seed, trials):
 
 
 def verify_theorems(algs, planes, draws, lattices) -> list[dict]:
-    """Numerical spot checks of the structural guarantees, on exact worst cases, for each trial of a block.
+    """Numerical spot checks of the structural guarantees, on exact worst cases, of each trial of a block.
 
-    Trial j is algs[j], its invariant plane planes[j] or None, draws[j] =
-    (ms, other, both) from theorem_draws (one count of ms a block) and the
-    j-th unit moments of lattices, read one trial at a time.  (a) the
-    squared chain lambda_MF^2 <= lambda_bar^2 <= (2/3) lambda_F; (b) no
-    moment of ms beats the top Gram moment in magnitude while exceeding
-    its spread ratio; (c) ||P|| <= |lambda_MF| <= lambda_P, only with a
-    plane; (d) lambda_bar is subadditive: both = alg + other; (e) no
-    moment of the lattice beats lambda_bar.  lambda_bar is
-    lambda_bar_exact throughout, so (a) and (d) need no sampling slack,
-    and (e) holds at rounding unless the Z-eigenvector solve missed the
-    maximizer.  (a) and (c) allow CHAIN_RTOL, as the chain flags do, and
-    the others IDENTITY_RTOL of their scale.  Returns name -> (residual,
-    ok) of each trial, each residual signed (negative means margin); that
-    of (e) is relative to lambda_bar.  One call over the block gives the
-    worst cases (lambda_bar_exact_batch, a memo read once the caller
-    solved them), one the planes' Gram moments and lambda_P, and one the
-    principal splits at every Gram moment and ms; only (e) runs a trial
-    at a time.
+    Trial j is algs[j], its plane planes[j] or None, draws[j] = (ms, other,
+    both) from theorem_draws and the j-th of lattices, unit moments read
+    one trial at a time.  (a) the squared chain lambda_MF^2 <= lambda_bar^2
+    <= (2/3) lambda_F; (b) no moment of ms beats the top Gram moment in
+    magnitude while exceeding its spread ratio; (c) ||P|| <= |lambda_MF|
+    <= lambda_P, only with a plane; (d) lambda_bar is subadditive; (e) no
+    lattice moment beats lambda_bar.  lambda_bar is lambda_bar_exact (a
+    memo read once the caller solved it), so (a) and (d) need no sampling
+    slack, and (e) holds at rounding unless the solve missed the maximizer.
+    (a) and (c) allow CHAIN_RTOL, as the chain flags do, and the others
+    IDENTITY_RTOL of their scale.  Returns name -> (residual, ok) of each
+    trial, each residual signed (negative means margin); that of (e) is
+    relative to lambda_bar.  Every step but (e) is one pass over the block.
     """
-    if any(a.is_trivial() for a in algs):  # vacuous on the zero operator
-        live = [j for j, a in enumerate(algs) if not a.is_trivial()]
-        checks = iter(verify_theorems(*([x[j] for j in live] for x in (algs, planes, draws, list(lattices)))))
-        zero = dict.fromkeys(("squares_bracket", "spread_ordering", "subadditive", "exact_above_lattice"), (0.0, True))
-        return [dict(zero) if a.is_trivial() else next(checks) for a in algs]
+    trivial = [a.is_trivial() for a in algs]
+    if any(trivial):  # vacuous on the zero operator; the other trials run as a block
+        kept = [not t for t in trivial]
+        checks = iter(verify_theorems(*(list(itertools.compress(x, kept)) for x in (algs, planes, draws)),
+                                      itertools.compress(lattices, kept)))
+        names = ("squares_bracket", "spread_ordering", "subadditive", "exact_above_lattice")
+        return [dict.fromkeys(names, (0.0, True)) if t else next(checks) for t in trivial]
     if not algs:
         return []
-    bars = [wc.lambda_bar for wc in lambda_bar_exact_batch([a for alg, d in zip(algs, draws) for a in (alg, *d[1:])])]
+    operators = [a for alg, (_, other, both) in zip(algs, draws) for a in (alg, other, both)]
+    bars = [wc.lambda_bar for wc in lambda_bar_exact_batch(operators)]
     spectra = [gram_spectrum(a) if p is None else None for a, p in zip(algs, planes)]  # only without a plane
     m_f = np.array([_Z if gs is None else gs.M_F for gs in spectra])
     lam_f, lam_p = np.array([0.0 if gs is None else gs.lambda_F for gs in spectra]), {}
     planar = [j for j, p in enumerate(planes) if p is not None]
     if planar:
-        quadratics = _plane_quadratics([algs[j] for j in planar], [planes[j] for j in planar])
-        m_f[planar], lam_f[planar] = _gram_moments([planes[j] for j in planar], *quadratics)
-        lam_p = dict(zip(planar, _plane_maxima([algs[j] for j in planar], [planes[j] for j in planar], *quadratics)[0].tolist()))
-    # principal_split_batch at each trial's Gram moment and its ms, over the stack
-    s = np.array([a.scale for a in algs])[:, None]
-    f = np.einsum("tnk,tkab->tnab", np.concatenate([m_f[:, None], np.array([ms for ms, _, _ in draws])], axis=1),
-                  np.array([a.basis_images for a in algs]))  # the moments are freed before the split
-    f /= s[..., None, None]
-    lam, delta = principal_split(0.5 * np.einsum("tnab,tnab->tn", f, f), det3(f))
-    r, lam = spread_ratio(lam, delta), lam * s
+        on_planes = ([algs[j] for j in planar], [planes[j] for j in planar])
+        quadratics = _plane_quadratics(*on_planes)
+        m_f[planar], lam_f[planar] = _gram_moments(on_planes[1], *quadratics)
+        lam_p = dict(zip(planar, _plane_maxima(*on_planes, *quadratics)[0].tolist()))
+    lam, _, r = principal_split_batch(algs, np.concatenate([m_f[:, None], [ms for ms, _, _ in draws]], axis=1))
     abs_mf, lam_f = [abs(x) for x in lam[:, 0].tolist()], lam_f.tolist()
     tol_sq = [CHAIN_RTOL * max(x, 1e-300) for x in lam_f]
     beats = lam[:, 1:] ** 2 > np.array([m ** 2 + t for m, t in zip(abs_mf, tol_sq)])[:, None]
-    res_b = np.where(beats.any(axis=1), np.where(beats, r[:, 1:] - r[:, :1], -np.inf).max(axis=1), -1.0).tolist()
+    res_b = np.where(beats, r[:, 1:] - r[:, :1], -np.inf).max(axis=1)
+    res_b = np.where(beats.any(axis=1), res_b, -1.0).tolist()
 
     out = []
     for j, (alg, plane, lattice) in enumerate(zip(algs, planes, lattices)):

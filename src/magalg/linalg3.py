@@ -71,10 +71,10 @@ def cross_matrices(ns) -> np.ndarray:
 
 
 def rot_about(axis, angle) -> Mat3:
-    """Proper rotation by `angle` radians fixing `axis` (Rodrigues form); an array of angles gives one per angle."""
+    """Proper rotation by `angle` radians fixing `axis` (Rodrigues form); arrays of angles and of axes broadcast."""
     axis = np.asarray(axis, dtype=float)
-    na = float(np.linalg.norm(axis))
-    if na == 0.0 or not np.isfinite(na):
+    na = np.sqrt(axis[..., None, :] @ axis[..., :, None])[..., 0]  # np.linalg.norm of one vector rounds so
+    if not (np.isfinite(na) & (na != 0.0)).all():
         raise ValueError("degenerate axis")
     k = cross_matrices(axis / na)
     return np.eye(3) + np.sin(angle)[..., None, None] * k + (1.0 - np.cos(angle))[..., None, None] * (k @ k)

@@ -389,6 +389,7 @@ def test_verify_decomposition_checks_allow_rounding_of_the_operator_not_of_gamma
     rotation about P does not fix, breaks decomposition_equivariance; at gamma 0.7 the
     decomposition checks allowed 1e-12 * 0.7 ||P||^2, about 3000 times 1e-12 scale, and
     missed it."""
+    from magalg import algebra
     from magalg.corpus import random_coplanar_config
 
     cfg, n_hat = random_coplanar_config(np.random.default_rng([0, 38]))
@@ -398,12 +399,12 @@ def test_verify_decomposition_checks_allow_rounding_of_the_operator_not_of_gamma
     trial = [(alg, n_hat, 38, extremal.theorem_draws(alg, 38, 200))]
     checks = cli._verify_block(trial)[0]
     assert all(ok for _, ok in checks.values())
-    exact, n = cli._equivariant_parts, planar_structure(alg, n_hat).n_hat
+    exact, n = algebra.equivariant_parts, planar_structure(alg, n_hat).n_hat
 
-    def shifted(m, p, gamma):  # Decomposition.equivariant_part of the battery's planes
+    def shifted(m, p, gamma):  # what Decomposition.equivariant_part and the battery's pass compute
         return exact(m, p, gamma) + 1e-10 * alg.scale * np.outer(n, n)
 
-    monkeypatch.setattr(cli, "_equivariant_parts", shifted)
+    monkeypatch.setattr(algebra, "equivariant_parts", shifted)
     checks = cli._verify_block(trial)[0]
     # n n^T also leaves the plane, as n^T Pi(M)
     assert [name for name, (_, ok) in checks.items() if not ok] == ["decomposition_into_plane",
