@@ -543,7 +543,8 @@ def _plane_checks(algs, images, planes, seeds) -> list[dict]:
     """
     if not planes:
         return []
-    n, p, norm_p = (np.array(x) for x in zip(*((q.n_hat, q.P, q.norm_P) for q in planes)))
+    n, p = np.array([q.n_hat for q in planes]), np.array([q.P for q in planes])
+    norm_p = np.array([q.norm_P for q in planes])
     fn = np.einsum("tk,tkab->tab", n, images)
     g = (np.array([a.gram for a in algs]) @ n[:, :, None])[..., 0]
     g -= np.array([2.0 * q.norm_P ** 2 for q in planes])[:, None] * n
@@ -623,14 +624,13 @@ def cmd_verify(args) -> int:
                   for cfg, n_hat, seed in block if not (alg := build_algebra(cfg)).is_trivial()]
         lambda_bar_exact_batch([a for _, alg, _, _, (_, other, both) in trials for a in (alg, other, both)])
         find_invariant_planes_batch([alg for _, alg, n_hat, *_ in trials if n_hat is None])
-        battery = []
+        checked = []
         for _, alg, n_hat, seed, drawn in trials:
             if n_hat is None:  # a --config point: the first of its planes, if it has one
                 planes = find_invariant_planes(alg)
                 n_hat = planes[0].n_hat if planes else None
-            battery.append((alg, n_hat, seed, drawn))
-        battery = _verify_block(battery)
-        for (cfg, alg, *_), checks in zip(trials, battery):
+            checked.append((alg, n_hat, seed, drawn))
+        for (cfg, alg, *_), checks in zip(trials, _verify_block(checked)):
             checks["weight_bracket"] = _weight_bracket(cfg, alg)
             for name, (residual, ok) in checks.items():
                 worst, held = accum.get(name, (-np.inf, True))
